@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from earpipe.artifact import ica_decompose, select_ecg_ic
-from earpipe.cardiac import match_beats, paired_rr, pan_tompkins
+from earpipe.cardiac import match_beats, paired_rr
 from earpipe.ingest import Recording
 from earpipe.stats import bland_altman
 from earpipe.synth import EcgSynthSpec, EegSynthSpec, gen_ecg, gen_eeg
@@ -44,11 +44,8 @@ def main() -> int:
     if picked is None:
         print("no cardiac component found")
         return 1
-    src = ica.sources[picked]
-    fwd = pan_tompkins(src, rate)
-    rev = pan_tompkins(-src, rate)
-    beats = fwd if len(fwd) >= len(rev) else rev
-    print(f"component {picked}: {len(beats)} beats detected")
+    beats = picked.beats
+    print(f"component {picked.index}: {len(beats)} beats detected")
 
     match = match_beats(truth, beats, tolerance_s=0.05)
     sens = len(match.pairs) / len(truth)

@@ -177,9 +177,3 @@ def analyze_tables(rows: list[BandPowerRow], scores: dict | None, exclude: tuple
         payload["flow_quadratic"] = {"status": "not_computed", "reason": "no scores supplied"}
     return payload
 
-
-def session_regressions(cfg, band_rows: list[BandPowerRow]) -> dict:
-    """Single-session regression report for the run pipeline."""
-    scores = read_scores(cfg.surveys, default_participant=cfg.participant)
-    result = band_score_models(band_rows, scores, exclude=cfg.exclude_conditions)
-    return {"status": "ok", "excluded_conditions": list(cfg.exclude_conditions), **result}

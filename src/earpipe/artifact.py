@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cardiac import pan_tompkins
+from .cardiac import BeatSeries, pan_tompkins
+from .filters import overlap_add_windows
 from .ingest import Recording
 
 ICA_TOL = 1e-6
@@ -132,11 +133,7 @@ RR_PLAUSIBLE_MS = (300.0, 1500.0)
 ECG_SCORE_THRESHOLD = 0.5
 
 
-def _rhythm_score(src: np.ndarray, rate: float) -> float:
-    try:
-        beats = pan_tompkins(src, rate)
-    except ValueError:
-        return 0.0
+def _rhythm_score(beats: BeatSeries) -> float:
     if len(beats) < 3:
         return 0.0
     rr = np.diff(beats.beat_times) * 1000.0
@@ -148,27 +145,53 @@ def _rhythm_score(src: np.ndarray, rate: float) -> float:
     return frac * max(0.0, 1.0 - cv)
 
 
+def detect_beats(x: np.ndarray, rate: float) -> tuple[BeatSeries, float]:
+    """QRS detection on both signs of one channel.
+
+    Returns the sign's series with more beats (a tie keeps the signal as
+    given) and the heartbeat-likeness score: the better of the two signs'
+    interval plausibility x regularity. Raises ValueError for a signal
+    the detector cannot take (too short, rate too low).
+    """
+    fwd = pan_tompkins(x, rate)
+    rev = pan_tompkins(-x, rate)
+    beats = fwd if len(fwd) >= len(rev) else rev
+    return beats, max(_rhythm_score(fwd), _rhythm_score(rev))
+
+
 def ecg_component_score(src: np.ndarray, rate: float) -> float:
-    """Heartbeat-likeness of one source: run detection on both signs,
-    keep the better (interval-plausibility x regularity) score."""
-    return max(_rhythm_score(src, rate), _rhythm_score(-src, rate))
+    """Heartbeat-likeness of one source (see detect_beats); 0 for a
+    signal the detector cannot take."""
+    try:
+        return detect_beats(src, rate)[1]
+    except ValueError:
+        return 0.0
 
 
-def select_ecg_ic(ica: IcaResult, rate: float) -> int | None:
-    """Index of the most heartbeat-like component, or None below threshold.
+@dataclass(frozen=True)
+class EcgPick:
+    index: int
+    score: float
+    beats: BeatSeries
+
+
+def select_ecg_ic(ica: IcaResult, rate: float) -> EcgPick | None:
+    """The most heartbeat-like component with its score and beats, or
+    None below threshold.
 
     Ties resolve to the lowest index.
     """
-    best_idx = None
-    best = -1.0
+    best: EcgPick | None = None
     for i in range(ica.n_components):
-        s = ecg_component_score(ica.sources[i], rate)
-        if s > best + 1e-12:
-            best = s
-            best_idx = i
-    if best_idx is None or best < ECG_SCORE_THRESHOLD:
+        try:
+            beats, score = detect_beats(ica.sources[i], rate)
+        except ValueError:
+            continue
+        if best is None or score > best.score + 1e-12:
+            best = EcgPick(index=i, score=score, beats=beats)
+    if best is None or best.score < ECG_SCORE_THRESHOLD:
         return None
-    return best_idx
+    return best
 
 
 @dataclass(frozen=True)
@@ -264,13 +287,7 @@ def asr_process(
     w = int(round(cfg.proc_win_s * rec.rate))
     if w < 2 or w > n:
         raise ValueError(f"processing window of {cfg.proc_win_s} s does not fit the data")
-    hop = max(1, w // 2)
-    starts = list(range(0, n - w + 1, hop))
-    if starts[-1] != n - w:
-        starts.append(n - w)
-    k = np.arange(w)
-    taper = np.sin(np.pi * (k + 0.5) / w) ** 2
-
+    starts, taper = overlap_add_windows(n, w, max(1, w // 2))
     corr = np.zeros_like(rec.data)
     wsum = np.zeros(n)
     touched = np.zeros(n, dtype=bool)

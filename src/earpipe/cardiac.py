@@ -13,7 +13,7 @@ so behaviour matches across sampling rates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,9 +71,7 @@ def _bandpass_qrs(x: np.ndarray, rate: float) -> np.ndarray:
     order += order % 2
     lo = design_fir(FirSpec("lowpass", 5.0, order, "hamming"), rate)
     hi = design_fir(FirSpec("lowpass", 15.0, order, "hamming"), rate)
-    taps = hi.taps - lo.taps
-    bp = type(hi)(taps=taps, group_delay=hi.group_delay, spec=hi.spec)
-    return apply_zero_phase_array(x, bp)
+    return apply_zero_phase_array(x, replace(hi, taps=hi.taps - lo.taps))
 
 
 def _local_maxima(y: np.ndarray) -> np.ndarray:

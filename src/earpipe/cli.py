@@ -9,15 +9,14 @@ so callers can parse failures; result summaries go to stdout.
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .cardiac import pan_tompkins, rr_outlier_filter, rr_periods, match_beats, paired_rr
+from .analysis import analyze_tables, read_scores
+from .artifact import detect_beats
+from .cardiac import rr_periods, match_beats, paired_rr
 from .ingest import (
     cut_segments,
     frames_to_recording,
@@ -28,37 +27,31 @@ from .ingest import (
     save_session_csv,
     Event,
 )
-from .pipeline import ConfigError, DataError, PipelineConfig, load_config, load_rr_beats, run_pipeline
+from .pipeline import (
+    ConfigError,
+    DataError,
+    _json_dump,
+    _jsonable,
+    _read_bytes,
+    load_config,
+    load_input,
+    load_rr_beats,
+    psd_band_rows,
+    read_ini,
+    rr_rows,
+    run_pipeline,
+    write_rr_csv,
+)
 from .spectral import (
     BandPowerRow,
     DEFAULT_BANDS,
-    band_power,
     parse_band_spec,
-    to_db,
     welch_psd_recording,
     write_band_table,
     read_band_table,
 )
 from .stats import bland_altman
 from .synth import BergerSpec, EcgSynthSpec, EegSynthSpec, berger_session, gen_ecg, gen_eeg
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
-def _dump_json(obj, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _emit(payload: dict) -> None:
@@ -79,14 +72,7 @@ def _pair(text: str, what: str) -> tuple[float, float]:
 
 
 def _read_synth_spec(path, seed_override: int | None):
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    try:
-        with open(path) as fh:
-            parser.read_file(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"spec file not found: {path}") from None
-    except configparser.Error as exc:
-        raise ConfigError(f"spec syntax: {exc}") from None
+    parser = read_ini(path, "spec")
     if not parser.has_section("synth"):
         raise ConfigError("spec needs a [synth] section with kind and seed")
     kind = parser.get("synth", "kind", fallback=None)
@@ -171,19 +157,14 @@ def _read_synth_spec(path, seed_override: int | None):
 
 
 def cmd_parse(args) -> int:
-    try:
-        with open(args.raw, "rb") as fh:
-            blob = fh.read()
-    except FileNotFoundError:
-        raise DataError(f"raw stream not found: {args.raw}") from None
-    frames, report = parse_stream(blob, rate=args.rate)
+    frames, report = parse_stream(load_input("raw stream", _read_bytes, args.raw), rate=args.rate)
     # zero decoded frames is a valid outcome (empty or unrecoverable input):
     # the session CSV is then header-only and the integrity report says why
     rec = frames_to_recording(frames, args.rate)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_session_csv(rec, out / "session.csv")
-    _dump_json(report.to_dict(), out / "integrity.json")
+    _json_dump(report.to_dict(), out / "integrity.json")
     _emit(
         {
             "command": "parse",
@@ -202,12 +183,11 @@ def cmd_synth(args, seed_override: int | None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if kind == "ecg":
         rec, beats = gen_ecg(spec)
-        rr = rr_periods(beats) if len(beats) >= 2 else None
-        with open(out / "rr_truth.csv", "w", newline="") as fh:
-            fh.write("beat_time_s,rr_ms,flag\n")
-            if rr is not None:
-                for i in range(len(rr)):
-                    fh.write(f"{rr.anchored_at_s[i]:.6f},{rr.intervals_ms[i]:.3f},ok\n")
+        truth_rows = []
+        if len(beats) >= 2:
+            rr = rr_periods(beats)
+            truth_rows = [(t, ms, "ok") for t, ms in zip(rr.anchored_at_s, rr.intervals_ms)]
+        write_rr_csv(truth_rows, out / "rr_truth.csv")
         truth = {"kind": kind, "beat_times_s": beats.beat_times, "bpm": spec.bpm}
     else:
         rec = berger_session(spec) if kind == "berger" else gen_eeg(spec)
@@ -215,7 +195,7 @@ def cmd_synth(args, seed_override: int | None) -> int:
     save_session_csv(rec, out / "session.csv")
     events = rec.events or [Event("all", 0.0, rec.duration_s)]
     save_events_csv(events, out / "events.csv")
-    _dump_json(truth, out / "truth.json")
+    _json_dump(truth, out / "truth.json")
     _emit(
         {
             "command": "synth",
@@ -245,20 +225,10 @@ def cmd_run(args, seed_override: int | None, line_override: float | None) -> int
 
 
 def cmd_bands(args) -> int:
-    try:
-        rec = load_session_csv(args.session)
-    except FileNotFoundError:
-        raise DataError(f"session file not found: {args.session}") from None
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    rec = load_input("session file", load_session_csv, args.session)
     bands = parse_band_spec(args.bands) if args.bands else DEFAULT_BANDS
     if args.events:
-        try:
-            events = load_events_csv(args.events)
-        except FileNotFoundError:
-            raise DataError(f"events file not found: {args.events}") from None
-        except ValueError as exc:
-            raise DataError(str(exc)) from None
+        events = load_input("events file", load_events_csv, args.events)
     else:
         events = [Event("all", 0.0, rec.duration_s)]
     rows: list[BandPowerRow] = []
@@ -269,33 +239,17 @@ def cmd_bands(args) -> int:
                 f"for {args.segment}-sample windows"
             )
         try:
-            psd = to_db(welch_psd_recording(seg.recording, seg=args.segment, overlap=args.overlap))
-            per_band = band_power(psd, bands)
+            psd = welch_psd_recording(seg.recording, seg=args.segment, overlap=args.overlap)
+            rows.extend(psd_band_rows(args.participant, seg.condition, psd, bands))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        for name, values in per_band.items():
-            for ch in range(seg.recording.n_channels):
-                rows.append(
-                    BandPowerRow(
-                        participant=args.participant,
-                        condition=seg.condition,
-                        channel=rec.labels[ch],
-                        band=name,
-                        power_db=float(values[ch]),
-                    )
-                )
     write_band_table(rows, args.out)
     _emit({"command": "bands", "rows": len(rows), "out": args.out})
     return 0
 
 
 def cmd_ecg(args) -> int:
-    try:
-        rec = load_session_csv(args.session)
-    except FileNotFoundError:
-        raise DataError(f"session file not found: {args.session}") from None
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    rec = load_input("session file", load_session_csv, args.session)
     if args.channel in rec.labels:
         row = rec.labels.index(args.channel)
     else:
@@ -305,28 +259,20 @@ def cmd_ecg(args) -> int:
             raise ConfigError(f"channel must be a label or 1-based index, got {args.channel!r}") from None
         if not 0 <= row < rec.n_channels:
             raise ConfigError(f"channel index {args.channel} outside 1..{rec.n_channels}")
-    x = rec.data[row]
     try:
-        fwd = pan_tompkins(x, rec.rate)
-        rev = pan_tompkins(-x, rec.rate)
+        beats, _ = detect_beats(rec.data[row], rec.rate)
     except ValueError as exc:
         raise DataError(str(exc)) from None
-    beats = fwd if len(fwd) >= len(rev) else rev
     if len(beats) < 2:
         raise DataError("fewer than 2 beats detected")
-    rr = rr_periods(beats)
-    mask = rr_outlier_filter(rr).kept_mask
-    with open(args.out, "w", newline="") as fh:
-        fh.write("beat_time_s,rr_ms,flag\n")
-        for i in range(len(rr)):
-            flag = "ok" if mask[i] else "outlier"
-            fh.write(f"{rr.anchored_at_s[i]:.6f},{rr.intervals_ms[i]:.3f},{flag}\n")
+    rows = rr_rows(beats)
+    write_rr_csv(rows, args.out)
     _emit(
         {
             "command": "ecg",
             "beats": len(beats),
-            "intervals": len(rr),
-            "outliers": int((~mask).sum()),
+            "intervals": len(rows),
+            "outliers": sum(flag == "outlier" for _, _, flag in rows),
             "out": args.out,
         }
     )
@@ -334,8 +280,8 @@ def cmd_ecg(args) -> int:
 
 
 def cmd_agree(args) -> int:
-    ref = load_rr_beats(args.ref)
-    alt = load_rr_beats(args.alt)
+    ref = load_input("R-R file", load_rr_beats, args.ref)
+    alt = load_input("R-R file", load_rr_beats, args.alt)
     match = match_beats(ref, alt, args.tolerance)
     rr_ref, rr_alt = paired_rr(match, ref, alt)
     if len(rr_ref) < 2:
@@ -352,63 +298,36 @@ def cmd_agree(args) -> int:
         **report.to_dict(),
     }
     if args.out:
-        _dump_json(payload, args.out)
+        _json_dump(payload, args.out)
     _emit({"command": "agree", **payload})
     return 0
 
 
 def _inline_scores(path) -> dict:
     """Scores carried as tlx_total/flow_mean columns inside a band table."""
-    import csv
-
-    found: dict = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        names = reader.fieldnames or []
-        if "tlx_total" not in names or "flow_mean" not in names:
-            return found
-        for row in reader:
-            key = (row["participant"], row["condition"])
-            found.setdefault(key, []).append(
-                (float(row["tlx_total"]), float(row["flow_mean"]))
-            )
-    return {
-        key: (
-            float(np.mean([t for t, _ in vals])),
-            float(np.mean([f for _, f in vals])),
-        )
-        for key, vals in found.items()
-    }
+        header = fh.readline().strip().split(",")
+    if "tlx_total" not in header or "flow_mean" not in header:
+        return {}
+    return read_scores(path)
 
 
 def cmd_analyze(args) -> int:
-    from .analysis import analyze_tables, read_scores
-
     rows: list[BandPowerRow] = []
     inline: dict = {}
     for path in args.bands:
-        try:
-            rows.extend(read_band_table(path))
-            inline.update(_inline_scores(path))
-        except FileNotFoundError:
-            raise DataError(f"band table not found: {path}") from None
-        except ValueError as exc:
-            raise DataError(str(exc)) from None
+        rows.extend(load_input("band table", read_band_table, path))
+        inline.update(load_input("band table", _inline_scores, path))
     if not rows:
         raise DataError("band tables contain no rows")
     scores = inline or None
     if args.scores:
-        try:
-            scores = read_scores(args.scores)
-        except FileNotFoundError:
-            raise DataError(f"scores file not found: {args.scores}") from None
-        except ValueError as exc:
-            raise DataError(str(exc)) from None
+        scores = load_input("scores file", read_scores, args.scores)
     exclude = args.exclude_condition if args.exclude_condition is not None else ["eyes_open", "eyes_closed"]
     payload = analyze_tables(rows, scores, exclude=tuple(exclude))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _dump_json(payload, out / "analysis.json")
+    _json_dump(payload, out / "analysis.json")
     _emit(
         {
             "command": "analyze",

@@ -118,6 +118,20 @@ def baseline_correct(rec: Recording) -> Recording:
     return out
 
 
+def overlap_add_windows(n: int, w: int, hop: int) -> tuple[list[int], np.ndarray]:
+    """Start indices of length-w windows hopping through n samples, plus
+    their sin^2 overlap-add taper.
+
+    The last window is moved to end exactly at n so every sample is
+    covered. The taper is strictly positive, so every covered sample
+    gets weight.
+    """
+    starts = list(range(0, n - w + 1, hop))
+    if starts[-1] != n - w:
+        starts.append(n - w)
+    return starts, np.sin(np.pi * (np.arange(w) + 0.5) / w) ** 2
+
+
 def _line_design_matrix(t: np.ndarray, f0: float, harmonics: int) -> np.ndarray:
     cols = []
     for h in range(1, harmonics + 1):
@@ -161,14 +175,7 @@ def remove_line_noise(
         out.data = rec.data - (design @ beta).T
         return out
 
-    hop = max(1, int(round(step_s * rec.rate)))
-    starts = list(range(0, n - w_len + 1, hop))
-    if starts[-1] != n - w_len:
-        starts.append(n - w_len)
-    # strictly positive taper so every covered sample gets weight
-    k = np.arange(w_len)
-    taper = np.sin(np.pi * (k + 0.5) / w_len) ** 2
-
+    starts, taper = overlap_add_windows(n, w_len, max(1, int(round(step_s * rec.rate))))
     est = np.zeros_like(rec.data)
     wsum = np.zeros(n)
     for s in starts:

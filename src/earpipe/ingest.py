@@ -325,7 +325,7 @@ def load_session_csv(path) -> Recording:
     rows: list[list[str]] = []
     header: list[str] | None = None
     with open(path, newline="") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -337,12 +337,20 @@ def load_session_csv(path) -> Recording:
             if header is None:
                 header = [c.strip() for c in line.split(",")]
                 continue
-            rows.append(line.split(","))
+            row = line.split(",")
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{line_no}: {len(row)} fields, header has {len(header)}")
+            rows.append(row)
     if header is None or header[0] != "t_s":
         raise ValueError(f"{path}: expected a 't_s,ch...' header row")
     if not rows:
         raise ValueError(f"{path}: no sample rows")
     arr = np.array(rows, dtype=float)
+    if not np.isfinite(arr).all():
+        i, col = np.argwhere(~np.isfinite(arr))[0]
+        raise ValueError(
+            f"{path}: non-finite value {arr[i, col]} in {header[col]} at t_s={arr[i, 0]:.6f}"
+        )
     t = arr[:, 0]
     if rate is None:
         # fall back to the median timestamp step

@@ -14,22 +14,23 @@ from __future__ import annotations
 import configparser
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .analysis import band_score_models, read_scores
 from .artifact import (
     AsrConfig,
     CalibrationError,
+    EcgPick,
     asr_calibrate,
     asr_process,
-    ecg_component_score,
     ica_decompose,
     select_ecg_ic,
 )
-from .cardiac import BeatSeries, match_beats, paired_rr, pan_tompkins, rr_outlier_filter, rr_periods
+from .cardiac import BeatSeries, match_beats, paired_rr, rr_outlier_filter, rr_periods
 from .filters import FirSpec, apply_zero_phase, baseline_correct, design_fir, remove_line_noise
 from .ingest import (
     Recording,
@@ -49,6 +50,7 @@ from .montage import (
 from .spectral import (
     BandPowerRow,
     DEFAULT_BANDS,
+    PsdEstimate,
     parse_band_spec,
     qc_report,
     to_db,
@@ -74,6 +76,10 @@ def _as_bool(text: str) -> bool:
     if t in ("0", "false", "no", "off"):
         return False
     raise ConfigError(f"cannot read boolean value {text!r}")
+
+
+def _csv_tuple(text: str) -> tuple:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
 @dataclass
@@ -123,11 +129,13 @@ class PipelineConfig:
     psd_segment: int = 256
     psd_overlap: int = 64
     psd_average: str = "per_segment"  # per_segment | pooled
-    bands: tuple = DEFAULT_BANDS
+    bands: tuple = field(default=DEFAULT_BANDS, metadata={"parse": parse_band_spec})
 
     detect_ecg: bool = True
     match_tolerance_s: float = 0.15
-    exclude_conditions: tuple = ("eyes_open", "eyes_closed")
+    exclude_conditions: tuple = field(
+        default=("eyes_open", "eyes_closed"), metadata={"parse": _csv_tuple}
+    )
 
     def validate(self) -> list[str]:
         problems: list[str] = []
@@ -171,121 +179,64 @@ class PipelineConfig:
         return problems
 
 
-_INPUT_KEYS = {
-    "session": str,
-    "raw": str,
-    "events": str,
-    "montage": str,
-    "participant": str,
-    "reference_rr": str,
-    "surveys": str,
-    "rate": float,
+# INI section -> the keys it accepts. Each key names a PipelineConfig
+# field, except [output] dir (out_dir) and the [stages] toggles, which
+# name StageToggles fields; the field's type or "parse" metadata reads
+# the value.
+_SECTIONS = {
+    "input": (
+        "session", "raw", "events", "montage", "participant", "reference_rr", "surveys", "rate",
+    ),
+    "output": ("dir",),
+    "stages": tuple(f.name for f in fields(StageToggles)),
+    "pipeline": (
+        "hp_cutoff_hz", "hp_order", "lp_cutoff_hz", "lp_order", "fir_window",
+        "line_freq_hz", "line_harmonics", "line_win_s", "line_step_s",
+        "asr_burst_k", "asr_window_criterion", "asr_calib_win_s", "asr_proc_win_s",
+        "ica_max_iter", "ica_seed", "ica_components", "ica_input",
+        "reref_left", "reref_right", "psd_segment", "psd_overlap", "psd_average", "bands",
+    ),
+    "analysis": ("detect_ecg", "match_tolerance_s", "exclude_conditions"),
 }
-_PIPELINE_KEYS = {
-    "hp_cutoff_hz": float,
-    "hp_order": int,
-    "lp_cutoff_hz": float,
-    "lp_order": int,
-    "fir_window": str,
-    "line_freq_hz": float,
-    "line_harmonics": int,
-    "line_win_s": float,
-    "line_step_s": float,
-    "asr_burst_k": float,
-    "asr_window_criterion": float,
-    "asr_calib_win_s": float,
-    "asr_proc_win_s": float,
-    "ica_max_iter": int,
-    "ica_seed": int,
-    "ica_components": int,
-    "ica_input": str,
-    "reref_left": str,
-    "reref_right": str,
-    "psd_segment": int,
-    "psd_overlap": int,
-    "psd_average": str,
-}
-_ANALYSIS_KEYS = {
-    "detect_ecg": "bool",
-    "match_tolerance_s": float,
-    "exclude_conditions": "csv",
-}
+_PARSE_BY_TYPE = {"str": str, "int": int, "float": float, "bool": _as_bool}
+_FIELDS = {f.name: f for f in fields(PipelineConfig) + fields(StageToggles)}
 
 
-def load_config(path) -> PipelineConfig:
-    """Parse an INI config into a PipelineConfig, raising ConfigError with
-    every problem found."""
+def read_ini(path, what: str) -> configparser.ConfigParser:
+    """Parse an INI file; a missing file or bad syntax is a ConfigError
+    that names the file as <what>."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         with open(path) as fh:
             parser.read_file(fh)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        raise ConfigError(f"{what} file not found: {path}") from None
     except configparser.Error as exc:
-        raise ConfigError(f"config syntax: {exc}") from None
+        raise ConfigError(f"{what} syntax: {exc}") from None
+    return parser
 
+
+def load_config(path) -> PipelineConfig:
+    """Parse an INI config into a PipelineConfig, raising ConfigError with
+    every problem found."""
+    parser = read_ini(path, "config")
     cfg = PipelineConfig()
     problems: list[str] = []
-    known = {"input", "output", "stages", "pipeline", "analysis"}
     for section in parser.sections():
-        if section not in known:
+        if section not in _SECTIONS:
             problems.append(f"unknown section [{section}]")
-
-    if parser.has_section("input"):
-        for key, value in parser.items("input"):
-            if key not in _INPUT_KEYS:
-                problems.append(f"input: unknown key {key!r}")
+            continue
+        target = cfg.stages if section == "stages" else cfg
+        for key, value in parser.items(section):
+            if key not in _SECTIONS[section]:
+                problems.append(f"{section}: unknown key {key!r}")
                 continue
+            f = _FIELDS["out_dir" if key == "dir" else key]
+            parse = f.metadata.get("parse") or _PARSE_BY_TYPE[f.type.removesuffix(" | None")]
             try:
-                setattr(cfg, key, _INPUT_KEYS[key](value))
-            except ValueError:
-                problems.append(f"input: bad value for {key}: {value!r}")
-    if parser.has_section("output"):
-        for key, value in parser.items("output"):
-            if key == "dir":
-                cfg.out_dir = value
-            else:
-                problems.append(f"output: unknown key {key!r}")
-    if parser.has_section("stages"):
-        stage_names = {f.name for f in fields(StageToggles)}
-        for key, value in parser.items("stages"):
-            if key not in stage_names:
-                problems.append(f"stages: unknown stage {key!r}")
-                continue
-            try:
-                setattr(cfg.stages, key, _as_bool(value))
-            except ConfigError as exc:
-                problems.append(f"stages: {exc}")
-    if parser.has_section("pipeline"):
-        for key, value in parser.items("pipeline"):
-            if key == "bands":
-                try:
-                    cfg.bands = parse_band_spec(value)
-                except ValueError as exc:
-                    problems.append(f"pipeline: {exc}")
-                continue
-            if key not in _PIPELINE_KEYS:
-                problems.append(f"pipeline: unknown key {key!r}")
-                continue
-            try:
-                setattr(cfg, key, _PIPELINE_KEYS[key](value))
-            except ValueError:
-                problems.append(f"pipeline: bad value for {key}: {value!r}")
-    if parser.has_section("analysis"):
-        for key, value in parser.items("analysis"):
-            if key not in _ANALYSIS_KEYS:
-                problems.append(f"analysis: unknown key {key!r}")
-                continue
-            kind = _ANALYSIS_KEYS[key]
-            try:
-                if kind == "bool":
-                    setattr(cfg, key, _as_bool(value))
-                elif kind == "csv":
-                    setattr(cfg, key, tuple(v.strip() for v in value.split(",") if v.strip()))
-                else:
-                    setattr(cfg, key, kind(value))
-            except (ValueError, ConfigError):
-                problems.append(f"analysis: bad value for {key}: {value!r}")
+                setattr(target, f.name, parse(value))
+            except ValueError as exc:
+                problems.append(f"{section}: bad value for {key}: {exc}")
 
     problems.extend(cfg.validate())
     if problems:
@@ -293,33 +244,31 @@ def load_config(path) -> PipelineConfig:
     return cfg
 
 
-def _load_inputs(cfg: PipelineConfig):
-    if cfg.session is not None:
-        try:
-            rec = load_session_csv(cfg.session)
-        except FileNotFoundError:
-            raise DataError(f"session file not found: {cfg.session}") from None
-        except ValueError as exc:
-            raise DataError(str(exc)) from None
-    else:
-        try:
-            with open(cfg.raw, "rb") as fh:
-                blob = fh.read()
-        except FileNotFoundError:
-            raise DataError(f"raw stream not found: {cfg.raw}") from None
-        frames, _ = parse_stream(blob, rate=cfg.rate)
-        rec = frames_to_recording(frames, cfg.rate)
+def load_input(what: str, load, path, *args):
+    """load(path, *args) with the input errors the CLI reports as data
+    errors: a missing file becomes "<what> not found: <path>" and
+    malformed content (ValueError) keeps its message."""
     try:
-        events = load_events_csv(cfg.events)
+        return load(path, *args)
     except FileNotFoundError:
-        raise DataError(f"events file not found: {cfg.events}") from None
+        raise DataError(f"{what} not found: {path}") from None
     except ValueError as exc:
         raise DataError(str(exc)) from None
-    montage_path = cfg.montage if cfg.montage else builtin_montage_path()
-    try:
-        monmap = load_montage_csv(montage_path)
-    except FileNotFoundError:
-        raise DataError(f"montage file not found: {montage_path}") from None
+
+
+def _read_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _load_inputs(cfg: PipelineConfig):
+    if cfg.session is not None:
+        rec = load_input("session file", load_session_csv, cfg.session)
+    else:
+        frames, _ = parse_stream(load_input("raw stream", _read_bytes, cfg.raw), rate=cfg.rate)
+        rec = frames_to_recording(frames, cfg.rate)
+    events = load_input("events file", load_events_csv, cfg.events)
+    monmap = load_input("montage file", load_montage_csv, cfg.montage or builtin_montage_path())
     violations = validate_montage(monmap)
     if violations:
         raise DataError(f"montage violates constraints: {', '.join(violations)}")
@@ -379,12 +328,9 @@ class SegmentResult:
     condition: str
     cleaned: Recording
     flagged: list
-    psd_db_bands: dict
     qc: dict
-    ica_selected: int | None
-    ica_score: float | None
-    beats: BeatSeries | None
-    rr_rows: list  # (beat_time_s, rr_ms, flag)
+    ecg: EcgPick | None
+    psd: PsdEstimate  # linear, flagged windows excluded
 
 
 def process_segment(seg_rec: Recording, condition: str, cfg: PipelineConfig, monmap, seg_index: int):
@@ -405,60 +351,76 @@ def process_segment(seg_rec: Recording, condition: str, cfg: PipelineConfig, mon
             raise DataError(f"segment {seg_index} ({condition}): {exc}") from None
         asr_out, flagged = asr_process(cleaned, model, asr_cfg)
 
-    selected = None
-    score = None
-    beats = None
-    rr_rows: list = []
-    if cfg.stages.ica:
-        ica_source_rec = asr_out if cfg.ica_input == "asr" else cleaned
+    # ICA serves only the ECG pickup, so it runs only when that is wanted
+    pick = None
+    if cfg.stages.ica and cfg.detect_ecg:
         ica = ica_decompose(
-            ica_source_rec,
+            asr_out if cfg.ica_input == "asr" else cleaned,
             n_components=cfg.ica_components,
             seed=cfg.ica_seed + seg_index,
             max_iter=cfg.ica_max_iter,
         )
-        if cfg.detect_ecg:
-            selected = select_ecg_ic(ica, cleaned.rate)
-            if selected is not None:
-                src = ica.sources[selected]
-                score = ecg_component_score(src, cleaned.rate)
-                fwd = pan_tompkins(src, cleaned.rate)
-                rev = pan_tompkins(-src, cleaned.rate)
-                beats = fwd if len(fwd) >= len(rev) else rev
-                if len(beats) >= 2:
-                    rr = rr_periods(beats)
-                    mask = rr_outlier_filter(rr).kept_mask
-                    for i in range(len(rr)):
-                        rr_rows.append(
-                            (
-                                float(rr.anchored_at_s[i]),
-                                float(rr.intervals_ms[i]),
-                                "ok" if mask[i] else "outlier",
-                            )
-                        )
+        pick = select_ecg_ic(ica, cleaned.rate)
 
     exclude = [(f.start_s, f.end_s) for f in flagged]
-    psd_lin = welch_psd_recording(
+    psd = welch_psd_recording(
         asr_out, seg=cfg.psd_segment, overlap=cfg.psd_overlap, exclude_spans=exclude
     )
-    qc = qc_report(asr_out, psd_lin, line_freq_hz=cfg.line_freq_hz).to_dict()
+    qc = qc_report(asr_out, psd, line_freq_hz=cfg.line_freq_hz).to_dict()
     return SegmentResult(
-        condition=condition,
-        cleaned=asr_out,
-        flagged=flagged,
-        psd_db_bands={},  # bands are computed per condition after averaging
-        qc=qc,
-        ica_selected=selected,
-        ica_score=score,
-        beats=beats,
-        rr_rows=rr_rows,
-    ), psd_lin
+        condition=condition, cleaned=asr_out, flagged=flagged, qc=qc, ecg=pick, psd=psd
+    )
+
+
+def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    return obj
 
 
 def _json_dump(obj, path) -> None:
+    """Write a report as sorted, indented JSON; numpy values become plain
+    numbers and lists."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def rr_rows(beats: BeatSeries, offset_s: float = 0.0) -> list:
+    """(beat_time_s, rr_ms, flag) per interval, times shifted by offset_s;
+    the flag is "outlier" for intervals the deviation filter rejects."""
+    if len(beats) < 2:
+        return []
+    rr = rr_periods(beats)
+    kept = rr_outlier_filter(rr).kept_mask
+    return [
+        (offset_s + float(t), float(ms), "ok" if ok else "outlier")
+        for t, ms, ok in zip(rr.anchored_at_s, rr.intervals_ms, kept)
+    ]
+
+
+def write_rr_csv(rows, path) -> None:
+    """Write (beat_time_s, rr_ms, flag) rows in the rr.csv format."""
+    with open(path, "w", newline="") as fh:
+        fh.write("beat_time_s,rr_ms,flag\n")
+        for t, rr_ms, flag in rows:
+            fh.write(f"{t:.6f},{rr_ms:.3f},{flag}\n")
+
+
+def psd_band_rows(participant: str, condition: str, psd, bands) -> list[BandPowerRow]:
+    """Band-table rows of a linear PSD: median dB power per band and channel."""
+    per_band = band_power(to_db(psd), bands)
+    return [
+        BandPowerRow(participant, condition, label, name, float(values[ch]))
+        for name, values in per_band.items()
+        for ch, label in enumerate(psd.labels)
+    ]
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
@@ -478,18 +440,13 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         if seg.report.actual_samples == 0:
             raise DataError(f"event {seg.condition} yields an empty segment")
 
-    seg_results: list[SegmentResult] = []
-    psds: list = []
-    integrity = []
-    for i, seg in enumerate(segments):
-        res, psd_lin = process_segment(seg.recording, seg.condition, cfg, monmap, i)
-        seg_results.append(res)
-        psds.append(psd_lin)
-        integrity.append({"condition": seg.condition, **seg.report.to_dict()})
+    seg_results = [
+        process_segment(seg.recording, seg.condition, cfg, monmap, i)
+        for i, seg in enumerate(segments)
+    ]
 
     # band powers per condition: average linear PSDs across a condition's
     # segments (or pool samples before the PSD), then dB and median bands
-    labels = list(rec.labels)
     conditions: list[str] = []
     for s in segments:
         if s.condition not in conditions:
@@ -510,29 +467,14 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                 pooled, seg=cfg.psd_segment, overlap=cfg.psd_overlap, exclude_spans=exclude
             )
         else:
-            psd = psds[idx[0]]
+            psd = seg_results[idx[0]].psd
             if len(idx) > 1:
-                power = np.mean([psds[i].power for i in idx], axis=0)
-                psd = type(psd)(
-                    freqs=psd.freqs,
-                    power=power,
-                    rate=psd.rate,
-                    segment_length=psd.segment_length,
-                    window_count=sum(psds[i].window_count for i in idx),
-                    labels=psd.labels,
+                psd = replace(
+                    psd,
+                    power=np.mean([seg_results[i].psd.power for i in idx], axis=0),
+                    window_count=sum(seg_results[i].psd.window_count for i in idx),
                 )
-        bands = band_power(to_db(psd), cfg.bands)
-        for band_name, values in bands.items():
-            for ch in range(rec.n_channels):
-                band_rows.append(
-                    BandPowerRow(
-                        participant=cfg.participant,
-                        condition=cond,
-                        channel=labels[ch],
-                        band=band_name,
-                        power_db=float(values[ch]),
-                    )
-                )
+        band_rows.extend(psd_band_rows(cfg.participant, cond, psd, cfg.bands))
     write_band_table(band_rows, out_dir / "bands.csv")
 
     qc_payload = {
@@ -542,39 +484,26 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             {
                 "condition": r.condition,
                 "qc": r.qc,
-                "asr_flagged_windows": [
-                    {
-                        "index": f.index,
-                        "start_s": f.start_s,
-                        "end_s": f.end_s,
-                        "bad_fraction": f.bad_fraction,
-                    }
-                    for f in r.flagged
-                ],
-                "ecg_component": r.ica_selected,
-                "ecg_score": r.ica_score,
+                "asr_flagged_windows": [asdict(f) for f in r.flagged],
+                "ecg_component": r.ecg.index if r.ecg else None,
+                "ecg_score": r.ecg.score if r.ecg else None,
             }
             for r in seg_results
         ],
     }
     _json_dump(qc_payload, out_dir / "qc.json")
+    integrity = [{"condition": seg.condition, **seg.report.to_dict()} for seg in segments]
     _json_dump({"segments": integrity}, out_dir / "integrity.json")
 
-    with open(out_dir / "rr.csv", "w", newline="") as fh:
-        fh.write("beat_time_s,rr_ms,flag\n")
-        for i, seg in enumerate(segments):
-            offset = seg.report.first_t
-            for t_beat, rr_ms, flag in seg_results[i].rr_rows:
-                fh.write(f"{offset + t_beat:.6f},{rr_ms:.3f},{flag}\n")
+    picked = [
+        (seg.report.first_t, res.ecg.beats) for seg, res in zip(segments, seg_results) if res.ecg
+    ]
+    write_rr_csv([row for t0, beats in picked for row in rr_rows(beats, t0)], out_dir / "rr.csv")
 
     ba_payload: dict
     if cfg.reference_rr:
-        ref_beats = load_rr_beats(cfg.reference_rr)
-        alt_times = []
-        for i, seg in enumerate(segments):
-            res = seg_results[i]
-            if res.beats is not None:
-                alt_times.extend((seg.report.first_t + res.beats.beat_times).tolist())
+        ref_beats = load_input("R-R file", load_rr_beats, cfg.reference_rr)
+        alt_times = [t for t0, beats in picked for t in (t0 + beats.beat_times).tolist()]
         if len(alt_times) >= 3:
             alt_beats = BeatSeries(beat_times=np.array(alt_times), rate=rec.rate)
             match = match_beats(ref_beats, alt_beats, cfg.match_tolerance_s)
@@ -603,6 +532,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     _json_dump(
         {
             "version": __version__,
+            "numpy_version": np.__version__,
+            "config": asdict(cfg),
             "elapsed_s": round(time.time() - t_start, 3),
             "finished_unix": time.time(),
             "n_segments": len(segments),
@@ -621,21 +552,22 @@ def load_rr_beats(path) -> BeatSeries:
     """Rebuild a beat series from an rr.csv file (anchors plus final beat)."""
     times: list[float] = []
     rr_last = None
-    try:
-        fh = open(path, newline="")
-    except FileNotFoundError:
-        raise DataError(f"R-R file not found: {path}") from None
-    with fh:
+    with open(path, newline="") as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["beat_time_s", "rr_ms"]:
             raise DataError(f"{path}: expected header beat_time_s,rr_ms[,flag]")
-        for line in fh:
+        for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
-            times.append(float(parts[0]))
-            rr_last = float(parts[1])
+            try:
+                times.append(float(parts[0]))
+                rr_last = float(parts[1])
+            except (IndexError, ValueError):
+                raise DataError(
+                    f"{path}:{line_no}: expected beat_time_s,rr_ms numbers, got {line!r}"
+                ) from None
     if not times:
         raise DataError(f"{path}: no intervals")
     beats = times + [times[-1] + rr_last / 1000.0]
@@ -646,9 +578,9 @@ def load_rr_beats(path) -> BeatSeries:
 def _run_regressions(cfg: PipelineConfig, band_rows) -> dict:
     if not cfg.surveys:
         return {"status": "not_computed", "reason": "no surveys configured"}
-    from .analysis import session_regressions  # local import to avoid a cycle
-
-    try:
-        return session_regressions(cfg, band_rows)
-    except FileNotFoundError:
-        raise DataError(f"surveys file not found: {cfg.surveys}") from None
+    scores = load_input("surveys file", read_scores, cfg.surveys, cfg.participant)
+    return {
+        "status": "ok",
+        "excluded_conditions": list(cfg.exclude_conditions),
+        **band_score_models(band_rows, scores, exclude=cfg.exclude_conditions),
+    }

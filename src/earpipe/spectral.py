@@ -8,7 +8,7 @@ segments, so that sum(psd) * df approximates the signal variance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,60 +52,19 @@ class PsdEstimate:
         self.power = np.atleast_2d(np.asarray(self.power, dtype=float))
 
 
-def welch_psd(
-    x: np.ndarray,
-    rate: float,
-    seg: int = 256,
-    overlap: int = 64,
-    window: str = "hamming",
-) -> PsdEstimate:
+def welch_psd(x: np.ndarray, rate: float, seg: int = 256, overlap: int = 64) -> PsdEstimate:
     """Welch periodogram average of a single channel.
 
-    Segments hop by seg - overlap samples; each is mean-detrended,
-    Hamming-windowed and transformed; squared magnitudes are scaled by
-    1/(rate * sum(w^2)) and one-sided-doubled except at DC and Nyquist.
-    The mean across segments is returned. With overlap=0 and len(x)==seg
-    this reduces to a single periodogram.
+    The single-channel form of welch_psd_recording. With overlap=0 and
+    len(x)==seg this reduces to a single periodogram.
     """
-    if window != "hamming":
-        raise ValueError(f"only the hamming window is supported, got {window!r}")
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
     if seg < 8:
         raise ValueError(f"segment length {seg} too small")
-    if not 0 <= overlap < seg:
-        raise ValueError(f"overlap {overlap} must satisfy 0 <= overlap < seg ({seg})")
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("welch_psd expects a single channel; use welch_psd_recording")
-    n = len(x)
-    if n < seg:
-        raise ValueError(f"need at least seg={seg} samples, got {n}")
-
-    hop = seg - overlap
-    count = 1 + (n - seg) // hop
-    w = np.hamming(seg)
-    norm = 1.0 / (rate * np.sum(w * w))
-    acc = np.zeros(seg // 2 + 1)
-    for j in range(count):
-        s = j * hop
-        d = x[s : s + seg]
-        d = d - d.mean()
-        spect = np.fft.rfft(d * w)
-        p = (spect.real**2 + spect.imag**2) * norm
-        p[1:] *= 2.0
-        if seg % 2 == 0:
-            p[-1] *= 0.5
-        acc += p
-    acc /= count
-    freqs = np.fft.rfftfreq(seg, d=1.0 / rate)
-    return PsdEstimate(
-        freqs=freqs,
-        power=acc[None, :],
-        rate=rate,
-        segment_length=seg,
-        window_count=count,
-    )
+    rec = Recording(rate=rate, labels=["x"], data=x[None, :])
+    return replace(welch_psd_recording(rec, seg=seg, overlap=overlap), labels=[])
 
 
 def welch_psd_recording(
@@ -116,10 +75,17 @@ def welch_psd_recording(
 ) -> PsdEstimate:
     """Per-channel Welch PSD of a recording.
 
+    Segments hop by seg - overlap samples; each is mean-detrended,
+    Hamming-windowed and transformed; squared magnitudes are scaled by
+    1/(rate * sum(w^2)) and one-sided-doubled except at DC and Nyquist,
+    then averaged across segments.
+
     exclude_spans lists [start_s, end_s) intervals (in the recording's
     own timebase, t0 = 0) whose overlapping segments are skipped, e.g.
     windows flagged by artifact rejection.
     """
+    if not 0 <= overlap < seg:
+        raise ValueError(f"overlap {overlap} must satisfy 0 <= overlap < seg ({seg})")
     hop = seg - overlap
     n = rec.n_samples
     if n < seg:
@@ -168,16 +134,7 @@ def to_db(psd: PsdEstimate) -> PsdEstimate:
     if psd.scale == "db":
         raise ValueError("estimate is already in dB")
     power = 10.0 * np.log10(np.maximum(psd.power, DB_EPS))
-    power = np.maximum(power, DB_FLOOR)
-    return PsdEstimate(
-        freqs=psd.freqs.copy(),
-        power=power,
-        rate=psd.rate,
-        segment_length=psd.segment_length,
-        window_count=psd.window_count,
-        scale="db",
-        labels=list(psd.labels),
-    )
+    return replace(psd, power=np.maximum(power, DB_FLOOR), scale="db")
 
 
 def band_power(psd: PsdEstimate, bands=DEFAULT_BANDS) -> dict:

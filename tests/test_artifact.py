@@ -100,10 +100,11 @@ def _ecg_mixture(seed: int, rate: float = 250.0, n_eeg: int = 5, rel_db: float =
 def test_select_ecg_ic_finds_planted_heartbeat():
     channels, _ = _ecg_mixture(seed=30)
     result = ica_decompose(_rec(channels, rate=250.0), seed=2)
-    idx = select_ecg_ic(result, 250.0)
-    assert idx is not None
-    score = ecg_component_score(result.sources[idx], 250.0)
+    pick = select_ecg_ic(result, 250.0)
+    assert pick is not None
+    score = ecg_component_score(result.sources[pick.index], 250.0)
     assert score >= 0.5
+    assert pick.score == score
 
 
 def test_select_ecg_ic_none_on_noise():

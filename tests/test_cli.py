@@ -162,6 +162,27 @@ ica_seed = 2
     assert alpha["eyes_closed"] > alpha["eyes_open"]
 
 
+@pytest.mark.parametrize("asr", ["on", "off"])
+def test_run_rejects_non_finite_sample(tmp_path, capsys, asr):
+    data = synth_berger(tmp_path, capsys)
+    lines = (data / "session.csv").read_text().splitlines()
+    header = lines[1].split(",")
+    row = lines[100].split(",")
+    row[3] = "nan"
+    lines[100] = ",".join(row)
+    (data / "session.csv").write_text("\n".join(lines) + "\n")
+    cfg = write_spec(
+        tmp_path / "run.ini",
+        f"[input]\nsession = {data / 'session.csv'}\nevents = {data / 'events.csv'}\n\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n\n[stages]\nasr = {asr}\n\n[pipeline]\nica_seed = 2\n",
+    )
+    code, _, err = run_cli(capsys, "run", "--config", cfg)
+    assert code == 3
+    diag = json.loads(err)
+    assert diag["error"] == "data"
+    assert f"in {header[3]} at t_s={row[0]}" in diag["message"]
+
+
 def test_run_bad_config_exits_2(tmp_path, capsys):
     cfg = write_spec(tmp_path / "bad.ini", "[input]\nsession = x.csv\n")
     code, _, err = run_cli(capsys, "run", "--config", cfg)
@@ -294,6 +315,19 @@ def test_agree_disjoint_series(tmp_path, capsys):
     code, _, err = run_cli(capsys, "agree", "--ref", str(a), "--alt", str(b))
     assert code == 3
     assert "paired" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("row", ["abc,1000.0,ok", "2.0"], ids=["bad-value", "one-field"])
+def test_agree_malformed_rr_row(tmp_path, capsys, row):
+    good = tmp_path / "good.csv"
+    bad = tmp_path / "bad.csv"
+    good.write_text("beat_time_s,rr_ms,flag\n1.0,1000.0,ok\n2.0,1000.0,ok\n")
+    bad.write_text(f"beat_time_s,rr_ms,flag\n1.0,1000.0,ok\n{row}\n")
+    code, _, err = run_cli(capsys, "agree", "--ref", str(good), "--alt", str(bad))
+    assert code == 3
+    diag = json.loads(err)
+    assert diag["error"] == "data"
+    assert f"{bad}:3" in diag["message"]
 
 
 # --------------------------------------------------------------- analyze

@@ -223,6 +223,21 @@ def test_session_csv_rate_inferred_without_comment(tmp_path):
     assert rec.rate == pytest.approx(250.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_session_csv_rejects_non_finite_sample(tmp_path, bad):
+    path = tmp_path / "s.csv"
+    path.write_text(f"#rate=125\nt_s,ch1,ch2\n0.000000,1.0,2.0\n0.008000,3.0,{bad}\n")
+    with pytest.raises(ValueError, match=r"non-finite value -?(inf|nan) in ch2 at t_s=0\.008000"):
+        load_session_csv(path)
+
+
+def test_session_csv_ragged_row_reports_line(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("#rate=125\nt_s,ch1,ch2\n0.000000,1.0,2.0\n0.008000,3.0\n")
+    with pytest.raises(ValueError, match=r"s\.csv:4: 2 fields, header has 3"):
+        load_session_csv(path)
+
+
 def test_events_csv_roundtrip(tmp_path):
     events = [Event("eyes_open", 0.0, 60.0), Event("eyes_closed", 60.0, 120.0)]
     path = tmp_path / "ev.csv"

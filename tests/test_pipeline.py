@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,14 @@ def test_run_pipeline_berger(tmp_path):
     expected = {f"{s}{i}" for s in "LR" for i in range(1, 11)} - {"L3", "R3", "L6", "R6"}
     assert {r.channel for r in rows} == expected
 
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["n_segments"] == 2
+    assert meta["numpy_version"] == np.__version__
+    assert meta["config"]["participant"] == "P07"
+    assert meta["config"]["ica_seed"] == 42
+    assert meta["config"]["stages"]["asr"] is True
+    assert meta["config"]["bands"][1] == {"name": "alpha", "lo_hz": 8.0, "hi_hz": 12.0}
+
 
 def test_run_pipeline_reports_reproducible(tmp_path):
     berger_inputs(tmp_path, segment_s=10.0)
@@ -211,6 +221,28 @@ def test_asr_toggle_matches_infinite_threshold(tmp_path):
     off = (tmp_path / "off" / "bands.csv").read_bytes()
     ident = (tmp_path / "ident" / "bands.csv").read_bytes()
     assert off == ident
+
+
+def test_ecg_detection_off_skips_ica(tmp_path, monkeypatch):
+    berger_inputs(tmp_path, segment_s=10.0)
+    cfg_no_ica = load_config(base_config(tmp_path, extra_stages="ica = off"))
+    cfg_no_ica.out_dir = str(tmp_path / "no_ica")
+    run_pipeline(cfg_no_ica)
+
+    def ica_must_not_run(*args, **kwargs):
+        raise AssertionError("ICA ran although nothing reads its result")
+
+    monkeypatch.setattr("earpipe.pipeline.ica_decompose", ica_must_not_run)
+    path = base_config(tmp_path)
+    path.write_text(path.read_text() + "\n[analysis]\ndetect_ecg = off\n")
+    cfg_ecg_off = load_config(path)
+    cfg_ecg_off.out_dir = str(tmp_path / "ecg_off")
+    run_pipeline(cfg_ecg_off)
+    for name in ("bands.csv", "qc.json", "integrity.json", "rr.csv",
+                 "bland_altman.json", "regression.json"):
+        a = (tmp_path / "no_ica" / name).read_bytes()
+        b = (tmp_path / "ecg_off" / name).read_bytes()
+        assert a == b, f"{name} differs"
 
 
 def test_band_beyond_nyquist_rejected(tmp_path):
