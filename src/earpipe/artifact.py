@@ -93,15 +93,22 @@ def ica_decompose(
     whiten = evecs.T / np.sqrt(evals)[:, None]  # (k, channels)
     color = evecs * np.sqrt(evals)[None, :]  # (channels, k)
     z = whiten @ xc
+    del xc
 
     rng = np.random.default_rng(seed)
     w = _sym_decorrelate(rng.standard_normal((k, k)))
     converged = False
     it = 0
+    # the (k, n) temporaries of one step live in two buffers reused by
+    # every step; each step makes the same calls, so iterates are exact
+    g = np.empty((k, n))
+    tmp = np.empty((k, n))
     for it in range(1, max_iter + 1):
-        y = w @ z
-        g = np.tanh(y)
-        g_prime = (1.0 - g * g).mean(axis=1)
+        np.matmul(w, z, out=g)
+        np.tanh(g, out=g)
+        np.multiply(g, g, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        g_prime = tmp.mean(axis=1)
         w_new = (g @ z.T) / n - g_prime[:, None] * w
         w_new = _sym_decorrelate(w_new)
         delta = float(np.max(np.abs(np.abs(np.einsum("ij,ij->i", w_new, w)) - 1.0)))
@@ -109,13 +116,15 @@ def ica_decompose(
         if delta < tol:
             converged = True
             break
+    del g, tmp
 
     sources = w @ z
+    del z
     # whitening leaves rows at unit variance up to numerical error;
     # normalize exactly and push the scale into the mixing columns
     stds = sources.std(axis=1, ddof=0)
     stds = np.where(stds > 0, stds, 1.0)
-    sources = sources / stds[:, None]
+    sources /= stds[:, None]
     unmixing = (w @ whiten) / stds[:, None]
     mixing = (color @ w.T) * stds[None, :]
     return IcaResult(
@@ -361,8 +370,7 @@ def asr_process(
                 FlaggedWindow(index=idx, start_s=s / rec.rate, end_s=(s + w) / rec.rate,
                               bad_fraction=frac)
             )
-    out = rec.copy()
-    if touched.any():
-        scale = np.where(wsum > 0, wsum, 1.0)
-        out.data = rec.data + np.where(touched, corr / scale, 0.0)
-    return out, flagged
+    if not touched.any():
+        return rec.with_data(rec.data), flagged
+    scale = np.where(wsum > 0, wsum, 1.0)
+    return rec.with_data(rec.data + np.where(touched, corr / scale, 0.0)), flagged

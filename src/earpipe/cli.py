@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import analyze_tables, read_scores
-from .artifact import detect_beats
+from .artifact import ECG_SKEW_THRESHOLD, SKEW_EPOCH_S, detect_beats, epoch_skewness
 from .cardiac import rr_periods, match_beats, paired_rr
 from .ingest import (
     cut_segments,
@@ -226,7 +226,10 @@ def cmd_run(args, seed_override: int | None, line_override: float | None) -> int
 
 def cmd_bands(args) -> int:
     rec = load_input("session file", load_session_csv, args.session)
-    bands = parse_band_spec(args.bands) if args.bands else DEFAULT_BANDS
+    try:
+        bands = parse_band_spec(args.bands) if args.bands else DEFAULT_BANDS
+    except ValueError as exc:
+        raise ConfigError(f"--bands: {exc}") from None
     if args.events:
         events = load_input("events file", load_events_csv, args.events)
     else:
@@ -259,8 +262,17 @@ def cmd_ecg(args) -> int:
             raise ConfigError(f"channel must be a label or 1-based index, got {args.channel!r}") from None
         if not 0 <= row < rec.n_channels:
             raise ConfigError(f"channel index {args.channel} outside 1..{rec.n_channels}")
+    x = rec.data[row]
+    # the heartbeat gate of ECG component selection, before any detection;
+    # a channel shorter than one epoch is left to the detector's length check
+    skew = epoch_skewness(x, rec.rate)
+    if abs(skew) < ECG_SKEW_THRESHOLD and len(x) >= SKEW_EPOCH_S * rec.rate:
+        raise DataError(
+            f"channel {args.channel}: |epoch skewness| {abs(skew):.3f} is below the "
+            f"heartbeat gate {ECG_SKEW_THRESHOLD}; no heartbeat to detect"
+        )
     try:
-        beats, _ = detect_beats(rec.data[row], rec.rate)
+        beats, _ = detect_beats(x, rec.rate)
     except ValueError as exc:
         raise DataError(str(exc)) from None
     if len(beats) < 2:

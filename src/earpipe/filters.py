@@ -103,8 +103,7 @@ def apply_zero_phase_array(x: np.ndarray, fir: FirFilter) -> np.ndarray:
 
 
 def apply_zero_phase(rec: Recording, fir: FirFilter) -> Recording:
-    out = rec.copy()
-    out.data = apply_zero_phase_array(rec.data, fir)
+    out = rec.with_data(apply_zero_phase_array(rec.data, fir))
     out.meta["edge_samples"] = max(out.meta.get("edge_samples", 0), fir.group_delay)
     return out
 
@@ -113,9 +112,7 @@ def baseline_correct(rec: Recording) -> Recording:
     """Subtract each channel's mean over the whole recording."""
     if rec.n_samples == 0:
         raise ValueError("cannot baseline-correct an empty recording")
-    out = rec.copy()
-    out.data = rec.data - rec.data.mean(axis=1, keepdims=True)
-    return out
+    return rec.with_data(rec.data - rec.data.mean(axis=1, keepdims=True))
 
 
 def overlap_add_windows(n: int, w: int, hop: int) -> tuple[list[int], np.ndarray]:
@@ -166,14 +163,12 @@ def remove_line_noise(
     if n == 0:
         raise ValueError("cannot filter an empty recording")
     t = np.arange(n) / rec.rate
-    out = rec.copy()
 
     w_len = int(round(win_s * rec.rate))
     if w_len >= n:
         design = _line_design_matrix(t, f0, harmonics)
         beta, *_ = np.linalg.lstsq(design, rec.data.T, rcond=None)
-        out.data = rec.data - (design @ beta).T
-        return out
+        return rec.with_data(rec.data - (design @ beta).T)
 
     starts, taper = overlap_add_windows(n, w_len, max(1, int(round(step_s * rec.rate))))
     est = np.zeros_like(rec.data)
@@ -185,5 +180,4 @@ def remove_line_noise(
         est[:, s : s + w_len] += taper * (design @ beta).T
         wsum[s : s + w_len] += taper
     est /= np.maximum(wsum, np.finfo(float).tiny)
-    out.data = rec.data - est
-    return out
+    return rec.with_data(rec.data - est)

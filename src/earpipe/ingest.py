@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -186,10 +187,15 @@ class Recording:
         return self.t0 + np.arange(self.n_samples) / self.rate
 
     def copy(self) -> "Recording":
+        return self.with_data(self.data.copy())
+
+    def with_data(self, data) -> "Recording":
+        """This recording with `data` as its samples: labels, events and
+        meta are copied, the sample array is taken as given."""
         return replace(
             self,
             labels=list(self.labels),
-            data=self.data.copy(),
+            data=data,
             events=list(self.events),
             meta=dict(self.meta),
         )
@@ -320,12 +326,48 @@ def save_session_csv(rec: Recording, path) -> None:
             fh.write(f"{t[i]:.6f},{row}\n")
 
 
+def _bad_row_error(path, header: list[str], cause: ValueError) -> ValueError:
+    """The error for the first sample row np.loadtxt could not take,
+    named by its 1-based line in the file (blank and comment lines
+    count). Rescans the file in Python; only a failed load pays for it."""
+    with open(path) as fh:
+        lines = (line.partition("#")[0].strip() for line in fh)
+        numbered = ((n, line) for n, line in enumerate(lines, start=1) if line)
+        next(numbered)  # the header
+        for line_no, line in numbered:
+            row = line.split(",")
+            if len(row) != len(header):
+                return ValueError(f"{path}:{line_no}: {len(row)} fields, header has {len(header)}")
+            for name, value in zip(header, row):
+                if not _reads_as_float(value):
+                    return ValueError(f"{path}:{line_no}: {value.strip()!r} in {name} is not a number")
+    return ValueError(f"{path}: {cause}")
+
+
+def _reads_as_float(text: str) -> bool:
+    """Whether np.loadtxt reads text as a float: what float() takes,
+    less digit separators and non-ASCII digits."""
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return text.isascii() and "_" not in text
+
+
 def load_session_csv(path) -> Recording:
+    """Read the session format: `#` comment lines, a `t_s,<label>,...`
+    header, then one row per sample.
+
+    Only a `#rate=` line before the header sets the rate; without one
+    it is inferred from the median timestamp step. Blank lines, comment
+    lines and CRLF endings are accepted anywhere. The sample rows are
+    parsed straight into one float array, so loading needs about the
+    array's size in memory, not one Python object per value.
+    """
     rate = None
-    rows: list[list[str]] = []
     header: list[str] | None = None
-    with open(path, newline="") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    with open(path) as fh:
+        for line in fh:
             line = line.strip()
             if not line:
                 continue
@@ -334,18 +376,30 @@ def load_session_csv(path) -> Recording:
                 if key.strip() == "rate":
                     rate = float(val)
                 continue
-            if header is None:
-                header = [c.strip() for c in line.split(",")]
-                continue
-            row = line.split(",")
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{line_no}: {len(row)} fields, header has {len(header)}")
-            rows.append(row)
-    if header is None or header[0] != "t_s":
-        raise ValueError(f"{path}: expected a 't_s,ch...' header row")
-    if not rows:
+            header = [c.strip() for c in line.split(",")]
+            break
+        if header is None or header[0] != "t_s":
+            raise ValueError(f"{path}: expected a 't_s,ch...' header row")
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                arr = np.loadtxt(
+                    # np.loadtxt would read a spaces-only line or an indented
+                    # comment as a row of empty fields
+                    (line for line in fh if line.lstrip()[:1] not in ("", "#")),
+                    dtype=np.float64,
+                    delimiter=",",
+                    comments="#",
+                    ndmin=2,
+                )
+        except ValueError as exc:
+            raise _bad_row_error(path, header, exc) from None
+    if not len(arr):
         raise ValueError(f"{path}: no sample rows")
-    arr = np.array(rows, dtype=float)
+    if arr.shape[1] != len(header):
+        raise _bad_row_error(
+            path, header, ValueError(f"{arr.shape[1]} fields, header has {len(header)}")
+        )
     if not np.isfinite(arr).all():
         i, col = np.argwhere(~np.isfinite(arr))[0]
         raise ValueError(

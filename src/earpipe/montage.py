@@ -206,13 +206,12 @@ def rereference_linked_mastoid(rec: Recording, m: MontageMap, left="L5", right="
             raise MontageError(f"mastoid electrode {name} maps to channel {idx + 1}, "
                                f"but the recording has {rec.n_channels} rows")
     ref = 0.5 * (rec.data[li] + rec.data[ri])
-    out = rec.copy()
-    out.data = rec.data - ref[None, :]
-    return out
+    return rec.with_data(rec.data - ref[None, :])
 
 
 def relabel_by_montage(rec: Recording, m: MontageMap) -> Recording:
-    """Rename ch1..ch16 recording rows to their electrode labels."""
-    out = rec.copy()
+    """Rename ch1..ch16 recording rows to their electrode labels. The
+    result shares rec's sample array; only the labels are new."""
+    out = rec.with_data(rec.data)
     out.labels = [str(m.label_for_channel(i + 1)) for i in range(rec.n_channels)]
     return out

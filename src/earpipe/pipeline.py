@@ -143,14 +143,18 @@ class PipelineConfig:
             problems.append("input: exactly one of 'session' or 'raw' must be set")
         if self.events is None:
             problems.append("input: 'events' file is required")
+        if self.raw is not None and not self.rate > 0:
+            problems.append(f"input: rate must be positive, got {self.rate}")
         if self.hp_order <= 0 or self.hp_order % 2:
             problems.append(f"pipeline: hp_order must be positive and even, got {self.hp_order}")
         if self.lp_order <= 0 or self.lp_order % 2:
             problems.append(f"pipeline: lp_order must be positive and even, got {self.lp_order}")
         if self.fir_window not in ("hann", "hamming"):
             problems.append(f"pipeline: fir_window must be hann or hamming, got {self.fir_window}")
-        if self.stages.ica and self.ica_seed is None:
-            problems.append("pipeline: ica_seed is required while the ica stage is enabled")
+        if self.stages.ica and self.detect_ecg and self.ica_seed is None:
+            problems.append(
+                "pipeline: ica_seed is required while the ica stage and detect_ecg are on"
+            )
         if self.ica_input not in ("filtered", "asr"):
             problems.append(f"pipeline: ica_input must be filtered or asr, got {self.ica_input}")
         if self.psd_average not in ("per_segment", "pooled"):
@@ -326,7 +330,7 @@ def clean_segment(rec: Recording, cfg: PipelineConfig, monmap) -> Recording:
 @dataclass
 class SegmentResult:
     condition: str
-    cleaned: Recording
+    cleaned: Recording | None  # kept only for psd_average = pooled
     flagged: list
     qc: dict
     ecg: EcgPick | None
@@ -368,7 +372,12 @@ def process_segment(seg_rec: Recording, condition: str, cfg: PipelineConfig, mon
     )
     qc = qc_report(asr_out, psd, line_freq_hz=cfg.line_freq_hz).to_dict()
     return SegmentResult(
-        condition=condition, cleaned=asr_out, flagged=flagged, qc=qc, ecg=pick, psd=psd
+        condition=condition,
+        cleaned=asr_out if cfg.psd_average == "pooled" else None,
+        flagged=flagged,
+        qc=qc,
+        ecg=pick,
+        psd=psd,
     )
 
 
@@ -434,6 +443,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     segments = cut_segments(rec, events)
+    # the segments hold copies of their samples; drop the whole session
+    rate, labels = rec.rate, rec.labels
+    del rec
     if not segments:
         raise DataError("no events to process")
     for seg in segments:
@@ -456,7 +468,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         idx = [i for i, s in enumerate(segments) if s.condition == cond]
         if cfg.psd_average == "pooled":
             joined = np.concatenate([seg_results[i].cleaned.data for i in idx], axis=1)
-            pooled = Recording(rate=rec.rate, labels=list(rec.labels), data=joined)
+            pooled = Recording(rate=rate, labels=list(labels), data=joined)
             exclude: list = []
             offset = 0.0
             for i in idx:
@@ -479,7 +491,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
     qc_payload = {
         "participant": cfg.participant,
-        "rate": rec.rate,
+        "rate": rate,
         "segments": [
             {
                 "condition": r.condition,
@@ -505,7 +517,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         ref_beats = load_input("R-R file", load_rr_beats, cfg.reference_rr)
         alt_times = [t for t0, beats in picked for t in (t0 + beats.beat_times).tolist()]
         if len(alt_times) >= 3:
-            alt_beats = BeatSeries(beat_times=np.array(alt_times), rate=rec.rate)
+            alt_beats = BeatSeries(beat_times=np.array(alt_times), rate=rate)
             match = match_beats(ref_beats, alt_beats, cfg.match_tolerance_s)
             rr_ref, rr_alt = paired_rr(match, ref_beats, alt_beats)
             if len(rr_ref) >= 2:

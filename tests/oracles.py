@@ -110,3 +110,60 @@ def student_t_p_two_sided(t: float, df: int, n_grid: int = 400_000) -> float:
     h = t / n_grid
     area = h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum())
     return max(0.0, min(1.0, 2.0 * (0.5 - area)))
+
+
+def session_rows(path) -> tuple[list[str], np.ndarray]:
+    """Header and (rows, fields) values of a session CSV, one float() per
+    value, line by line: blank and '#' lines skipped, the first other
+    line is the header."""
+    header = None
+    rows = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if header is None:
+                header = [c.strip() for c in line.split(",")]
+            else:
+                rows.append([float(v) for v in line.split(",")])
+    return header, np.array(rows, dtype=float).reshape(len(rows), len(header))
+
+
+def fixed_point_ica(x: np.ndarray, seed: int, max_iter: int, tol: float):
+    """Symmetric log-cosh fixed-point ICA (Hyvarinen 1999) written the
+    textbook way, with fresh arrays at every step: PCA whitening, then
+    w <- E{g(wz) z'} - E{g'(wz)} w and symmetric decorrelation until
+    max |1 - |<w_new, w>|| < tol. Returns (unmixing, mixing, sources,
+    n_iter), sources scaled to unit variance."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[1]
+    means = x.mean(axis=1)
+    xc = x - means[:, None]
+    evals, evecs = np.linalg.eigh((xc @ xc.T) / n)
+    order = np.argsort(evals)[::-1]
+    evals, evecs = evals[order], evecs[:, order]
+    k = int(np.sum(evals > max(evals[0], 0) * 1e-12))
+    evals, evecs = evals[:k], evecs[:, :k]
+    whiten = evecs.T / np.sqrt(evals)[:, None]
+    color = evecs * np.sqrt(evals)[None, :]
+    z = whiten @ xc
+
+    def decorrelate(w):
+        s, u = np.linalg.eigh(w @ w.T)
+        return (u / np.sqrt(np.maximum(s, 1e-12))) @ u.T @ w
+
+    w = decorrelate(np.random.default_rng(seed).standard_normal((k, k)))
+    it = 0
+    for it in range(1, max_iter + 1):
+        g = np.tanh(w @ z)
+        g_prime = (1.0 - g * g).mean(axis=1)
+        w_new = decorrelate((g @ z.T) / n - g_prime[:, None] * w)
+        delta = float(np.max(np.abs(np.abs(np.einsum("ij,ij->i", w_new, w)) - 1.0)))
+        w = w_new
+        if delta < tol:
+            break
+    sources = w @ z
+    stds = sources.std(axis=1, ddof=0)
+    stds = np.where(stds > 0, stds, 1.0)
+    return (w @ whiten) / stds[:, None], (color @ w.T) * stds[None, :], sources / stds[:, None], it

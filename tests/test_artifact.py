@@ -4,6 +4,8 @@ import pytest
 from earpipe.artifact import (
     ECG_SCORE_THRESHOLD,
     ECG_SKEW_THRESHOLD,
+    ICA_MAX_ITER,
+    ICA_TOL,
     AsrConfig,
     CalibrationError,
     asr_calibrate,
@@ -16,7 +18,7 @@ from earpipe.artifact import (
 from earpipe.ingest import Recording
 from earpipe.synth import EcgSynthSpec, EegSynthSpec, gen_ecg, gen_eeg
 
-from oracles import align_sources
+from oracles import align_sources, fixed_point_ica
 
 RATE = 125.0
 
@@ -262,3 +264,29 @@ def test_calibration_excludes_artifact_windows():
     model = asr_calibrate(rec, AsrConfig())
     assert model.calib_windows_used < 60
     assert model.calib_windows_used >= 10
+
+
+@pytest.mark.parametrize("shape, seed", [((3, 4000), 5), ((6, 2000), 9)])
+def test_ica_matches_textbook_loop_bit_for_bit(shape, seed):
+    # the reused work buffers must leave every iterate exactly as the
+    # fresh-array loop computes it; tol=0 runs all max_iter steps
+    rng = np.random.default_rng(seed)
+    mixed = rng.normal(size=(shape[0], shape[0])) @ laplacian_sources(*shape, seed)
+    result = ica_decompose(_rec(mixed), seed=seed, max_iter=50, tol=0.0)
+    unmixing, mixing, sources, n_iter = fixed_point_ica(mixed, seed, max_iter=50, tol=0.0)
+    assert result.n_iter == n_iter == 50
+    assert not result.converged
+    assert np.array_equal(result.unmixing, unmixing)
+    assert np.array_equal(result.mixing, mixing)
+    assert np.array_equal(result.sources, sources)
+
+
+def test_ica_matches_textbook_loop_until_convergence():
+    rng = np.random.default_rng(21)
+    mixed = rng.normal(size=(3, 3)) @ laplacian_sources(3, 6000, 20)
+    result = ica_decompose(_rec(mixed), seed=7)
+    unmixing, _, sources, n_iter = fixed_point_ica(mixed, 7, max_iter=ICA_MAX_ITER, tol=ICA_TOL)
+    assert result.converged
+    assert result.n_iter == n_iter
+    assert np.array_equal(result.unmixing, unmixing)
+    assert np.array_equal(result.sources, sources)

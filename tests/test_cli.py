@@ -190,6 +190,35 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
     assert json.loads(err)["error"] == "config"
 
 
+@pytest.mark.parametrize("rate", ["0", "-125"])
+def test_run_raw_rate_not_positive_exits_2(tmp_path, capsys, rate):
+    raw = tmp_path / "stream.bin"
+    raw.write_bytes(encode_stream(np.zeros((250, 16), dtype=int)))
+    (tmp_path / "events.csv").write_text("condition,start_s,end_s\nall,0,1\n")
+    cfg = write_spec(
+        tmp_path / "run.ini",
+        f"[input]\nraw = {raw}\nevents = {tmp_path / 'events.csv'}\nrate = {rate}\n\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n\n[pipeline]\nica_seed = 2\n",
+    )
+    code, _, err = run_cli(capsys, "run", "--config", cfg)
+    assert code == 2
+    diag = json.loads(err)
+    assert diag["error"] == "config"
+    assert f"rate must be positive, got {float(rate)}" in diag["message"]
+
+
+def test_run_without_ecg_detection_needs_no_ica_seed(tmp_path, capsys):
+    data = synth_berger(tmp_path, capsys)
+    cfg = write_spec(
+        tmp_path / "run.ini",
+        f"[input]\nsession = {data / 'session.csv'}\nevents = {data / 'events.csv'}\n\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n\n[analysis]\ndetect_ecg = off\n",
+    )
+    code, out, _ = run_cli(capsys, "run", "--config", cfg)
+    assert code == 0
+    assert last_json(out)["n_segments"] == 2
+
+
 def test_line_freq_choices():
     with pytest.raises(SystemExit) as exc:
         main(["--line-freq", "55", "run"])
@@ -243,6 +272,22 @@ def test_bands_segment_too_long(tmp_path, capsys):
     assert "too short" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("spec", ["foo", "alpha:8", "alpha:x:12", "alpha:12:8"])
+def test_bands_bad_spec_exits_2(tmp_path, capsys, spec):
+    data = synth_berger(tmp_path, capsys)
+    code, _, err = run_cli(
+        capsys, "bands",
+        "--session", str(data / "session.csv"),
+        "--bands", spec,
+        "--out", str(tmp_path / "bands.csv"),
+    )
+    assert code == 2
+    diag = json.loads(err)
+    assert diag["error"] == "config"
+    assert diag["message"].startswith("--bands: ")
+    assert not (tmp_path / "bands.csv").exists()
+
+
 # ------------------------------------------------------------- ecg, agree
 
 
@@ -289,6 +334,21 @@ def test_ecg_channel_by_index_matches_label(tmp_path, capsys):
     run_cli(capsys, "ecg", "--session", str(data / "session.csv"),
             "--channel", "1", "--out", str(tmp_path / "by_index.csv"))
     assert (tmp_path / "by_label.csv").read_bytes() == (tmp_path / "by_index.csv").read_bytes()
+
+
+def test_ecg_heartless_channel_exits_3(tmp_path, capsys):
+    # a Berger session has no heart; the detector alone finds ~100 "beats"
+    data = synth_berger(tmp_path, capsys, segment_s=30)
+    rr_out = tmp_path / "rr.csv"
+    code, out, err = run_cli(capsys, "ecg", "--session", str(data / "session.csv"),
+                             "--channel", "1", "--out", str(rr_out))
+    assert code == 3
+    assert out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "data"
+    assert diag["message"].startswith("channel 1: |epoch skewness| 0.")
+    assert "heartbeat gate 0.5" in diag["message"]
+    assert not rr_out.exists()
 
 
 def test_ecg_bad_channel(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,8 @@ from earpipe.ingest import (
     save_events_csv,
     save_session_csv,
 )
+
+from oracles import session_rows
 
 
 def make_packet(sn: int, words, footer_tag: int = 0) -> bytes:
@@ -236,6 +240,74 @@ def test_session_csv_ragged_row_reports_line(tmp_path):
     path.write_text("#rate=125\nt_s,ch1,ch2\n0.000000,1.0,2.0\n0.008000,3.0\n")
     with pytest.raises(ValueError, match=r"s\.csv:4: 2 fields, header has 3"):
         load_session_csv(path)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize(
+    "body, rate",
+    [
+        (
+            "#rate=250\r\n\r\nt_s,ch1,ch2,ch3\r\n"
+            "0.000000,-1.5e-3,2.25E+2,-0.000001\r\n"
+            "\r\n"
+            "   \r\n"
+            "  # an indented comment\r\n"
+            "0.004000,1.000000000000001,-3.3333333333333335,7e-300\r\n"
+            "# a comment between rows\r\n"
+            "0.008000,-0.1,0.2,0.30000000000000004",
+            250.0,
+        ),
+        ("#rate=125\nt_s,ch1\n0.000000,-12.345678e1\n", 125.0),
+    ],
+    ids=["crlf-blank-comments-no-final-newline", "single-row"],
+)
+def test_session_csv_matches_float_oracle_bit_for_bit(tmp_path, body, rate):
+    path = tmp_path / "s.csv"
+    path.write_bytes(body.encode())
+    header, rows = session_rows(path)
+    rec = load_session_csv(path)
+    assert rec.labels == header[1:]
+    assert rec.rate == rate
+    assert _bits(rec.data).tolist() == _bits(rows[:, 1:].T).tolist()
+    assert rec.t0 == rows[0, 0]
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0.008000,3.0", r"s\.csv:7: 2 fields, header has 3"),
+        ("0.008000,3.0,4.0,5.0", r"s\.csv:7: 4 fields, header has 3"),
+        ("0.008000,3.0,abc", r"s\.csv:7: 'abc' in ch2 is not a number"),
+        ("0.008000,,4.0", r"s\.csv:7: '' in ch1 is not a number"),
+    ],
+)
+def test_session_csv_bad_row_reports_file_line(tmp_path, row, message):
+    # line numbers count the comment and blank lines before the bad row
+    path = tmp_path / "s.csv"
+    path.write_text(f"#rate=125\n\nt_s,ch1,ch2\n0.000000,1.0,2.0\n\n# note\n{row}\n0.016,5,6\n")
+    with pytest.raises(ValueError, match=message):
+        load_session_csv(path)
+
+
+def test_session_csv_load_memory_is_about_the_array(tmp_path):
+    rows, channels = 20_000, 16
+    rng = np.random.default_rng(5)
+    rec = Recording(rate=125.0, labels=[f"ch{i+1}" for i in range(channels)],
+                    data=rng.normal(scale=50.0, size=(channels, rows)))
+    path = tmp_path / "s.csv"
+    save_session_csv(rec, path)
+    tracemalloc.start()
+    try:
+        back = load_session_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    array_bytes = rows * (channels + 1) * 8  # t_s column included
+    assert back.n_samples == rows
+    assert peak <= 3 * array_bytes
 
 
 def test_events_csv_roundtrip(tmp_path):

@@ -145,6 +145,13 @@ def test_ica_requires_seed(tmp_path):
     )
     cfg = load_config(path)
     assert cfg.ica_seed is None
+    # so does turning off ECG detection, the only reader of the ICA
+    path = write_config(
+        tmp_path / "noseed3.ini",
+        "[input]\nsession = s.csv\nevents = e.csv\n\n[analysis]\ndetect_ecg = off\n",
+    )
+    cfg = load_config(path)
+    assert cfg.ica_seed is None
 
 
 def test_validate_collects_pipeline_problems():
