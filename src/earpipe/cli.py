@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -38,6 +39,7 @@ from .pipeline import (
     load_rr_beats,
     psd_band_rows,
     read_ini,
+    read_sections,
     rr_rows,
     run_pipeline,
     write_rr_csv,
@@ -58,99 +60,32 @@ def _emit(payload: dict) -> None:
     print(json.dumps(_jsonable(payload), sort_keys=True))
 
 
-def _pair(text: str, what: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ConfigError(f"{what}: expected value:value, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ConfigError(f"{what}: expected numbers, got {text!r}") from None
-
-
 # --- synth spec parsing ------------------------------------------------------
+
+_SYNTH_KINDS = {"eeg": EegSynthSpec, "ecg": EcgSynthSpec, "berger": BergerSpec}
+# spec field -> its INI key, where they differ
+_SPEC_KEYS = {"band_components": "components", "line_noise": "line", "alpha_band_hz": "alpha_band"}
 
 
 def _read_synth_spec(path, seed_override: int | None):
+    """[synth] kind and seed plus a section named after the kind, whose
+    keys are the kind's spec fields; --seed overrides the spec's seed."""
     parser = read_ini(path, "spec")
-    if not parser.has_section("synth"):
-        raise ConfigError("spec needs a [synth] section with kind and seed")
     kind = parser.get("synth", "kind", fallback=None)
-    if kind not in ("eeg", "ecg", "berger"):
+    if kind not in _SYNTH_KINDS:
         raise ConfigError(f"[synth] kind must be eeg, ecg or berger, got {kind!r}")
-    seed_text = parser.get("synth", "seed", fallback=None)
-    if seed_override is not None:
-        seed = seed_override
-    elif seed_text is None:
+    parser.remove_option("synth", "kind")  # read above; it picks the kind's section
+    keys = {_SPEC_KEYS.get(f.name, f.name): f for f in fields(_SYNTH_KINDS[kind])}
+    values, problems = read_sections(parser, {"synth": {"seed": keys.pop("seed")}, kind: keys})
+    if problems:
+        raise ConfigError("; ".join(problems))
+    seed = seed_override if seed_override is not None else values["synth"].get("seed")
+    if seed is None:
         raise ConfigError("[synth] seed is required; randomized output must be reproducible")
-    else:
-        try:
-            seed = int(seed_text)
-        except ValueError:
-            raise ConfigError(f"[synth] seed must be an integer, got {seed_text!r}") from None
-
-    def get(section, key, cast, default):
-        if not parser.has_option(section, key):
-            return default
-        raw = parser.get(section, key)
-        try:
-            return cast(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] bad value for {key}: {raw!r}") from None
-
     try:
-        if kind == "eeg":
-            comps = ()
-            if parser.has_option("eeg", "components"):
-                comps = tuple(
-                    _pair(p.strip(), "[eeg] components")
-                    for p in parser.get("eeg", "components").split(",")
-                    if p.strip()
-                )
-            line = None
-            if parser.has_option("eeg", "line"):
-                line = _pair(parser.get("eeg", "line"), "[eeg] line")
-            spec = EegSynthSpec(
-                rate=get("eeg", "rate", float, 125.0),
-                duration_s=get("eeg", "duration_s", float, 60.0),
-                seed=seed,
-                n_channels=get("eeg", "n_channels", int, 16),
-                pink_noise_rms=get("eeg", "pink_noise_rms", float, 3.0),
-                band_components=comps,
-                line_noise=line,
-            )
-        elif kind == "ecg":
-            spec = EcgSynthSpec(
-                rate=get("ecg", "rate", float, 250.0),
-                duration_s=get("ecg", "duration_s", float, 60.0),
-                seed=seed,
-                bpm=get("ecg", "bpm", float, 60.0),
-                r_amplitude_uv=get("ecg", "r_amplitude_uv", float, 600.0),
-                rr_jitter_ms=get("ecg", "rr_jitter_ms", float, 20.0),
-                r_width_ms=get("ecg", "r_width_ms", float, 20.0),
-            )
-        else:
-            band = (8.0, 12.0)
-            if parser.has_option("berger", "alpha_band"):
-                band = _pair(parser.get("berger", "alpha_band"), "[berger] alpha_band")
-            line = None
-            if parser.has_option("berger", "line"):
-                line = _pair(parser.get("berger", "line"), "[berger] line")
-            spec = BergerSpec(
-                rate=get("berger", "rate", float, 125.0),
-                segment_s=get("berger", "segment_s", float, 60.0),
-                seed=seed,
-                n_channels=get("berger", "n_channels", int, 16),
-                pink_noise_rms=get("berger", "pink_noise_rms", float, 3.0),
-                alpha_open_uv=get("berger", "alpha_open_uv", float, 1.5),
-                alpha_ratio=get("berger", "alpha_ratio", float, 3.0),
-                alpha_band_hz=band,
-                psd_segment=get("berger", "psd_segment", int, 256),
-                line_noise=line,
-            )
+        return kind, _SYNTH_KINDS[kind](seed=seed, **values.get(kind, {}))
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return kind, spec
+        raise ConfigError(f"{kind}: {exc}") from None
 
 
 # --- subcommands -------------------------------------------------------------
@@ -212,15 +147,10 @@ def cmd_synth(args, seed_override: int | None) -> int:
 def cmd_run(args, seed_override: int | None, line_override: float | None) -> int:
     if args.config is None:
         raise ConfigError("run needs a config: pass --config either globally or after 'run'")
-    cfg = load_config(args.config)
-    if args.out_dir:
-        cfg.out_dir = args.out_dir
-    if seed_override is not None:
-        cfg.ica_seed = seed_override
-    if line_override is not None:
-        cfg.line_freq_hz = line_override
-    summary = run_pipeline(cfg)
-    _emit({"command": "run", **summary})
+    cfg = load_config(
+        args.config, out_dir=args.out_dir, ica_seed=seed_override, line_freq_hz=line_override
+    )
+    _emit({"command": "run", **run_pipeline(cfg)})
     return 0
 
 

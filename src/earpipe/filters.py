@@ -138,6 +138,18 @@ def _line_design_matrix(t: np.ndarray, f0: float, harmonics: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def check_line_noise(rate: float, f0: float, win_s: float, step_s: float, harmonics: int) -> None:
+    """The parameter rules of remove_line_noise; an infinite rate skips Nyquist."""
+    if harmonics < 1:
+        raise ValueError(f"harmonics must be >= 1, got {harmonics}")
+    if f0 <= 0:
+        raise ValueError(f"line frequency must be positive, got {f0}")
+    if f0 * harmonics >= rate / 2:
+        raise ValueError(f"line frequency {f0} Hz x {harmonics} harmonics >= Nyquist {rate / 2} Hz")
+    if win_s <= 0 or step_s <= 0:
+        raise ValueError("window and step must be positive")
+
+
 def remove_line_noise(
     rec: Recording,
     f0: float = 50.0,
@@ -153,12 +165,7 @@ def remove_line_noise(
     blended by raised-cosine overlap-add before subtraction. A window
     longer than the segment degrades to a single whole-segment fit.
     """
-    if not 0 < f0 < rec.rate / 2:
-        raise ValueError(f"line frequency {f0} Hz outside (0, Nyquist)")
-    if harmonics < 1:
-        raise ValueError(f"harmonics must be >= 1, got {harmonics}")
-    if win_s <= 0 or step_s <= 0:
-        raise ValueError("window and step must be positive")
+    check_line_noise(rec.rate, f0, win_s, step_s, harmonics)
     n = rec.n_samples
     if n == 0:
         raise ValueError("cannot filter an empty recording")

@@ -84,10 +84,6 @@ class MontageMap:
                 return lab
         raise MontageError(f"no electrode mapped to channel {channel}")
 
-    def ordered_labels(self) -> list[ElectrodeLabel]:
-        """Labels sorted by their channel number."""
-        return [lab for lab, _ in sorted(self.channel_of.items(), key=lambda kv: kv[1])]
-
 
 def _build(excluded_pair: tuple[str, str]) -> MontageMap:
     ground = ElectrodeLabel.parse("L6")

@@ -15,6 +15,7 @@ import configparser
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ from . import __version__
 from .analysis import band_score_models, read_scores
 from .artifact import (
     AsrConfig,
-    CalibrationError,
     EcgPick,
     asr_calibrate,
     asr_process,
@@ -31,7 +31,14 @@ from .artifact import (
     select_ecg_ic,
 )
 from .cardiac import BeatSeries, match_beats, paired_rr, rr_outlier_filter, rr_periods
-from .filters import FirSpec, apply_zero_phase, baseline_correct, design_fir, remove_line_noise
+from .filters import (
+    FirSpec,
+    apply_zero_phase,
+    baseline_correct,
+    check_line_noise,
+    design_fir,
+    remove_line_noise,
+)
 from .ingest import (
     Recording,
     cut_segments,
@@ -51,6 +58,7 @@ from .spectral import (
     BandPowerRow,
     DEFAULT_BANDS,
     PsdEstimate,
+    check_welch_window,
     parse_band_spec,
     qc_report,
     to_db,
@@ -138,6 +146,7 @@ class PipelineConfig:
     )
 
     def validate(self) -> list[str]:
+        """Every problem that needs only the config; plan_stages checks the rest."""
         problems: list[str] = []
         if (self.session is None) == (self.raw is None):
             problems.append("input: exactly one of 'session' or 'raw' must be set")
@@ -145,48 +154,42 @@ class PipelineConfig:
             problems.append("input: 'events' file is required")
         if self.raw is not None and not self.rate > 0:
             problems.append(f"input: rate must be positive, got {self.rate}")
-        if self.hp_order <= 0 or self.hp_order % 2:
-            problems.append(f"pipeline: hp_order must be positive and even, got {self.hp_order}")
-        if self.lp_order <= 0 or self.lp_order % 2:
-            problems.append(f"pipeline: lp_order must be positive and even, got {self.lp_order}")
-        if self.fir_window not in ("hann", "hamming"):
-            problems.append(f"pipeline: fir_window must be hann or hamming, got {self.fir_window}")
         if self.stages.ica and self.detect_ecg and self.ica_seed is None:
             problems.append(
                 "pipeline: ica_seed is required while the ica stage and detect_ecg are on"
             )
-        if self.ica_input not in ("filtered", "asr"):
-            problems.append(f"pipeline: ica_input must be filtered or asr, got {self.ica_input}")
-        if self.psd_average not in ("per_segment", "pooled"):
-            problems.append(
-                f"pipeline: psd_average must be per_segment or pooled, got {self.psd_average}"
-            )
-        if not 0 <= self.psd_overlap < self.psd_segment:
-            problems.append(
-                f"pipeline: psd_overlap {self.psd_overlap} must satisfy "
-                f"0 <= overlap < segment ({self.psd_segment})"
-            )
-        if self.asr_burst_k <= 0:
-            problems.append(f"pipeline: asr_burst_k must be positive, got {self.asr_burst_k}")
-        if not 0 < self.asr_window_criterion <= 1:
-            problems.append(
-                f"pipeline: asr_window_criterion must lie in (0, 1], got "
-                f"{self.asr_window_criterion}"
-            )
-        if self.line_harmonics < 1:
-            problems.append(f"pipeline: line_harmonics must be >= 1, got {self.line_harmonics}")
+        choices = {"ica_input": ("filtered", "asr"), "psd_average": ("per_segment", "pooled")}
+        for key, allowed in choices.items():
+            value = getattr(self, key)
+            if value not in allowed:
+                problems.append(f"pipeline: {key} must be {' or '.join(allowed)}, got {value}")
         if self.match_tolerance_s <= 0:
             problems.append("analysis: match_tolerance_s must be positive")
-        for f_hz, name in ((self.hp_cutoff_hz, "hp_cutoff_hz"), (self.lp_cutoff_hz, "lp_cutoff_hz")):
-            if f_hz <= 0:
-                problems.append(f"pipeline: {name} must be positive, got {f_hz}")
+        # the other rules live in the stage that uses the values: each stage's
+        # object or check is tried once on them, and a problem names their keys
+        for make, *keys in (
+            (partial(FirSpec, "highpass"), "hp_cutoff_hz", "hp_order", "fir_window"),
+            (partial(FirSpec, "lowpass"), "lp_cutoff_hz", "lp_order", "fir_window"),
+            (partial(check_line_noise, float("inf")),
+             "line_freq_hz", "line_win_s", "line_step_s", "line_harmonics"),
+            (AsrConfig, "asr_burst_k", "asr_window_criterion", "asr_calib_win_s", "asr_proc_win_s"),
+            (check_welch_window, "psd_segment", "psd_overlap"),
+        ):
+            _try(problems, ", ".join(keys), make, *(getattr(self, key) for key in keys))
         return problems
+
+
+def _try(problems: list[str], keys: str, make, *args):
+    """make(*args), or None with its ValueError added to problems under keys."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        problems.append(f"pipeline: {keys}: {exc}")
 
 
 # INI section -> the keys it accepts. Each key names a PipelineConfig
 # field, except [output] dir (out_dir) and the [stages] toggles, which
-# name StageToggles fields; the field's type or "parse" metadata reads
-# the value.
+# name StageToggles fields.
 _SECTIONS = {
     "input": (
         "session", "raw", "events", "montage", "participant", "reference_rr", "surveys", "rate",
@@ -204,6 +207,7 @@ _SECTIONS = {
 }
 _PARSE_BY_TYPE = {"str": str, "int": int, "float": float, "bool": _as_bool}
 _FIELDS = {f.name: f for f in fields(PipelineConfig) + fields(StageToggles)}
+_FIELDS["dir"] = _FIELDS["out_dir"]
 
 
 def read_ini(path, what: str) -> configparser.ConfigParser:
@@ -220,28 +224,39 @@ def read_ini(path, what: str) -> configparser.ConfigParser:
     return parser
 
 
-def load_config(path) -> PipelineConfig:
-    """Parse an INI config into a PipelineConfig, raising ConfigError with
-    every problem found."""
-    parser = read_ini(path, "config")
-    cfg = PipelineConfig()
+def read_sections(parser: configparser.ConfigParser, sections: dict) -> tuple[dict, list[str]]:
+    """Read a parsed INI file against sections (section -> INI key -> dataclass
+    field; the field's type or "parse" metadata reads the value) into
+    {section: {field name: value}}, plus every unknown section or key and unreadable value."""
+    values: dict = {}
     problems: list[str] = []
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in sections:
             problems.append(f"unknown section [{section}]")
             continue
-        target = cfg.stages if section == "stages" else cfg
-        for key, value in parser.items(section):
-            if key not in _SECTIONS[section]:
+        values[section] = {}
+        for key, text in parser.items(section):
+            if key not in sections[section]:
                 problems.append(f"{section}: unknown key {key!r}")
                 continue
-            f = _FIELDS["out_dir" if key == "dir" else key]
+            f = sections[section][key]
             parse = f.metadata.get("parse") or _PARSE_BY_TYPE[f.type.removesuffix(" | None")]
             try:
-                setattr(target, f.name, parse(value))
+                values[section][f.name] = parse(text)
             except ValueError as exc:
                 problems.append(f"{section}: bad value for {key}: {exc}")
+    return values, problems
 
+
+def load_config(path, **overrides) -> PipelineConfig:
+    """Parse an INI config into a PipelineConfig, raising ConfigError with
+    every problem found; overrides (field name -> value, None for not
+    given) replace config values before the check."""
+    sections = {section: {key: _FIELDS[key] for key in keys} for section, keys in _SECTIONS.items()}
+    values, problems = read_sections(read_ini(path, "config"), sections)
+    stages = StageToggles(**values.pop("stages", {}))
+    cfg = PipelineConfig(stages=stages, **{k: v for sec in values.values() for k, v in sec.items()})
+    cfg = replace(cfg, **{name: value for name, value in overrides.items() if value is not None})
     problems.extend(cfg.validate())
     if problems:
         raise ConfigError("; ".join(problems))
@@ -279,36 +294,56 @@ def _load_inputs(cfg: PipelineConfig):
     return rec, events, monmap
 
 
-def _check_rates(cfg: PipelineConfig, rate: float):
-    nyq = rate / 2.0
-    problems = []
-    if cfg.stages.highpass and cfg.hp_cutoff_hz >= nyq:
-        problems.append(f"hp_cutoff_hz {cfg.hp_cutoff_hz} >= Nyquist {nyq}")
-    if cfg.stages.lowpass and cfg.lp_cutoff_hz >= nyq:
-        problems.append(f"lp_cutoff_hz {cfg.lp_cutoff_hz} >= Nyquist {nyq}")
-    if cfg.stages.line and cfg.line_freq_hz * cfg.line_harmonics >= nyq:
-        problems.append(
-            f"line_freq_hz {cfg.line_freq_hz} x {cfg.line_harmonics} harmonics >= Nyquist {nyq}"
-        )
-    for band in cfg.bands:
-        if band.hi_hz > nyq:
-            problems.append(f"band {band.name} upper edge {band.hi_hz} beyond Nyquist {nyq}")
+@dataclass(frozen=True)
+class StagePlan:
+    """Stage objects built once per run from the config and the session's rate."""
+
+    firs: tuple  # the FirFilters of the high-pass then the low-pass, those that are on
+    asr: AsrConfig | None
+
+
+def plan_stages(cfg: PipelineConfig, rec: Recording, monmap) -> StagePlan:
+    """Check a valid config against the session's rate and montage and
+    build the stage objects; every problem goes into one ConfigError."""
+    rate = rec.rate
+    problems: list[str] = []
+    rows = [_try(problems, key, monmap.channel, getattr(cfg, key))
+            for key in ("reref_left", "reref_right") if cfg.stages.rereference]
+    if cfg.stages.line:
+        _try(problems, "line_freq_hz, line_harmonics", check_line_noise,
+             rate, cfg.line_freq_hz, cfg.line_win_s, cfg.line_step_s, cfg.line_harmonics)
+    firs = []
+    if cfg.stages.highpass:
+        spec = FirSpec("highpass", cfg.hp_cutoff_hz, cfg.hp_order, cfg.fir_window)
+        firs.append(_try(problems, "hp_cutoff_hz", design_fir, spec, rate))
+    if cfg.stages.lowpass:
+        spec = FirSpec("lowpass", cfg.lp_cutoff_hz, cfg.lp_order, cfg.fir_window)
+        firs.append(_try(problems, "lp_cutoff_hz", design_fir, spec, rate))
+    # a Welch window longer than the session fails on every segment before
+    # a band is read, and its bins would take memory in proportion to it
+    if cfg.psd_segment <= rec.n_samples:
+        welch_freqs = np.fft.rfftfreq(cfg.psd_segment, d=1.0 / rate)
+        for band in cfg.bands:
+            _try(problems, "bands", band.bins, welch_freqs, rate)
     if problems:
         raise ConfigError("; ".join(problems))
+    if rows and max(rows) > rec.n_channels:
+        raise DataError(
+            f"re-referencing needs channel {max(rows)} but the recording has "
+            f"{rec.n_channels}; disable the rereference stage for reduced montages"
+        )
+    asr = AsrConfig(
+        cfg.asr_burst_k, cfg.asr_window_criterion, cfg.asr_calib_win_s, cfg.asr_proc_win_s
+    )
+    return StagePlan(tuple(firs), asr if cfg.stages.asr else None)
 
 
-def clean_segment(rec: Recording, cfg: PipelineConfig, monmap) -> Recording:
+def clean_segment(rec: Recording, cfg: PipelineConfig, monmap, plan: StagePlan) -> Recording:
     """Apply the linear cleaning chain to one segment."""
     out = rec
     if cfg.stages.baseline:
         out = baseline_correct(out)
     if cfg.stages.rereference:
-        rows_needed = max(monmap.channel(cfg.reref_left), monmap.channel(cfg.reref_right))
-        if rec.n_channels < rows_needed:
-            raise DataError(
-                f"re-referencing needs channel {rows_needed} but the recording "
-                f"has {rec.n_channels}; disable the rereference stage for reduced montages"
-            )
         out = rereference_linked_mastoid(out, monmap, cfg.reref_left, cfg.reref_right)
     if cfg.stages.line:
         out = remove_line_noise(
@@ -318,11 +353,7 @@ def clean_segment(rec: Recording, cfg: PipelineConfig, monmap) -> Recording:
             step_s=cfg.line_step_s,
             harmonics=cfg.line_harmonics,
         )
-    if cfg.stages.highpass:
-        fir = design_fir(FirSpec("highpass", cfg.hp_cutoff_hz, cfg.hp_order, cfg.fir_window), out.rate)
-        out = apply_zero_phase(out, fir)
-    if cfg.stages.lowpass:
-        fir = design_fir(FirSpec("lowpass", cfg.lp_cutoff_hz, cfg.lp_order, cfg.fir_window), out.rate)
+    for fir in plan.firs:
         out = apply_zero_phase(out, fir)
     return out
 
@@ -337,40 +368,37 @@ class SegmentResult:
     psd: PsdEstimate  # linear, flagged windows excluded
 
 
-def process_segment(seg_rec: Recording, condition: str, cfg: PipelineConfig, monmap, seg_index: int):
-    cleaned = clean_segment(seg_rec, cfg, monmap)
+def process_segment(
+    seg_rec: Recording, condition: str, cfg: PipelineConfig, monmap, plan: StagePlan, seg_index: int
+):
+    """Run every stage on one segment; a stage failure is a DataError naming it."""
+    try:
+        cleaned = clean_segment(seg_rec, cfg, monmap, plan)
 
-    flagged = []
-    asr_out = cleaned
-    if cfg.stages.asr:
-        asr_cfg = AsrConfig(
-            burst_k=cfg.asr_burst_k,
-            window_criterion=cfg.asr_window_criterion,
-            calib_win_s=cfg.asr_calib_win_s,
-            proc_win_s=cfg.asr_proc_win_s,
+        flagged = []
+        asr_out = cleaned
+        if plan.asr is not None:
+            model = asr_calibrate(cleaned, plan.asr)
+            asr_out, flagged = asr_process(cleaned, model, plan.asr)
+
+        # ICA serves only the ECG pickup, so it runs only when that is wanted
+        pick = None
+        if cfg.stages.ica and cfg.detect_ecg:
+            ica = ica_decompose(
+                asr_out if cfg.ica_input == "asr" else cleaned,
+                n_components=cfg.ica_components,
+                seed=cfg.ica_seed + seg_index,
+                max_iter=cfg.ica_max_iter,
+            )
+            pick = select_ecg_ic(ica, cleaned.rate)
+
+        exclude = [(f.start_s, f.end_s) for f in flagged]
+        psd = welch_psd_recording(
+            asr_out, seg=cfg.psd_segment, overlap=cfg.psd_overlap, exclude_spans=exclude
         )
-        try:
-            model = asr_calibrate(cleaned, asr_cfg)
-        except CalibrationError as exc:
-            raise DataError(f"segment {seg_index} ({condition}): {exc}") from None
-        asr_out, flagged = asr_process(cleaned, model, asr_cfg)
-
-    # ICA serves only the ECG pickup, so it runs only when that is wanted
-    pick = None
-    if cfg.stages.ica and cfg.detect_ecg:
-        ica = ica_decompose(
-            asr_out if cfg.ica_input == "asr" else cleaned,
-            n_components=cfg.ica_components,
-            seed=cfg.ica_seed + seg_index,
-            max_iter=cfg.ica_max_iter,
-        )
-        pick = select_ecg_ic(ica, cleaned.rate)
-
-    exclude = [(f.start_s, f.end_s) for f in flagged]
-    psd = welch_psd_recording(
-        asr_out, seg=cfg.psd_segment, overlap=cfg.psd_overlap, exclude_spans=exclude
-    )
-    qc = qc_report(asr_out, psd, line_freq_hz=cfg.line_freq_hz).to_dict()
+        qc = qc_report(asr_out, psd, line_freq_hz=cfg.line_freq_hz).to_dict()
+    except ValueError as exc:
+        raise DataError(f"segment {seg_index} ({condition}): {exc}") from None
     return SegmentResult(
         condition=condition,
         cleaned=asr_out if cfg.psd_average == "pooled" else None,
@@ -435,8 +463,11 @@ def psd_band_rows(participant: str, condition: str, psd, bands) -> list[BandPowe
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Execute the full chain and write all reports into cfg.out_dir."""
     t_start = time.time()
+    problems = cfg.validate()
+    if problems:
+        raise ConfigError("; ".join(problems))
     rec, events, monmap = _load_inputs(cfg)
-    _check_rates(cfg, rec.rate)
+    plan = plan_stages(cfg, rec, monmap)
     if rec.n_channels == len(monmap.channel_of):
         rec = relabel_by_montage(rec, monmap)
     out_dir = Path(cfg.out_dir)
@@ -453,7 +484,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             raise DataError(f"event {seg.condition} yields an empty segment")
 
     seg_results = [
-        process_segment(seg.recording, seg.condition, cfg, monmap, i)
+        process_segment(seg.recording, seg.condition, cfg, monmap, plan, i)
         for i, seg in enumerate(segments)
     ]
 

@@ -28,6 +28,17 @@ class BandDefinition:
         if self.lo_hz < 0 or self.hi_hz <= self.lo_hz:
             raise ValueError(f"band {self.name}: bad bounds [{self.lo_hz}, {self.hi_hz}]")
 
+    def bins(self, freqs: np.ndarray, rate: float) -> np.ndarray:
+        """Mask of the freqs inside the band, bounds inclusive of bin
+        centers; a band beyond Nyquist or covering no bin is a ValueError."""
+        nyq = rate / 2.0
+        if self.hi_hz > nyq + 1e-12:
+            raise ValueError(f"band {self.name} upper edge {self.hi_hz} Hz beyond Nyquist {nyq} Hz")
+        mask = (freqs >= self.lo_hz - 1e-12) & (freqs <= self.hi_hz + 1e-12)
+        if not mask.any():
+            raise ValueError(f"band {self.name} contains no frequency bins")
+        return mask
+
 
 DEFAULT_BANDS = (
     BandDefinition("theta", 4.0, 7.0),
@@ -52,14 +63,20 @@ class PsdEstimate:
         self.power = np.atleast_2d(np.asarray(self.power, dtype=float))
 
 
+def check_welch_window(seg: int, overlap: int) -> None:
+    """The window rules of welch_psd_recording."""
+    if seg < 8:
+        raise ValueError(f"segment length {seg} too small")
+    if not 0 <= overlap < seg:
+        raise ValueError(f"overlap {overlap} must satisfy 0 <= overlap < seg ({seg})")
+
+
 def welch_psd(x: np.ndarray, rate: float, seg: int = 256, overlap: int = 64) -> PsdEstimate:
     """Welch periodogram average of a single channel.
 
     The single-channel form of welch_psd_recording. With overlap=0 and
     len(x)==seg this reduces to a single periodogram.
     """
-    if seg < 8:
-        raise ValueError(f"segment length {seg} too small")
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("welch_psd expects a single channel; use welch_psd_recording")
@@ -84,8 +101,7 @@ def welch_psd_recording(
     own timebase, t0 = 0) whose overlapping segments are skipped, e.g.
     windows flagged by artifact rejection.
     """
-    if not 0 <= overlap < seg:
-        raise ValueError(f"overlap {overlap} must satisfy 0 <= overlap < seg ({seg})")
+    check_welch_window(seg, overlap)
     hop = seg - overlap
     n = rec.n_samples
     if n < seg:
@@ -146,16 +162,7 @@ def band_power(psd: PsdEstimate, bands=DEFAULT_BANDS) -> dict:
     """
     if psd.scale != "db":
         raise ValueError("band_power expects a dB-scaled estimate; call to_db first")
-    nyq = psd.rate / 2.0
-    out: dict[str, np.ndarray] = {}
-    for band in bands:
-        if band.hi_hz > nyq + 1e-12:
-            raise ValueError(f"band {band.name} upper edge {band.hi_hz} Hz beyond Nyquist {nyq} Hz")
-        mask = (psd.freqs >= band.lo_hz - 1e-12) & (psd.freqs <= band.hi_hz + 1e-12)
-        if not mask.any():
-            raise ValueError(f"band {band.name} contains no frequency bins")
-        out[band.name] = np.median(psd.power[:, mask], axis=1)
-    return out
+    return {b.name: np.median(psd.power[:, b.bins(psd.freqs, psd.rate)], axis=1) for b in bands}
 
 
 def parse_band_spec(text: str) -> tuple[BandDefinition, ...]:

@@ -17,6 +17,19 @@ from .cardiac import BeatSeries
 from .ingest import Event, Recording
 
 
+def parse_pair(text: str) -> tuple[float, float]:
+    """Read 'value:value' as two floats."""
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise ValueError(f"expected value:value, got {text!r}")
+    return float(parts[0]), float(parts[1])
+
+
+def parse_pairs(text: str) -> tuple:
+    """Read a comma-separated list of 'value:value' pairs."""
+    return tuple(parse_pair(p.strip()) for p in text.split(",") if p.strip())
+
+
 @dataclass(frozen=True)
 class EegSynthSpec:
     rate: float = 125.0
@@ -24,8 +37,10 @@ class EegSynthSpec:
     seed: int = 0
     n_channels: int = 16
     pink_noise_rms: float = 3.0
-    band_components: tuple = ()  # (freq_hz, amplitude_uv) pairs
-    line_noise: tuple | None = None  # (freq_hz, amplitude_uv)
+    # (freq_hz, amplitude_uv) pairs
+    band_components: tuple = field(default=(), metadata={"parse": parse_pairs})
+    # (freq_hz, amplitude_uv)
+    line_noise: tuple | None = field(default=None, metadata={"parse": parse_pair})
 
     def __post_init__(self):
         if self.rate <= 0 or self.duration_s <= 0:
@@ -190,9 +205,22 @@ class BergerSpec:
     pink_noise_rms: float = 3.0
     alpha_open_uv: float = 1.5
     alpha_ratio: float = 3.0
-    alpha_band_hz: tuple = (8.0, 12.0)
+    alpha_band_hz: tuple = field(default=(8.0, 12.0), metadata={"parse": parse_pair})
     psd_segment: int = 256
-    line_noise: tuple | None = None
+    line_noise: tuple | None = field(default=None, metadata={"parse": parse_pair})
+
+    def __post_init__(self):
+        if self.rate <= 0 or self.segment_s <= 0:
+            raise ValueError("rate and segment_s must be positive")
+        if self.n_channels < 1:
+            raise ValueError("need at least one channel")
+        if self.pink_noise_rms < 0:
+            raise ValueError("noise RMS cannot be negative")
+        if self.psd_segment < 1:
+            raise ValueError(f"psd_segment must be positive, got {self.psd_segment}")
+        lo, hi = self.alpha_band_hz
+        if not 0 < lo <= hi < self.rate / 2:
+            raise ValueError(f"alpha band {lo}:{hi} Hz outside (0, Nyquist)")
 
 
 def berger_session(spec: BergerSpec = BergerSpec()) -> Recording:

@@ -81,6 +81,25 @@ def test_synth_unknown_kind(tmp_path, capsys):
     assert "kind" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize(
+    "kind, section, fragment",
+    [
+        ("berger", "[berger]\nsegment_s = -1\n", "segment_s"),
+        ("eeg", "[eeg]\nduraton_s = 2\n", "duraton_s"),
+        ("eeg", "[eeg]\nn_channels = two\n", "n_channels"),
+        ("berger", "[berger]\nalpha_band = 8:70\n", "alpha band"),
+        ("berger", "[ecg]\nbpm = 72\n", "[ecg]"),
+    ],
+)
+def test_synth_bad_spec_names_the_key(tmp_path, capsys, kind, section, fragment):
+    spec = write_spec(tmp_path / "s.ini", f"[synth]\nkind = {kind}\nseed = 1\n\n{section}")
+    code, _, err = run_cli(capsys, "synth", "--spec", spec, "--out-dir", str(tmp_path / "o"))
+    assert code == 2
+    diag = json.loads(err)
+    assert diag["error"] == "config" and fragment in diag["message"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_synth_berger_deterministic(tmp_path, capsys):
     spec = write_spec(
         tmp_path / "b.ini",
@@ -217,6 +236,69 @@ def test_run_without_ecg_detection_needs_no_ica_seed(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "run", "--config", cfg)
     assert code == 0
     assert last_json(out)["n_segments"] == 2
+
+
+def test_global_seed_satisfies_ica_seed(tmp_path, capsys):
+    # global options override config values before the config is checked
+    data = synth_berger(tmp_path, capsys)
+    cfg = write_spec(
+        tmp_path / "run.ini",
+        f"[input]\nsession = {data / 'session.csv'}\nevents = {data / 'events.csv'}\n\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n",
+    )
+    code, _, err = run_cli(capsys, "run", "--config", cfg)
+    assert code == 2 and "ica_seed" in json.loads(err)["message"]
+    code, out, _ = run_cli(capsys, "--seed", "5", "--line-freq", "60", "run", "--config", cfg,
+                           "--out-dir", str(tmp_path / "seeded"))
+    assert code == 0
+    meta = json.loads((tmp_path / "seeded" / "run_meta.json").read_text())
+    assert meta["config"]["ica_seed"] == 5 and meta["config"]["line_freq_hz"] == 60.0
+
+
+@pytest.fixture(scope="module")
+def berger_20s(tmp_path_factory):
+    root = tmp_path_factory.mktemp("berger20")
+    spec = root / "fixture.ini"
+    spec.write_text("[synth]\nkind = berger\nseed = 11\n\n[berger]\nsegment_s = 20\n")
+    assert main(["synth", "--spec", str(spec), "--out-dir", str(root / "data")]) == 0
+    return root / "data"
+
+
+# [pipeline] values that load_config accepts but no run can use; those
+# that depend only on the config, the rate and the montage are config
+# errors, the others fail on a segment
+@pytest.mark.parametrize(
+    "pipeline, codes",
+    [
+        ("line_win_s = 0", {2}),
+        ("line_step_s = -1", {2}),
+        ("line_freq_hz = 0", {2}),
+        ("asr_calib_win_s = 0", {2}),
+        ("asr_proc_win_s = 100", {2, 3}),
+        ("ica_components = 99", {2, 3}),
+        ("reref_left = X9", {2}),
+        ("reref_left = L3", {2}),
+        ("psd_segment = 4000", {2, 3}),
+        ("psd_segment = 5\npsd_overlap = 0", {2, 3}),
+    ],
+)
+def test_run_bad_stage_value_keeps_cli_contract(tmp_path, capsys, berger_20s, pipeline, codes):
+    cfg = write_spec(
+        tmp_path / "run.ini",
+        f"[input]\nsession = {berger_20s / 'session.csv'}\nevents = {berger_20s / 'events.csv'}\n\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n\n[pipeline]\nica_seed = 2\n{pipeline}\n",
+    )
+    code, _, err = run_cli(capsys, "run", "--config", cfg)
+    assert code in codes
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "Traceback" not in err
+    diag = json.loads(lines[0])
+    key = pipeline.split()[0]
+    if code == 2:
+        assert diag["error"] == "config" and diag["message"].startswith("pipeline: ")
+        assert key in diag["message"].split(": ")[1]
+    else:
+        assert diag["error"] == "data" and diag["message"].startswith("segment 0 (eyes_open): ")
 
 
 def test_line_freq_choices():

@@ -1,13 +1,17 @@
+import configparser
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from earpipe.cardiac import BeatSeries, rr_periods
+from earpipe.filters import design_fir
 from earpipe.ingest import Event, save_events_csv, save_session_csv
 from earpipe.pipeline import (
     ConfigError,
     DataError,
+    _SECTIONS,
     PipelineConfig,
     load_config,
     load_rr_beats,
@@ -166,6 +170,44 @@ def test_validate_collects_pipeline_problems():
         assert fragment in joined
 
 
+def test_validate_names_the_keys_of_a_stage_rule():
+    cfg = PipelineConfig(session="s.csv", events="e.csv", ica_seed=1)
+    cfg.hp_order = 501
+    cfg.psd_segment, cfg.psd_overlap = 100, 200
+    cfg.line_freq_hz = 0.0
+    problems = cfg.validate()
+    assert problems == [
+        "pipeline: hp_cutoff_hz, hp_order, fir_window: "
+        "order must be a positive even integer, got 501",
+        "pipeline: line_freq_hz, line_win_s, line_step_s, line_harmonics: "
+        "line frequency must be positive, got 0.0",
+        "pipeline: psd_segment, psd_overlap: overlap 200 must satisfy 0 <= overlap < seg (100)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "segment, overlap, ok",
+    [(512, 256, True), (1024, 1000, True), (64, 8, True), (5, 0, False), (256, 256, False)],
+)
+def test_validate_checks_the_welch_window_as_a_pair(segment, overlap, ok):
+    # the rule links the two keys, so each is judged against the other's value
+    cfg = PipelineConfig(session="s.csv", events="e.csv", ica_seed=1)
+    cfg.psd_segment, cfg.psd_overlap = segment, overlap
+    problems = cfg.validate()
+    assert (problems == []) == ok
+    assert all(p.startswith("pipeline: psd_segment, psd_overlap: ") for p in problems)
+
+
+def test_readme_run_config_lists_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Run config (INI)", 1)[1].split("```ini", 1)[1].split("```", 1)[0]
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), allow_no_value=True)
+    parser.read_string(block)
+    documented = {(s, k) for s in parser.sections() for k in parser[s]}
+    accepted = {(s, k) for s, keys in _SECTIONS.items() for k in keys}
+    assert documented == accepted
+
+
 # ------------------------------------------------------------ run_pipeline
 
 
@@ -258,6 +300,47 @@ def test_band_beyond_nyquist_rejected(tmp_path):
     cfg = load_config(path)
     with pytest.raises(ConfigError, match="Nyquist"):
         run_pipeline(cfg)
+
+
+def test_run_pipeline_checks_the_config(tmp_path):
+    berger_inputs(tmp_path, segment_s=10.0)
+    cfg = load_config(base_config(tmp_path))
+    cfg.lp_order = 7
+    with pytest.raises(ConfigError, match="pipeline: lp_cutoff_hz, lp_order, fir_window: order "):
+        run_pipeline(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def test_stage_objects_built_once_per_run(tmp_path, monkeypatch):
+    berger_inputs(tmp_path, segment_s=10.0)
+    designed = []
+    monkeypatch.setattr(
+        "earpipe.pipeline.design_fir", lambda *a: designed.append(a) or design_fir(*a)
+    )
+    result = run_pipeline(load_config(base_config(tmp_path)))
+    assert result["n_segments"] == 2
+    assert [spec.kind for spec, _ in designed] == ["highpass", "lowpass"]
+
+
+def test_event_shorter_than_highpass_kernel_names_the_segment(tmp_path):
+    berger_inputs(tmp_path, segment_s=10.0)
+    events = [Event("eyes_open", 0.0, 10.0), Event("blink", 12.0, 14.0)]
+    save_events_csv(events, tmp_path / "events.csv")
+    cfg = load_config(base_config(tmp_path))
+    with pytest.raises(DataError, match=r"segment 1 \(blink\): segment length 250 too short"):
+        run_pipeline(cfg)
+
+
+def test_reduced_montage_with_rereference_fails_before_any_segment(tmp_path):
+    # R5 maps to channel 4 and L5 to channel 12: eight rows lack L5
+    berger_inputs(tmp_path, segment_s=10.0, n_channels=8)
+    cfg = load_config(base_config(tmp_path))
+    with pytest.raises(DataError, match="needs channel 12 but the recording has 8; disable the "
+                                        "rereference stage for reduced montages"):
+        run_pipeline(cfg)
+    assert not (tmp_path / "out").exists()
+    cfg = load_config(base_config(tmp_path, extra_stages="rereference = off"))
+    assert run_pipeline(cfg)["n_segments"] == 2
 
 
 def test_empty_segment_rejected(tmp_path):
