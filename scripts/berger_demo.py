@@ -32,7 +32,6 @@ def main() -> int:
         session=str(out_dir / "session.csv"),
         events=str(out_dir / "events.csv"),
         out_dir=str(out_dir / "reports"),
-        ica_seed=1,
     )
     summary = run_pipeline(cfg)
     print(f"processed {summary['n_segments']} segments -> {summary['out_dir']}")

@@ -1,9 +1,12 @@
-"""Artifact handling: ICA decomposition, ECG component pickup, and
+"""Artifact handling: ICA decomposition, cardiac-source extraction, and
 subspace-based burst rejection.
 
 The ICA is a symmetric fixed-point iteration with the log-cosh
-contrast on PCA-whitened data. Burst rejection (ASR-style) learns an
-orthonormal component basis and per-component RMS thresholds from
+contrast on PCA-whitened data. The cardiac source is found without it:
+a one-unit fixed point with the skewness contrast extracts the most
+skewed directions of the whitened data one by one, fitted on half the
+epochs and gated on the other half. Burst rejection (ASR-style) learns
+an orthonormal component basis and per-component RMS thresholds from
 clean calibration windows, then rebuilds contaminated processing
 windows from the sub-threshold subspace with raised-cosine cross-fades.
 """
@@ -11,7 +14,8 @@ windows from the sub-threshold subspace with raised-cosine cross-fades.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +25,10 @@ from .ingest import Recording
 
 ICA_TOL = 1e-6
 ICA_MAX_ITER = 2000
+# a skewed source converges in a few steps; the cap bounds a unit that
+# only rotates in a near-Gaussian remainder
+ECG_MAX_ITER = 200
+ECG_MAX_UNITS = 4
 
 
 class CalibrationError(ValueError):
@@ -48,24 +56,12 @@ def _sym_decorrelate(w: np.ndarray) -> np.ndarray:
     return (u / np.sqrt(s)) @ u.T @ w
 
 
-def ica_decompose(
-    rec: Recording | np.ndarray,
-    n_components: int | None = None,
-    seed: int | None = None,
-    max_iter: int = ICA_MAX_ITER,
-    tol: float = ICA_TOL,
-) -> IcaResult:
-    """Fixed-point ICA with the log-cosh contrast.
-
-    Data is centered and PCA-whitened; near-zero-variance directions are
-    dropped with a warning. The unmixing matrix is driven to a fixed
-    point under symmetric decorrelation until the largest change falls
-    below tol or max_iter is reached. Runs are bit-reproducible for a
-    given seed.
+def _whiten(x: np.ndarray, n_components: int | None):
+    """Center (channels, samples) data and PCA-whiten it to at most
+    n_components dimensions; near-zero-variance directions are dropped
+    with a warning. Returns the channel means, the whitening (k, channels)
+    and coloring (channels, k) matrices and the whitened data (k, samples).
     """
-    if seed is None:
-        raise ValueError("ica_decompose requires an explicit seed")
-    x = rec.data if isinstance(rec, Recording) else np.asarray(rec, dtype=float)
     if x.ndim != 2:
         raise ValueError("expected (channels, samples) data")
     n_ch, n = x.shape
@@ -92,8 +88,29 @@ def ica_decompose(
     evals, evecs = evals[:k], evecs[:, :k]
     whiten = evecs.T / np.sqrt(evals)[:, None]  # (k, channels)
     color = evecs * np.sqrt(evals)[None, :]  # (channels, k)
-    z = whiten @ xc
-    del xc
+    return means, whiten, color, whiten @ xc
+
+
+def ica_decompose(
+    rec: Recording | np.ndarray,
+    n_components: int | None = None,
+    seed: int | None = None,
+    max_iter: int = ICA_MAX_ITER,
+    tol: float = ICA_TOL,
+) -> IcaResult:
+    """Fixed-point ICA with the log-cosh contrast.
+
+    Data is centered and PCA-whitened; near-zero-variance directions are
+    dropped with a warning. The unmixing matrix is driven to a fixed
+    point under symmetric decorrelation until the largest change falls
+    below tol or max_iter is reached. Runs are bit-reproducible for a
+    given seed.
+    """
+    if seed is None:
+        raise ValueError("ica_decompose requires an explicit seed")
+    x = rec.data if isinstance(rec, Recording) else np.asarray(rec, dtype=float)
+    means, whiten, color, z = _whiten(x, n_components)
+    k, n = z.shape
 
     rng = np.random.default_rng(seed)
     w = _sym_decorrelate(rng.standard_normal((k, k)))
@@ -141,10 +158,11 @@ def ica_decompose(
 RR_PLAUSIBLE_MS = (300.0, 1500.0)
 ECG_SCORE_THRESHOLD = 0.5
 # QRS complexes are sparse spikes of one sign, so a cardiac source is
-# skewed in every epoch; noise, EEG rhythms and their ICA mixtures are
+# skewed in every epoch; noise, EEG rhythms and their mixtures are
 # near-symmetric. Measured |epoch_skewness|: at most 0.22 on white and
 # pink noise, EEG mixtures and burst components; at least 1.31 on
-# recovered ECG components.
+# recovered ECG components. A direction fitted to be skewed is scored
+# on epochs the fit never saw, so the search cannot inflate its own gate.
 ECG_SKEW_THRESHOLD = 0.5
 SKEW_EPOCH_S = MIN_DURATION_S  # every signal the detector takes has an epoch
 
@@ -184,43 +202,95 @@ def epoch_skewness(x: np.ndarray, rate: float) -> float:
 
 
 def detect_beats(x: np.ndarray, rate: float) -> tuple[BeatSeries, float]:
-    """QRS detection on both signs of one channel.
+    """One QRS detector pass over one channel, on its R lobe.
 
-    Returns the sign's series with more beats (a tie keeps the signal as
-    given) and its rhythm score: the better of the two signs' fraction
-    of R-R intervals within 300-1500 ms times (1 - their coefficient of
+    pan_tompkins runs on sign * x, where sign is the sign of
+    epoch_skewness(x) (+1 for 0): the R spike is the signal's long tail,
+    and the detector refines each beat to the maximum of the bandpassed
+    signal. Returns the beats and their rhythm score: the fraction of R-R
+    intervals within 300-1500 ms times (1 - their coefficient of
     variation). The rhythm score alone does not tell noise from a heart;
-    ecg_component_score adds the skewness gate that does. Raises
+    the skewness gate of ecg_component_score or extract_ecg does. Raises
     ValueError for a signal the detector cannot take (too short, rate
     too low).
     """
-    fwd = pan_tompkins(x, rate)
-    rev = pan_tompkins(-x, rate)
-    beats = fwd if len(fwd) >= len(rev) else rev
-    return beats, max(_rhythm_score(fwd), _rhythm_score(rev))
-
-
-def _gated_beats(src: np.ndarray, rate: float) -> tuple[BeatSeries, float] | None:
-    """detect_beats on a source whose |epoch_skewness| reaches
-    ECG_SKEW_THRESHOLD; None for any other source, and for one the
-    detector cannot take."""
-    if abs(epoch_skewness(src, rate)) < ECG_SKEW_THRESHOLD:
-        return None
-    try:
-        return detect_beats(src, rate)
-    except ValueError:
-        return None
+    sign = -1.0 if epoch_skewness(x, rate) < 0 else 1.0
+    beats = pan_tompkins(sign * np.asarray(x, dtype=float), rate)
+    return beats, _rhythm_score(beats)
 
 
 def ecg_component_score(src: np.ndarray, rate: float) -> float:
-    """Heartbeat-likeness of one source: the rhythm score of
-    detect_beats if the source passes the skewness gate, else 0.
-
-    Independent of the source's sign. A score of ECG_SCORE_THRESHOLD or
-    more makes the source eligible as the cardiac component.
+    """Heartbeat-likeness of one signal: the rhythm score of detect_beats
+    if |epoch_skewness| reaches ECG_SKEW_THRESHOLD, else 0; also 0 for a
+    signal the detector cannot take. Independent of the signal's sign.
     """
-    found = _gated_beats(src, rate)
-    return found[1] if found else 0.0
+    if abs(epoch_skewness(src, rate)) < ECG_SKEW_THRESHOLD:
+        return 0.0
+    try:
+        return detect_beats(src, rate)[1]
+    except ValueError:
+        return 0.0
+
+
+@dataclass(frozen=True)
+class SkewUnit:
+    index: int  # place in extraction order
+    source: np.ndarray  # over the whole segment, signed to skew positive on the fit epochs
+    held_out_skew: float  # epoch_skewness over the epochs the fit never saw
+    n_iter: int
+
+
+def _deflate(w: np.ndarray, found: np.ndarray) -> np.ndarray:
+    w = w - found.T @ (found @ w)
+    return w / np.linalg.norm(w)
+
+
+def skew_units(
+    rec: Recording,
+    n_components: int | None = None,
+    max_iter: int = ECG_MAX_ITER,
+    tol: float = ICA_TOL,
+) -> Iterator[SkewUnit]:
+    """The most skewed directions of the whitened data, one at a time.
+
+    The data is PCA-whitened as for ica_decompose (same rank reduction
+    and n_components errors) and split into consecutive SKEW_EPOCH_S
+    epochs; a trailing part epoch is dropped, and data shorter than two
+    epochs yields no unit. Each unit is fitted on the even epochs alone
+    by the one-unit fixed point with the skewness contrast g(u) = u^2
+    (Hyvarinen 1999): w <- mean(z (w'z)^2) - 2 mean(w'z) w, deflated
+    against the units before it and normalized. It starts at the
+    remaining whitened axis with the largest |epoch_skewness| on those
+    epochs and stops once |1 - |<w_new, w>|| < tol or after max_iter
+    steps. Up to ECG_MAX_UNITS units, computed as they are asked for.
+    Deterministic: there is no random start.
+    """
+    rate = rec.rate
+    *_, z = _whiten(rec.data, n_components)
+    k, n = z.shape
+    width = int(round(SKEW_EPOCH_S * rate))
+    m = n // width if width > 0 else 0
+    if m < 2:
+        return
+    fit = z[:, : m * width].reshape(k, m, width)[:, 0::2].reshape(k, -1)
+    starts = np.argsort([-abs(epoch_skewness(row, rate)) for row in fit], kind="stable")
+    found = np.empty((0, k))
+    for index in range(min(ECG_MAX_UNITS, k)):
+        w = _deflate(np.eye(k)[starts[index]], found)
+        it = 0
+        for it in range(1, max_iter + 1):
+            y = w @ fit
+            w_new = _deflate((fit @ (y * y)) / len(y) - 2.0 * y.mean() * w, found)
+            delta = abs(1.0 - abs(float(w_new @ w)))
+            w = w_new
+            if delta < tol:
+                break
+        found = np.vstack([found, w])
+        source = w @ z
+        epochs = source[: m * width].reshape(m, width)
+        sign = -1.0 if epoch_skewness(epochs[0::2].ravel(), rate) < 0 else 1.0
+        held_out = sign * epoch_skewness(epochs[1::2].ravel(), rate)
+        yield SkewUnit(index=index, source=sign * source, held_out_skew=held_out, n_iter=it)
 
 
 @dataclass(frozen=True)
@@ -230,26 +300,32 @@ class EcgPick:
     beats: BeatSeries
 
 
-def select_ecg_ic(ica: IcaResult, rate: float) -> EcgPick | None:
-    """The cardiac component: of the components that pass the skewness
-    gate, the one with the best rhythm score, with its score and beats;
-    None if no component passes or the best score is below
-    ECG_SCORE_THRESHOLD.
+def extract_ecg(
+    rec: Recording,
+    n_components: int | None = None,
+    max_iter: int = ECG_MAX_ITER,
+    tol: float = ICA_TOL,
+) -> EcgPick | None:
+    """The cardiac source of a multichannel recording, or None.
 
-    The detector runs only on components that pass the gate. Ties
-    resolve to the lowest index.
+    The pick is the first of the skew_units whose held-out skewness
+    reaches ECG_SKEW_THRESHOLD and whose one detect_beats pass over the
+    whole segment scores at least ECG_SCORE_THRESHOLD; its index is the
+    unit's place in extraction order. The gate is one-sided: the fit
+    made the unit skew positive, and a heart keeps that sign on the
+    held-out epochs where a direction fitted to noise does so only by
+    chance. Data shorter than two epochs (10 s) gets no pick.
     """
-    best: EcgPick | None = None
-    for i in range(ica.n_components):
-        found = _gated_beats(ica.sources[i], rate)
-        if found is None:
+    for unit in skew_units(rec, n_components, max_iter, tol):
+        if unit.held_out_skew < ECG_SKEW_THRESHOLD:
             continue
-        beats, score = found
-        if best is None or score > best.score + 1e-12:
-            best = EcgPick(index=i, score=score, beats=beats)
-    if best is None or best.score < ECG_SCORE_THRESHOLD:
-        return None
-    return best
+        try:
+            beats, score = detect_beats(unit.source, rec.rate)
+        except ValueError:
+            continue
+        if score >= ECG_SCORE_THRESHOLD:
+            return EcgPick(index=unit.index, score=score, beats=beats)
+    return None
 
 
 @dataclass(frozen=True)
@@ -317,10 +393,12 @@ def asr_calibrate(rec: Recording, cfg: AsrConfig = AsrConfig()) -> AsrModel:
             f"only {n_clean} clean calibration windows (z in [{CALIB_Z_BOUNDS[0]}, "
             f"{CALIB_Z_BOUNDS[1]}]); need {MIN_CALIB_WINDOWS}"
         )
-    xc = chunks[:, clean, :].reshape(rec.n_channels, -1)
+    clean_chunks = chunks[:, clean, :]
+    xc = clean_chunks.reshape(rec.n_channels, -1)
     cov = (xc @ xc.T) / xc.shape[1]
     _, basis = np.linalg.eigh(cov)
-    comp = np.einsum("ck,cwt->kwt", basis, chunks[:, clean, :])
+    comp = np.einsum("ck,cwt->kwt", basis, clean_chunks)
+    del clean_chunks, xc  # the one copy is not held while comp is squared
     comp_rms = np.sqrt((comp**2).mean(axis=2))  # (components, clean windows)
     thr = comp_rms.mean(axis=1) + cfg.burst_k * comp_rms.std(axis=1, ddof=0)
     return AsrModel(basis=basis, thresholds=thr, calib_windows_used=n_clean)

@@ -47,6 +47,7 @@ from .pipeline import (
 from .spectral import (
     BandPowerRow,
     DEFAULT_BANDS,
+    check_welch_window,
     parse_band_spec,
     welch_psd_recording,
     write_band_table,
@@ -164,15 +165,18 @@ def cmd_bands(args) -> int:
         events = load_input("events file", load_events_csv, args.events)
     else:
         events = [Event("all", 0.0, rec.duration_s)]
+    try:
+        check_welch_window(args.segment, args.overlap)
+    except ValueError as exc:
+        raise ConfigError(f"--segment, --overlap: {exc}") from None
     rows: list[BandPowerRow] = []
     for seg in cut_segments(rec, events):
-        if seg.recording.n_samples <= args.segment:
-            raise DataError(
-                f"segment {seg.condition}: {seg.recording.n_samples} samples is too short "
-                f"for {args.segment}-sample windows"
-            )
+        # with the window checked, Welch can only find the segment too short
         try:
             psd = welch_psd_recording(seg.recording, seg=args.segment, overlap=args.overlap)
+        except ValueError as exc:
+            raise DataError(f"segment {seg.condition}: {exc}") from None
+        try:
             rows.extend(psd_band_rows(args.participant, seg.condition, psd, bands))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None

@@ -2,11 +2,11 @@
 
 Stage order per segment: channel mean subtraction, linked-mastoid
 re-referencing, line-noise removal, 1 Hz highpass, 45 Hz lowpass, then
-ICA (for ECG pickup) and burst rejection on the filtered data, Welch
-PSD with flagged windows excluded, and median band powers. Every
-randomized stage takes an explicit seed from the config, so two runs of
-the same config produce byte-identical reports; wall-clock metadata
-goes to a separate sidecar file.
+burst rejection and cardiac-source extraction (for ECG pickup) on the
+filtered data, Welch PSD with flagged windows excluded, and median band
+powers. No stage draws random numbers, so two runs of the same config
+produce byte-identical reports; wall-clock metadata goes to a separate
+sidecar file.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from .artifact import (
     EcgPick,
     asr_calibrate,
     asr_process,
-    ica_decompose,
-    select_ecg_ic,
+    extract_ecg,
 )
 from .cardiac import BeatSeries, match_beats, paired_rr, rr_outlier_filter, rr_periods
 from .filters import (
@@ -128,8 +127,8 @@ class PipelineConfig:
     asr_window_criterion: float = 0.15
     asr_calib_win_s: float = 1.0
     asr_proc_win_s: float = 0.5
-    ica_max_iter: int = 2000
-    ica_seed: int | None = None
+    ica_max_iter: int = 200  # per extracted unit
+    ica_seed: int | None = None  # accepted, read by no stage
     ica_components: int | None = None
     ica_input: str = "filtered"  # filtered | asr
     reref_left: str = "L5"
@@ -154,10 +153,6 @@ class PipelineConfig:
             problems.append("input: 'events' file is required")
         if self.raw is not None and not self.rate > 0:
             problems.append(f"input: rate must be positive, got {self.rate}")
-        if self.stages.ica and self.detect_ecg and self.ica_seed is None:
-            problems.append(
-                "pipeline: ica_seed is required while the ica stage and detect_ecg are on"
-            )
         choices = {"ica_input": ("filtered", "asr"), "psd_average": ("per_segment", "pooled")}
         for key, allowed in choices.items():
             value = getattr(self, key)
@@ -313,12 +308,22 @@ def plan_stages(cfg: PipelineConfig, rec: Recording, monmap) -> StagePlan:
         _try(problems, "line_freq_hz, line_harmonics", check_line_noise,
              rate, cfg.line_freq_hz, cfg.line_win_s, cfg.line_step_s, cfg.line_harmonics)
     firs = []
-    if cfg.stages.highpass:
-        spec = FirSpec("highpass", cfg.hp_cutoff_hz, cfg.hp_order, cfg.fir_window)
-        firs.append(_try(problems, "hp_cutoff_hz", design_fir, spec, rate))
-    if cfg.stages.lowpass:
-        spec = FirSpec("lowpass", cfg.lp_cutoff_hz, cfg.lp_order, cfg.fir_window)
-        firs.append(_try(problems, "lp_cutoff_hz", design_fir, spec, rate))
+    for on, kind, cutoff, order in (
+        (cfg.stages.highpass, "highpass", "hp_cutoff_hz", "hp_order"),
+        (cfg.stages.lowpass, "lowpass", "lp_cutoff_hz", "lp_order"),
+    ):
+        if not on:
+            continue
+        spec = FirSpec(kind, getattr(cfg, cutoff), getattr(cfg, order), cfg.fir_window)
+        # a kernel that no segment can hold is refused before its taps,
+        # which take memory in proportion to the order, are designed
+        if spec.order + 1 >= rec.n_samples:
+            problems.append(
+                f"pipeline: {order}: a {spec.order + 1}-tap filter needs more samples "
+                f"than the session's {rec.n_samples}"
+            )
+            continue
+        firs.append(_try(problems, cutoff, design_fir, spec, rate))
     # a Welch window longer than the session fails on every segment before
     # a band is read, and its bins would take memory in proportion to it
     if cfg.psd_segment <= rec.n_samples:
@@ -381,16 +386,14 @@ def process_segment(
             model = asr_calibrate(cleaned, plan.asr)
             asr_out, flagged = asr_process(cleaned, model, plan.asr)
 
-        # ICA serves only the ECG pickup, so it runs only when that is wanted
+        # the extraction serves only the ECG pickup, so it runs only when that is wanted
         pick = None
         if cfg.stages.ica and cfg.detect_ecg:
-            ica = ica_decompose(
+            pick = extract_ecg(
                 asr_out if cfg.ica_input == "asr" else cleaned,
                 n_components=cfg.ica_components,
-                seed=cfg.ica_seed + seg_index,
                 max_iter=cfg.ica_max_iter,
             )
-            pick = select_ecg_ic(ica, cleaned.rate)
 
         exclude = [(f.start_s, f.end_s) for f in flagged]
         psd = welch_psd_recording(

@@ -105,7 +105,7 @@ def welch_psd_recording(
     hop = seg - overlap
     n = rec.n_samples
     if n < seg:
-        raise ValueError(f"need at least seg={seg} samples, got {n}")
+        raise ValueError(f"{n} samples is too short for {seg}-sample windows")
     count = 1 + (n - seg) // hop
     keep: list[int] = []
     for j in range(count):

@@ -119,6 +119,8 @@ class EcgSynthSpec:
             raise ValueError(f"bpm {self.bpm} outside a plausible 30-220 range")
         if self.r_amplitude_uv < 0 or self.rr_jitter_ms < 0:
             raise ValueError("amplitude and jitter cannot be negative")
+        if self.r_width_ms <= 0:
+            raise ValueError(f"r_width_ms must be positive, got {self.r_width_ms}")
 
 
 def gen_ecg(spec: EcgSynthSpec) -> tuple[Recording, BeatSeries]:

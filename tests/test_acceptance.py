@@ -15,8 +15,8 @@ from earpipe.artifact import (
     AsrConfig,
     asr_calibrate,
     asr_process,
+    extract_ecg,
     ica_decompose,
-    select_ecg_ic,
 )
 from earpipe.cardiac import BeatSeries, match_beats, paired_rr, pan_tompkins, rr_periods
 from earpipe.cli import main as cli_main
@@ -306,8 +306,7 @@ def test_ecg_from_eeg_end_to_end():
     t0 = time.monotonic()
     rate = 250.0
     rec, truth = ecg_eeg_mixture(rate)
-    ica = ica_decompose(rec, seed=63)
-    picked = select_ecg_ic(ica, rate)
+    picked = extract_ecg(rec)
     assert picked is not None
     beats = picked.beats
 

@@ -7,13 +7,16 @@ from earpipe.artifact import (
     ICA_MAX_ITER,
     ICA_TOL,
     AsrConfig,
+    ECG_MAX_ITER,
     CalibrationError,
     asr_calibrate,
     asr_process,
+    detect_beats,
     ecg_component_score,
     epoch_skewness,
+    extract_ecg,
     ica_decompose,
-    select_ecg_ic,
+    skew_units,
 )
 from earpipe.ingest import Recording
 from earpipe.synth import EcgSynthSpec, EegSynthSpec, gen_ecg, gen_eeg
@@ -89,7 +92,7 @@ def test_ica_sources_unit_variance():
     assert np.allclose(result.sources.std(axis=1), 1.0, atol=1e-9)
 
 
-# --- ECG component selection ----------------------------------------------------
+# --- cardiac-source extraction -------------------------------------------------
 
 
 def _ecg_mixture(seed: int, rate: float = 250.0, n_eeg: int = 5, rel_db: float = -6.0):
@@ -102,21 +105,46 @@ def _ecg_mixture(seed: int, rate: float = 250.0, n_eeg: int = 5, rel_db: float =
     return channels, truth
 
 
-def test_select_ecg_ic_finds_planted_heartbeat():
-    channels, _ = _ecg_mixture(seed=30)
-    result = ica_decompose(_rec(channels, rate=250.0), seed=2)
-    pick = select_ecg_ic(result, 250.0)
+def test_extract_ecg_finds_planted_heartbeat():
+    rec = _rec(_ecg_mixture(seed=30)[0], rate=250.0)
+    pick = extract_ecg(rec)
     assert pick is not None
-    score = ecg_component_score(result.sources[pick.index], 250.0)
+    unit = list(skew_units(rec))[pick.index]
+    assert unit.held_out_skew >= ECG_SKEW_THRESHOLD
+    assert unit.n_iter < ECG_MAX_ITER  # a skewed source converges long before the cap
+    score = ecg_component_score(unit.source, 250.0)
     assert score >= ECG_SCORE_THRESHOLD
     assert pick.score == score
 
 
-def test_select_ecg_ic_none_on_noise():
+def test_extract_ecg_none_on_noise():
     rng = np.random.default_rng(31)
     data = rng.normal(size=(5, 12000))
-    result = ica_decompose(_rec(data, rate=250.0), seed=4)
-    assert select_ecg_ic(result, 250.0) is None
+    assert extract_ecg(_rec(data, rate=250.0)) is None
+
+
+def test_extract_ecg_whitens_like_ica():
+    sources = laplacian_sources(3, 4000, 25)
+    with pytest.warns(RuntimeWarning, match="rank"):
+        units = list(skew_units(_rec(np.vstack([sources, sources[0] + sources[1]]))))
+    assert len(units) == 3
+    with pytest.raises(ValueError, match="n_components 5 outside 1-4"):
+        extract_ecg(_rec(laplacian_sources(4, 4000, 26)), n_components=5)
+    with pytest.raises(ValueError, match="need at least"):
+        extract_ecg(_rec(laplacian_sources(4, 60, 27)))
+
+
+@pytest.mark.parametrize("rate", [125.0, 250.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_detect_beats_times_the_r_wave_in_either_polarity(rate, sign):
+    for seed in range(3):
+        spec = EcgSynthSpec(rate=rate, duration_s=60.0, seed=seed)
+        rec, truth = gen_ecg(spec)
+        noise = np.random.default_rng(100 + seed).normal(size=rec.n_samples)
+        x = rec.data[0] + 0.05 * spec.r_amplitude_uv * noise
+        beats, _ = detect_beats(sign * x, rate)
+        err = np.abs(truth.beat_times[:, None] - beats.beat_times[None, :]).min(axis=1)
+        assert np.median(err) <= 1.0 / rate, (seed, sign)
 
 
 def test_ecg_score_polarity_invariant():
@@ -132,10 +160,10 @@ def test_ecg_score_polarity_invariant():
 NULL_MARGIN = 2.0
 
 
-def _noise(kind: str, seed: int, n_channels: int, rate: float) -> np.ndarray:
+def _noise(kind: str, seed: int, n_channels: int, rate: float, duration_s: float = 60.0):
     if kind == "gaussian":
-        return np.random.default_rng(seed).normal(size=(n_channels, int(60.0 * rate)))
-    spec = EegSynthSpec(rate=rate, duration_s=60.0, seed=seed, n_channels=n_channels,
+        return np.random.default_rng(seed).normal(size=(n_channels, int(duration_s * rate)))
+    spec = EegSynthSpec(rate=rate, duration_s=duration_s, seed=seed, n_channels=n_channels,
                         band_components=())
     return gen_eeg(spec).data
 
@@ -149,14 +177,18 @@ def test_no_heartbeat_found_in_noise(kind):
             skews.append(abs(epoch_skewness(x, rate)))
             picks += ecg_component_score(x, rate) >= ECG_SCORE_THRESHOLD
             signals += 1
-        for seed in range(3):
-            # ICA of Gaussian data is a rotation of the whitened channels
-            # whatever the iteration count, so a short run gives its outputs
-            ica = ica_decompose(_rec(_noise(kind, 100 + seed, 5, rate), rate), seed=seed,
-                                max_iter=100)
-            skews.extend(abs(epoch_skewness(src, rate)) for src in ica.sources)
-            picks += select_ecg_ic(ica, rate) is not None
-            signals += ica.n_components
+        # the extraction maximises skewness, so only its held-out skewness
+        # can be held to the single-channel null
+        for duration_s in (5.0, 10.0, 20.0, 60.0):
+            for seed in range(3):
+                rec = _rec(_noise(kind, 100 + seed, 16, rate, duration_s), rate)
+                units = list(skew_units(rec))
+                if duration_s < 10.0:
+                    assert units == []  # fewer than two epochs: nothing is fitted
+                if duration_s == 60.0:
+                    skews.extend(abs(u.held_out_skew) for u in units)
+                picks += extract_ecg(rec) is not None
+                signals += len(units)
     assert signals >= 100
     assert picks == 0
     assert max(skews) * NULL_MARGIN <= ECG_SKEW_THRESHOLD

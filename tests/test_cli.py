@@ -89,6 +89,7 @@ def test_synth_unknown_kind(tmp_path, capsys):
         ("eeg", "[eeg]\nn_channels = two\n", "n_channels"),
         ("berger", "[berger]\nalpha_band = 8:70\n", "alpha band"),
         ("berger", "[ecg]\nbpm = 72\n", "[ecg]"),
+        ("ecg", "[ecg]\nr_width_ms = 0\n", "r_width_ms must be positive, got 0.0"),
     ],
 )
 def test_synth_bad_spec_names_the_key(tmp_path, capsys, kind, section, fragment):
@@ -239,15 +240,16 @@ def test_run_without_ecg_detection_needs_no_ica_seed(tmp_path, capsys):
 
 
 def test_global_seed_satisfies_ica_seed(tmp_path, capsys):
-    # global options override config values before the config is checked
+    # ica_seed is optional; global options override config values before
+    # the config is checked
     data = synth_berger(tmp_path, capsys)
     cfg = write_spec(
         tmp_path / "run.ini",
         f"[input]\nsession = {data / 'session.csv'}\nevents = {data / 'events.csv'}\n\n"
         f"[output]\ndir = {tmp_path / 'out'}\n",
     )
-    code, _, err = run_cli(capsys, "run", "--config", cfg)
-    assert code == 2 and "ica_seed" in json.loads(err)["message"]
+    code, out, _ = run_cli(capsys, "run", "--config", cfg)
+    assert code == 0 and last_json(out)["n_segments"] == 2
     code, out, _ = run_cli(capsys, "--seed", "5", "--line-freq", "60", "run", "--config", cfg,
                            "--out-dir", str(tmp_path / "seeded"))
     assert code == 0
@@ -352,6 +354,22 @@ def test_bands_segment_too_long(tmp_path, capsys):
     )
     assert code == 3
     assert "too short" in json.loads(err)["message"]
+
+
+def test_bands_segment_of_exactly_one_window(tmp_path, capsys):
+    spec = write_spec(
+        tmp_path / "s.ini",
+        "[synth]\nkind = eeg\nseed = 1\n\n[eeg]\nduration_s = 2.048\nn_channels = 1\n",
+    )
+    run_cli(capsys, "synth", "--spec", spec, "--out-dir", str(tmp_path / "d"))
+    code, out, _ = run_cli(
+        capsys, "bands",
+        "--session", str(tmp_path / "d" / "session.csv"),
+        "--segment", "256", "--overlap", "0",
+        "--out", str(tmp_path / "bands.csv"),
+    )
+    assert code == 0
+    assert last_json(out)["rows"] == 4
 
 
 @pytest.mark.parametrize("spec", ["foo", "alpha:8", "alpha:x:12", "alpha:12:8"])

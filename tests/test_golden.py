@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from earpipe.artifact import ica_decompose, select_ecg_ic
+from earpipe.artifact import extract_ecg
 from earpipe.ingest import save_events_csv, save_session_csv
 from earpipe.pipeline import load_config, run_pipeline
 from earpipe.synth import BergerSpec, berger_session
@@ -57,7 +57,7 @@ def berger_reports(out: Path) -> dict:
 
 def ecg_beat_times() -> list:
     rec, _ = ecg_eeg_mixture(ECG_RATE)
-    pick = select_ecg_ic(ica_decompose(rec, seed=63), ECG_RATE)
+    pick = extract_ecg(rec)
     return pick.beats.beat_times.tolist()
 
 

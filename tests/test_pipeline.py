@@ -1,5 +1,6 @@
 import configparser
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -135,27 +136,13 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "nope.ini")
 
 
-def test_ica_requires_seed(tmp_path):
-    path = write_config(
-        tmp_path / "noseed.ini",
-        "[input]\nsession = s.csv\nevents = e.csv\n",
-    )
-    with pytest.raises(ConfigError, match="ica_seed"):
-        load_config(path)
-    # disabling the stage lifts the requirement
-    path = write_config(
-        tmp_path / "noseed2.ini",
-        "[input]\nsession = s.csv\nevents = e.csv\n\n[stages]\nica = off\n",
-    )
-    cfg = load_config(path)
-    assert cfg.ica_seed is None
-    # so does turning off ECG detection, the only reader of the ICA
-    path = write_config(
-        tmp_path / "noseed3.ini",
-        "[input]\nsession = s.csv\nevents = e.csv\n\n[analysis]\ndetect_ecg = off\n",
-    )
-    cfg = load_config(path)
-    assert cfg.ica_seed is None
+def test_ica_seed_is_optional(tmp_path):
+    # the cardiac-source extraction draws no random numbers
+    for extra in ("", "[stages]\nica = off\n", "[analysis]\ndetect_ecg = off\n"):
+        body = f"[input]\nsession = s.csv\nevents = e.csv\n\n{extra}"
+        cfg = load_config(write_config(tmp_path / "noseed.ini", body))
+        assert cfg.ica_seed is None
+        assert cfg.ica_max_iter == 200
 
 
 def test_validate_collects_pipeline_problems():
@@ -278,10 +265,10 @@ def test_ecg_detection_off_skips_ica(tmp_path, monkeypatch):
     cfg_no_ica.out_dir = str(tmp_path / "no_ica")
     run_pipeline(cfg_no_ica)
 
-    def ica_must_not_run(*args, **kwargs):
-        raise AssertionError("ICA ran although nothing reads its result")
+    def extraction_must_not_run(*args, **kwargs):
+        raise AssertionError("the extraction ran although nothing reads its result")
 
-    monkeypatch.setattr("earpipe.pipeline.ica_decompose", ica_must_not_run)
+    monkeypatch.setattr("earpipe.pipeline.extract_ecg", extraction_must_not_run)
     path = base_config(tmp_path)
     path.write_text(path.read_text() + "\n[analysis]\ndetect_ecg = off\n")
     cfg_ecg_off = load_config(path)
@@ -320,6 +307,21 @@ def test_stage_objects_built_once_per_run(tmp_path, monkeypatch):
     result = run_pipeline(load_config(base_config(tmp_path)))
     assert result["n_segments"] == 2
     assert [spec.kind for spec, _ in designed] == ["highpass", "lowpass"]
+
+
+def test_filter_longer_than_the_session_is_refused_before_design(tmp_path):
+    berger_inputs(tmp_path, segment_s=10.0)
+    cfg = load_config(base_config(tmp_path, extra_pipeline="hp_order = 1000000000"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="pipeline: hp_order: a 1000000001-tap filter needs "
+                                              "more samples than the session's 2500"):
+            run_pipeline(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6  # the taps alone would take 8 GB
+    assert not (tmp_path / "out").exists()
 
 
 def test_event_shorter_than_highpass_kernel_names_the_segment(tmp_path):
