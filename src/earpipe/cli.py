@@ -20,7 +20,6 @@ from .artifact import ECG_SKEW_THRESHOLD, SKEW_EPOCH_S, detect_beats, epoch_skew
 from .cardiac import rr_periods, match_beats, paired_rr
 from .ingest import (
     cut_segments,
-    frames_to_recording,
     load_events_csv,
     load_session_csv,
     parse_stream,
@@ -93,10 +92,9 @@ def _read_synth_spec(path, seed_override: int | None):
 
 
 def cmd_parse(args) -> int:
-    frames, report = parse_stream(load_input("raw stream", _read_bytes, args.raw), rate=args.rate)
+    rec, report = parse_stream(load_input("raw stream", _read_bytes, args.raw), rate=args.rate)
     # zero decoded frames is a valid outcome (empty or unrecoverable input):
     # the session CSV is then header-only and the integrity report says why
-    rec = frames_to_recording(frames, args.rate)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_session_csv(rec, out / "session.csv")

@@ -6,6 +6,13 @@ channel words, six auxiliary bytes, and a footer byte in 0xC0-0xCF.
 In 16-channel mode consecutive packets alternately carry the lower and
 upper eight channels; a merged pair forms one frame at the board rate
 (125 Hz by default).
+
+`parse_stream` decodes a capture in one vectorised pass: a mask of
+header- and footer-aligned offsets drives the greedy walk, aligned runs
+are taken whole and only damaged bytes are stepped through one resync at
+a time. Halves are paired by sample-number parity, the first packet
+taken as a lower half, and the recording is returned directly with an
+`IntegrityReport` that lists the gaps left by lost frames.
 """
 
 from __future__ import annotations
@@ -95,19 +102,17 @@ class RawPacket:
         return bytes(body)
 
 
-@dataclass(frozen=True)
-class SampleFrame:
-    """One 16-channel sample in microvolts, t in seconds since stream start."""
-
-    t: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-
 @dataclass
 class IntegrityReport:
+    """Sample accounting of a packet stream or of one cut segment.
+
+    `gaps` is set on a stream report only: one `(sample, missing)` pair
+    per run of missing frames, where `sample` is the index of the next
+    received sample and `missing` the number of frames lost before it.
+    Received sample i therefore sits at board frame i plus the missing
+    counts of every gap at or before i.
+    """
+
     expected_samples: int
     actual_samples: int
     first_t: float
@@ -115,9 +120,10 @@ class IntegrityReport:
     dropped_packets: int = 0
     resyncs: int = 0
     flags: tuple[str, ...] = ()
+    gaps: tuple[tuple[int, int], ...] | None = None
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "expected_samples": self.expected_samples,
             "actual_samples": self.actual_samples,
             "first_t": self.first_t,
@@ -126,6 +132,9 @@ class IntegrityReport:
             "resyncs": self.resyncs,
             "flags": list(self.flags),
         }
+        if self.gaps is not None:
+            out["gaps"] = [{"sample": s, "missing": m} for s, m in self.gaps]
+        return out
 
 
 @dataclass(frozen=True)
@@ -201,129 +210,184 @@ class Recording:
         )
 
 
+# An aligned run is checked this many packets at a time, so the look-ahead
+# from each accepted header stays bounded on damaged input.
+RUN_CHUNK = 1024
+
+
+def _packet_runs(buf: bytes) -> tuple[list[tuple[int, int]], int]:
+    """The greedy walk over a capture: a packet is accepted where a header
+    byte sits at pos and a footer at pos + 32; anywhere else one resync
+    is counted and the walk moves to the next header byte after pos. A
+    header with no room left for its packet ends the walk with a resync.
+    Returns (start, packet count) of each back-to-back packet run, and
+    the resync count."""
+    n = len(buf)
+    last = n - PACKET_LEN  # the last start with room for a whole packet
+    raw = np.frombuffer(buf, dtype=np.uint8)
+    ok = raw[: max(last + 1, 0)] == HEADER_BYTE
+    ok &= (raw[PACKET_LEN - 1 :] & 0xF0) == FOOTER_LO  # FOOTER_LO..FOOTER_HI
+    header = bytes([HEADER_BYTE])
+    runs: list[tuple[int, int]] = []
+    resyncs = 0
+    pos = 0
+    while pos < n:
+        if pos <= last and ok[pos]:
+            start = pos
+            while pos <= last:
+                chunk = ok[pos : pos + PACKET_LEN * RUN_CHUNK : PACKET_LEN]
+                k = int(chunk.argmin())  # the first damaged start, or 0
+                if not chunk[k]:
+                    pos += PACKET_LEN * k
+                    break
+                pos += PACKET_LEN * len(chunk)
+            runs.append((start, (pos - start) // PACKET_LEN))
+            continue
+        resyncs += 1
+        if pos > last and buf[pos] == HEADER_BYTE:
+            break
+        nxt = buf.find(header, pos + 1)
+        pos = nxt if nxt != -1 else n
+    return runs, resyncs
+
+
+def _decode_words(word_bytes: np.ndarray) -> np.ndarray:
+    """(m, 3k) word bytes -> (m, k) counts: 24-bit big-endian two's
+    complement, sign-extended in int32."""
+    b = word_bytes.reshape(len(word_bytes), word_bytes.shape[1] // 3, 3)
+    w = b[..., 0].astype(np.int32)
+    w <<= 8
+    w |= b[..., 1]
+    w <<= 8
+    w |= b[..., 2]
+    sign = w & 0x800000
+    sign <<= 1
+    w -= sign
+    return w
+
+
 def parse_stream(
     data: bytes,
     rate: float = DEFAULT_RATE,
     vref: float = ADS_VREF_VOLTS,
     gain: float = ADS_GAIN,
-) -> tuple[list[SampleFrame], IntegrityReport]:
-    """Parse a raw byte stream into 16-channel frames.
+) -> tuple[Recording, IntegrityReport]:
+    """Parse a raw byte stream into a 16-channel recording.
 
     Total over arbitrary input: malformed bytes are skipped to the next
-    header candidate (counted in resyncs), sample-number gaps are counted
-    as dropped packets, and packets are paired strictly by arrival order
-    (lower channels first). A dangling unpaired packet at end of stream
-    counts as dropped.
+    header candidate (counted in resyncs). Packets sit on the board's
+    timeline by sample number: the first packet is taken as a lower half
+    and packet p after it at index p plus the sample-number steps missed
+    in between, so frame f is packets 2f (lower channels) and 2f + 1
+    (upper). A frame is kept only when both halves arrived; its lone
+    half is discarded. Every missed step counts as one dropped packet,
+    and so does the partner of a final lower half. A loss of 256 or more
+    packets at once cannot be seen from 8-bit sample numbers.
+
+    Received frames are stacked back to back from t0 = the first kept
+    frame's board time; the report's `gaps` says where frames are
+    missing between them. No gap is filled.
     """
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
-    buf = bytes(data)
-    n = len(buf)
-    pos = 0
-    resyncs = 0
-    dropped = 0
-    frames: list[SampleFrame] = []
-    pending: tuple[int, ...] | None = None  # lower-8 words awaiting their pair
-    pending_seq = 0
-    last_sn: int | None = None
-    pkt_seq = 0  # packet index in the board's own timeline, gaps included
     scale = counts_to_microvolts(1.0, vref=vref, gain=gain)
+    buf = bytes(data)
+    runs, resyncs = _packet_runs(buf)
 
-    while pos < n:
-        if buf[pos] != HEADER_BYTE:
-            nxt = buf.find(bytes([HEADER_BYTE]), pos + 1)
-            resyncs += 1
-            pos = nxt if nxt != -1 else n
-            continue
-        if pos + PACKET_LEN > n:
-            resyncs += 1
-            break
-        footer = buf[pos + PACKET_LEN - 1]
-        if not FOOTER_LO <= footer <= FOOTER_HI:
-            nxt = buf.find(bytes([HEADER_BYTE]), pos + 1)
-            resyncs += 1
-            pos = nxt if nxt != -1 else n
-            continue
-        sn = buf[pos + 1]
-        words = tuple(
-            decode_word(buf[pos + 2 + 3 * k : pos + 5 + 3 * k]) for k in range(WORDS_PER_PACKET)
-        )
-        pos += PACKET_LEN
+    # sample number and the 24 word bytes of every packet, in arrival order
+    raw = np.frombuffer(buf, dtype=np.uint8)
+    body = np.empty((sum(count for _, count in runs), 1 + 3 * WORDS_PER_PACKET), dtype=np.uint8)
+    k = 0
+    for start, count in runs:
+        packets = raw[start : start + count * PACKET_LEN].reshape(count, PACKET_LEN)
+        body[k : k + count] = packets[:, 1 : 2 + 3 * WORDS_PER_PACKET]
+        k += count
 
-        if last_sn is None:
-            pkt_seq = 0
-        else:
-            pkt_seq += 1 + (sn - last_sn - 1) % 256
-            dropped += (sn - last_sn - 1) % 256
-        last_sn = sn
+    # board packet index: each packet steps 1 plus the sample numbers it skipped
+    seq = np.zeros(len(body), dtype=np.int64)
+    np.cumsum(1 + (np.diff(body[:, 0].astype(np.int64)) - 1) % 256, out=seq[1:])
+    dropped = 0
+    if len(seq):
+        dropped = int(seq[-1]) + 1 - len(seq) + int(seq[-1] % 2 == 0)
+    lower = np.flatnonzero((seq[:-1] % 2 == 0) & (np.diff(seq) == 1))
+    frame = seq[lower] // 2
 
-        if pending is None:
-            pending = words
-            pending_seq = pkt_seq
-        else:
-            frame_idx = pending_seq // 2
-            vals = np.array(pending + words, dtype=float) * scale
-            frames.append(SampleFrame(t=frame_idx / rate, values=vals))
-            pending = None
+    # the word bytes of each kept frame, lower then upper half
+    halves = body[np.stack([lower, lower + 1], axis=1), 1:]
+    halves = halves.reshape(len(lower), 6 * WORDS_PER_PACKET)
+    del body
+    counts = _decode_words(halves)
+    del halves
+    samples = np.empty((2 * WORDS_PER_PACKET, len(frame)))
+    np.multiply(counts.T, scale, out=samples)
 
-    if pending is not None:
-        dropped += 1
-
-    actual = len(frames)
-    if frames:
-        expected = int(frames[-1].t * rate + 0.5) + 1
-        first_t, last_t = frames[0].t, frames[-1].t
-    else:
-        expected = 0
-        first_t = last_t = 0.0
+    missing = np.diff(frame, prepend=-1) - 1
+    gaps = tuple((int(i), int(missing[i])) for i in np.flatnonzero(missing))
+    first_t = last_t = 0.0
+    if len(frame):
+        first_t, last_t = int(frame[0]) / rate, int(frame[-1]) / rate
     report = IntegrityReport(
-        expected_samples=max(expected, actual),
-        actual_samples=actual,
+        expected_samples=int(frame[-1]) + 1 if len(frame) else 0,
+        actual_samples=len(frame),
         first_t=first_t,
         last_t=last_t,
         dropped_packets=dropped,
         resyncs=resyncs,
+        gaps=gaps,
     )
-    return frames, report
+    labels = [f"ch{i + 1}" for i in range(2 * WORDS_PER_PACKET)]
+    return Recording(rate=rate, labels=labels, data=samples, t0=first_t), report
+
+
+def _pack_frames(out: np.ndarray, counts: np.ndarray, first_sample_number: int, footer_tag: int):
+    """Write (m, 16) counts into the (m, 2, 33) packets `out`, the first
+    lower half carrying `first_sample_number` (mod 256)."""
+    # the values whose int(), which truncates, fits in 24 bits; NaN does not
+    inside = (counts > -(2**23) - 1) & (counts < 2**23)
+    if not inside.all():
+        raise StreamError(f"count {counts[~inside][0]} outside signed 24-bit range")
+    words = counts.astype(np.int64).reshape(len(counts), 2, WORDS_PER_PACKET) & 0xFFFFFF
+    sample_numbers = (first_sample_number % 256 + np.arange(2 * len(counts))) % 256
+    out[:, :, 0] = HEADER_BYTE
+    out[:, :, 1] = sample_numbers.reshape(len(counts), 2)
+    out[:, :, 2 : 2 + 3 * WORDS_PER_PACKET : 3] = words >> 16
+    out[:, :, 3 : 2 + 3 * WORDS_PER_PACKET : 3] = (words >> 8) & 0xFF
+    out[:, :, 4 : 2 + 3 * WORDS_PER_PACKET : 3] = words & 0xFF
+    out[:, :, 2 + 3 * WORDS_PER_PACKET : PACKET_LEN - 1] = 0
+    out[:, :, PACKET_LEN - 1] = FOOTER_LO + footer_tag
 
 
 def encode_stream(counts: np.ndarray, start_sample_number: int = 0, footer_tag: int = 0) -> bytes:
     """Encode (n, 16) integer counts as a packet-pair stream.
 
     Each frame becomes two packets: lower 8 channels then upper 8, with
-    consecutive rolling sample numbers.
+    consecutive rolling sample numbers. The bytes are those of
+    `RawPacket.encode` for each half-frame. Frames are packed 4096 at a
+    time, so the temporaries stay small next to the output.
     """
     arr = np.asarray(counts)
-    if arr.ndim != 2 or arr.shape[1] != 16:
+    if arr.ndim != 2 or arr.shape[1] != 2 * WORDS_PER_PACKET:
         raise StreamError(f"counts must be (n, 16), got {arr.shape}")
-    out = bytearray()
-    sn = start_sample_number
-    for row in arr:
-        lower = RawPacket(sn % 256, tuple(int(v) for v in row[:8]), footer_tag=footer_tag)
-        upper = RawPacket((sn + 1) % 256, tuple(int(v) for v in row[8:]), footer_tag=footer_tag)
-        out += lower.encode()
-        out += upper.encode()
-        sn += 2
-    return bytes(out)
-
-
-def frames_to_recording(frames: list[SampleFrame], rate: float) -> Recording:
-    if not frames:
-        return Recording(rate=rate, labels=[f"ch{i + 1}" for i in range(16)], data=np.zeros((16, 0)))
-    data = np.stack([f.values for f in frames], axis=1)
-    labels = [f"ch{i + 1}" for i in range(data.shape[0])]
-    return Recording(rate=rate, labels=labels, data=data, t0=frames[0].t)
+    if not 0 <= footer_tag <= 0x0F:
+        raise StreamError(f"footer tag {footer_tag} outside 0x0-0xF")
+    packets = np.empty((len(arr), 2, PACKET_LEN), dtype=np.uint8)
+    for start in range(0, len(arr), 4096):
+        block = slice(start, start + 4096)
+        _pack_frames(packets[block], arr[block], start_sample_number + 2 * start, footer_tag)
+    return packets.tobytes()
 
 
 def save_session_csv(rec: Recording, path) -> None:
     """Write `t_s,ch1..chN` rows preceded by a `#rate=` comment line."""
     t = rec.times()
+    row = ",".join(["%.6f"] * (rec.n_channels + 1)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(f"#rate={rec.rate:g}\n")
         fh.write("t_s," + ",".join(rec.labels) + "\n")
-        for i in range(rec.n_samples):
-            row = ",".join(f"{v:.6f}" for v in rec.data[:, i])
-            fh.write(f"{t[i]:.6f},{row}\n")
+        for start in range(0, rec.n_samples, 10_000):  # bounded Python-object memory
+            stop = start + 10_000
+            block = np.column_stack([t[start:stop], rec.data[:, start:stop].T]).tolist()
+            fh.writelines(row % tuple(values) for values in block)
 
 
 def _bad_row_error(path, header: list[str], cause: ValueError) -> ValueError:

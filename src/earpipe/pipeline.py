@@ -41,7 +41,6 @@ from .filters import (
 from .ingest import (
     Recording,
     cut_segments,
-    frames_to_recording,
     load_events_csv,
     load_session_csv,
     parse_stream,
@@ -276,17 +275,19 @@ def _read_bytes(path) -> bytes:
 
 
 def _load_inputs(cfg: PipelineConfig):
+    """The session, events and montage; the stream report is None for a
+    session CSV."""
+    stream = None
     if cfg.session is not None:
         rec = load_input("session file", load_session_csv, cfg.session)
     else:
-        frames, _ = parse_stream(load_input("raw stream", _read_bytes, cfg.raw), rate=cfg.rate)
-        rec = frames_to_recording(frames, cfg.rate)
+        rec, stream = parse_stream(load_input("raw stream", _read_bytes, cfg.raw), rate=cfg.rate)
     events = load_input("events file", load_events_csv, cfg.events)
     monmap = load_input("montage file", load_montage_csv, cfg.montage or builtin_montage_path())
     violations = validate_montage(monmap)
     if violations:
         raise DataError(f"montage violates constraints: {', '.join(violations)}")
-    return rec, events, monmap
+    return rec, events, monmap, stream
 
 
 @dataclass(frozen=True)
@@ -469,7 +470,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     problems = cfg.validate()
     if problems:
         raise ConfigError("; ".join(problems))
-    rec, events, monmap = _load_inputs(cfg)
+    rec, events, monmap, stream = _load_inputs(cfg)
     plan = plan_stages(cfg, rec, monmap)
     if rec.n_channels == len(monmap.channel_of):
         rec = relabel_by_montage(rec, monmap)
@@ -539,7 +540,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     }
     _json_dump(qc_payload, out_dir / "qc.json")
     integrity = [{"condition": seg.condition, **seg.report.to_dict()} for seg in segments]
-    _json_dump({"segments": integrity}, out_dir / "integrity.json")
+    integrity_payload: dict = {"segments": integrity}
+    if stream is not None:
+        integrity_payload["stream"] = stream.to_dict()
+    _json_dump(integrity_payload, out_dir / "integrity.json")
 
     picked = [
         (seg.report.first_t, res.ecg.beats) for seg, res in zip(segments, seg_results) if res.ecg

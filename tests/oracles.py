@@ -10,8 +10,23 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from earpipe.ingest import (
+    ADS_GAIN,
+    ADS_VREF_VOLTS,
+    DEFAULT_RATE,
+    FOOTER_HI,
+    FOOTER_LO,
+    HEADER_BYTE,
+    PACKET_LEN,
+    WORDS_PER_PACKET,
+    IntegrityReport,
+    counts_to_microvolts,
+    decode_word,
+)
 
 
 def dft(x: np.ndarray) -> np.ndarray:
@@ -167,3 +182,117 @@ def fixed_point_ica(x: np.ndarray, seed: int, max_iter: int, tol: float):
     stds = sources.std(axis=1, ddof=0)
     stds = np.where(stds > 0, stds, 1.0)
     return (w @ whiten) / stds[:, None], (color @ w.T) * stds[None, :], sources / stds[:, None], it
+
+
+@dataclass(frozen=True)
+class SampleFrame:
+    """One 16-channel sample in microvolts, t in seconds since stream start."""
+
+    t: float
+    values: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+
+
+# The packet parser as a per-byte loop: greedy header/footer walk, one
+# resync per damaged span, words decoded one at a time, packets paired
+# by arrival order. ingest.parse_stream must walk and resync exactly as
+# this does, and give its samples bit for bit while no packet is lost.
+
+
+def parse_stream_loop(
+    data: bytes,
+    rate: float = DEFAULT_RATE,
+    vref: float = ADS_VREF_VOLTS,
+    gain: float = ADS_GAIN,
+) -> tuple[list[SampleFrame], IntegrityReport]:
+    """Parse a raw byte stream into 16-channel frames.
+
+    Total over arbitrary input: malformed bytes are skipped to the next
+    header candidate (counted in resyncs), sample-number gaps are counted
+    as dropped packets, and packets are paired strictly by arrival order
+    (lower channels first). A dangling unpaired packet at end of stream
+    counts as dropped.
+    """
+    if rate <= 0:
+        raise ValueError(f"rate must be positive, got {rate}")
+    buf = bytes(data)
+    n = len(buf)
+    pos = 0
+    resyncs = 0
+    dropped = 0
+    frames: list[SampleFrame] = []
+    pending: tuple[int, ...] | None = None  # lower-8 words awaiting their pair
+    pending_seq = 0
+    last_sn: int | None = None
+    pkt_seq = 0  # packet index in the board's own timeline, gaps included
+    scale = counts_to_microvolts(1.0, vref=vref, gain=gain)
+
+    while pos < n:
+        if buf[pos] != HEADER_BYTE:
+            nxt = buf.find(bytes([HEADER_BYTE]), pos + 1)
+            resyncs += 1
+            pos = nxt if nxt != -1 else n
+            continue
+        if pos + PACKET_LEN > n:
+            resyncs += 1
+            break
+        footer = buf[pos + PACKET_LEN - 1]
+        if not FOOTER_LO <= footer <= FOOTER_HI:
+            nxt = buf.find(bytes([HEADER_BYTE]), pos + 1)
+            resyncs += 1
+            pos = nxt if nxt != -1 else n
+            continue
+        sn = buf[pos + 1]
+        words = tuple(
+            decode_word(buf[pos + 2 + 3 * k : pos + 5 + 3 * k]) for k in range(WORDS_PER_PACKET)
+        )
+        pos += PACKET_LEN
+
+        if last_sn is None:
+            pkt_seq = 0
+        else:
+            pkt_seq += 1 + (sn - last_sn - 1) % 256
+            dropped += (sn - last_sn - 1) % 256
+        last_sn = sn
+
+        if pending is None:
+            pending = words
+            pending_seq = pkt_seq
+        else:
+            frame_idx = pending_seq // 2
+            vals = np.array(pending + words, dtype=float) * scale
+            frames.append(SampleFrame(t=frame_idx / rate, values=vals))
+            pending = None
+
+    if pending is not None:
+        dropped += 1
+
+    actual = len(frames)
+    if frames:
+        expected = int(frames[-1].t * rate + 0.5) + 1
+        first_t, last_t = frames[0].t, frames[-1].t
+    else:
+        expected = 0
+        first_t = last_t = 0.0
+    report = IntegrityReport(
+        expected_samples=max(expected, actual),
+        actual_samples=actual,
+        first_t=first_t,
+        last_t=last_t,
+        dropped_packets=dropped,
+        resyncs=resyncs,
+    )
+    return frames, report
+
+
+def session_csv_text(rec) -> str:
+    """The session CSV of a recording, one f-string per value: `#rate=`,
+    the `t_s,<labels>` header, then `%.6f` rows."""
+    t = rec.times()
+    lines = [f"#rate={rec.rate:g}\n", "t_s," + ",".join(rec.labels) + "\n"]
+    for i in range(rec.n_samples):
+        row = ",".join(f"{v:.6f}" for v in rec.data[:, i])
+        lines.append(f"{t[i]:.6f},{row}\n")
+    return "".join(lines)

@@ -252,31 +252,31 @@ def test_asr_behavior():
 def test_parser_robustness():
     rng = np.random.default_rng(50)
     counts = rng.integers(-(2**23), 2**23, size=(10_000, 16))
-    frames, report = parse_stream(encode_stream(counts), rate=125.0)
-    assert len(frames) == 10_000
+    rec, report = parse_stream(encode_stream(counts), rate=125.0)
+    assert rec.n_samples == 10_000
     assert report.resyncs == 0 and report.dropped_packets == 0
-    got = np.vstack([f.values for f in frames])
-    assert np.array_equal(got, counts_to_microvolts(counts))
+    assert np.array_equal(rec.data.T, counts_to_microvolts(counts))
 
     blob = rng.bytes(1_000_000)
-    fuzz_frames, fuzz_report = parse_stream(blob, rate=125.0)  # must not raise
+    fuzz, fuzz_report = parse_stream(blob, rate=125.0)  # must not raise
     limit = counts_to_microvolts(ADC_FULL_SCALE)
-    last_t = -1.0
-    for f in fuzz_frames:
-        assert f.values.shape == (16,)
-        assert np.all(np.isfinite(f.values))
-        assert np.all(np.abs(f.values) <= limit + 1e-9)
-        assert f.t > last_t
-        last_t = f.t
-    assert fuzz_report.actual_samples == len(fuzz_frames)
+    assert fuzz.data.shape == (16, fuzz.n_samples)
+    assert np.all(np.isfinite(fuzz.data))
+    assert np.all(np.abs(fuzz.data) <= limit + 1e-9)
+    # samples move forward in board time: gaps have positive lengths at
+    # strictly increasing sample indices
+    starts = [sample for sample, _ in fuzz_report.gaps]
+    assert all(missing > 0 for _, missing in fuzz_report.gaps)
+    assert all(a < b for a, b in zip(starts, starts[1:]))
+    assert fuzz_report.actual_samples == fuzz.n_samples
 
     # two junk runs between valid pairs: exactly two resyncs
     p = make_packet(0, range(8)) + make_packet(1, range(8))
     q = make_packet(2, range(8)) + make_packet(3, range(8))
     r = make_packet(4, range(8)) + make_packet(5, range(8))
     junk = bytes([0x11, 0x22, 0x33, 0x44, 0x55])
-    frames3, rep3 = parse_stream(p + junk + q + junk + r, rate=125.0)
-    assert len(frames3) == 3
+    rec3, rep3 = parse_stream(p + junk + q + junk + r, rate=125.0)
+    assert rec3.n_samples == 3
     assert rep3.resyncs == 2
 
 

@@ -41,6 +41,22 @@ def test_parse_round_trip(tmp_path, capsys):
     assert report["dropped_packets"] == 0
 
 
+def test_parse_reports_gaps(tmp_path, capsys):
+    counts = np.arange(32 * 16).reshape(32, 16) - 256
+    blob = encode_stream(counts)
+    raw = tmp_path / "stream.bin"
+    raw.write_bytes(blob[: 10 * 33] + blob[14 * 33 :])  # frames 5 and 6 lost
+    code, out, _ = run_cli(capsys, "parse", "--raw", str(raw), "--out-dir", str(tmp_path / "o"))
+    assert code == 0
+    assert last_json(out)["frames"] == 30
+    assert last_json(out)["dropped_packets"] == 4
+    report = json.loads((tmp_path / "o" / "integrity.json").read_text())
+    assert report["gaps"] == [{"sample": 5, "missing": 2}]
+    assert report["expected_samples"] == 32 and report["actual_samples"] == 30
+    rec = load_session_csv(tmp_path / "o" / "session.csv")
+    assert rec.data.shape == (16, 30)
+
+
 def test_parse_empty_file(tmp_path, capsys):
     raw = tmp_path / "empty.bin"
     raw.write_bytes(b"")

@@ -9,14 +9,15 @@ from earpipe.ingest import (
     HEADER_BYTE,
     PACKET_LEN,
     Event,
+    IntegrityReport,
     RawPacket,
     Recording,
+    StreamError,
     counts_to_microvolts,
     cut_segments,
     decode_word,
     encode_stream,
     encode_word,
-    frames_to_recording,
     load_events_csv,
     load_session_csv,
     microvolts_to_counts,
@@ -25,7 +26,7 @@ from earpipe.ingest import (
     save_session_csv,
 )
 
-from oracles import session_rows
+from oracles import parse_stream_loop, session_csv_text, session_rows
 
 
 def make_packet(sn: int, words, footer_tag: int = 0) -> bytes:
@@ -70,21 +71,21 @@ def test_counts_microvolts_inverse():
 def test_two_packets_one_frame():
     lower = make_packet(0, range(8))
     upper = make_packet(1, range(8, 16))
-    frames, report = parse_stream(lower + upper, rate=125.0)
-    assert len(frames) == 1
+    rec, report = parse_stream(lower + upper, rate=125.0)
+    assert rec.n_samples == 1
     assert report.resyncs == 0
     assert report.dropped_packets == 0
     expected = counts_to_microvolts(np.arange(16, dtype=float))
-    assert np.allclose(frames[0].values, expected)
-    assert frames[0].t == 0.0
+    assert np.allclose(rec.data[:, 0], expected)
+    assert rec.times()[0] == 0.0
 
 
 def test_garbage_between_packets_single_resync():
     p = make_packet(0, range(8)) + make_packet(1, range(8))
     q = make_packet(2, range(8)) + make_packet(3, range(8))
     junk = bytes([0x11, 0x22, 0x33, 0x44, 0x55])  # no header byte inside
-    frames, report = parse_stream(p + junk + q, rate=125.0)
-    assert len(frames) == 2
+    rec, report = parse_stream(p + junk + q, rate=125.0)
+    assert rec.n_samples == 2
     assert report.resyncs == 1
 
 
@@ -93,9 +94,9 @@ def test_bad_footer_skips_to_next_header():
     broken = bytearray(make_packet(2, range(8)))
     broken[-1] = 0x00  # footer outside 0xC0..0xCF
     tail = make_packet(3, range(8))
-    frames, report = parse_stream(good + bytes(broken) + tail, rate=125.0)
-    # the broken packet is skipped; its partner (sn 3) is left dangling
-    assert len(frames) == 1
+    rec, report = parse_stream(good + bytes(broken) + tail, rate=125.0)
+    # the broken packet is skipped; its partner (sn 3) has no lower half
+    assert rec.n_samples == 1
     assert report.resyncs >= 1
     assert report.dropped_packets >= 1
 
@@ -105,11 +106,12 @@ def test_sample_number_gap_counts_dropped_and_shifts_time():
     a = make_packet(0, range(8)) + make_packet(1, range(8))
     # packets 2..5 lost in transit: next arrivals are 6, 7
     b = make_packet(6, range(8)) + make_packet(7, range(8))
-    frames, report = parse_stream(a + b, rate=rate)
-    assert len(frames) == 2
+    rec, report = parse_stream(a + b, rate=rate)
+    assert rec.n_samples == 2
     assert report.dropped_packets == 4
-    # second frame keeps its position in the device timeline
-    assert frames[1].t == pytest.approx(3 / rate)
+    # the gap puts received sample 1 at board frame 3
+    assert report.gaps == ((1, 2),)
+    assert report.last_t == pytest.approx(3 / rate)
     assert report.expected_samples == 4
     assert report.actual_samples == 2
 
@@ -117,49 +119,196 @@ def test_sample_number_gap_counts_dropped_and_shifts_time():
 def test_sample_number_wraparound():
     a = make_packet(254, range(8)) + make_packet(255, range(8))
     b = make_packet(0, range(8)) + make_packet(1, range(8))
-    frames, report = parse_stream(a + b, rate=125.0)
-    assert len(frames) == 2
+    rec, report = parse_stream(a + b, rate=125.0)
+    assert rec.n_samples == 2
     assert report.dropped_packets == 0
 
 
 def test_dangling_tail_packet_dropped():
     blob = make_packet(0, range(8)) + make_packet(1, range(8)) + make_packet(2, range(8))
-    frames, report = parse_stream(blob, rate=125.0)
-    assert len(frames) == 1
+    rec, report = parse_stream(blob, rate=125.0)
+    assert rec.n_samples == 1
     assert report.dropped_packets == 1
 
 
 def test_truncated_final_packet_is_resync():
     blob = make_packet(0, range(8)) + make_packet(1, range(8))
-    frames, report = parse_stream(blob[:-5], rate=125.0)
-    assert len(frames) == 0
+    rec, report = parse_stream(blob[:-5], rate=125.0)
+    assert rec.n_samples == 0
     assert report.resyncs == 1
 
 
 def test_empty_input():
-    frames, report = parse_stream(b"", rate=125.0)
-    assert frames == []
+    rec, report = parse_stream(b"", rate=125.0)
+    assert rec.n_samples == 0
     assert report.actual_samples == 0
 
 
 def test_encode_stream_roundtrip_bit_exact():
     rng = np.random.default_rng(11)
     counts = rng.integers(-(2**23), 2**23, size=(50, 16))
-    frames, report = parse_stream(encode_stream(counts), rate=125.0)
-    assert len(frames) == 50
+    rec, report = parse_stream(encode_stream(counts), rate=125.0)
+    assert rec.n_samples == 50
     assert report.dropped_packets == 0 and report.resyncs == 0
-    back = microvolts_to_counts(np.stack([f.values for f in frames]))
+    back = microvolts_to_counts(rec.data.T)
     assert np.array_equal(back, counts)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.binary(max_size=400))
 def test_parser_total_on_arbitrary_bytes(blob):
-    frames, report = parse_stream(blob, rate=125.0)
-    for f in frames:
-        assert len(f.values) == 16
-        assert np.all(np.isfinite(f.values))
-    assert report.actual_samples == len(frames)
+    rec, report = parse_stream(blob, rate=125.0)
+    assert rec.n_channels == 16
+    assert np.all(np.isfinite(rec.data))
+    assert report.actual_samples == rec.n_samples
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _assert_parses_like_the_loop(blob: bytes):
+    """Walk and resyncs as the per-byte loop; while the loop loses no
+    packet, the same samples bit for bit and the same accounting."""
+    rec, report = parse_stream(blob, rate=125.0)
+    frames, ref = parse_stream_loop(blob, rate=125.0)
+    assert report.resyncs == ref.resyncs
+    if ref.dropped_packets == 0:
+        assert report.dropped_packets == 0
+        assert rec.n_samples == len(frames)
+        if frames:
+            want = np.stack([f.values for f in frames], axis=1)
+            assert _bits(rec.data).tolist() == _bits(want).tolist()
+            assert rec.t0 == frames[0].t
+        assert report.expected_samples == ref.expected_samples
+        assert report.actual_samples == ref.actual_samples
+        assert (report.first_t, report.last_t) == (ref.first_t, ref.last_t)
+        assert report.gaps == ()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=2000))
+def test_parser_matches_loop_on_arbitrary_bytes(blob):
+    _assert_parses_like_the_loop(blob)
+
+
+def _damaged_stream(seed: int) -> bytes:
+    """A packet stream with up to four random splices: a span of up to
+    80 bytes replaced by up to 50 random bytes."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(-(2**23), 2**23, size=(int(rng.integers(0, 60)), 16))
+    blob = bytearray(encode_stream(counts, start_sample_number=int(rng.integers(0, 256))))
+    for _ in range(int(rng.integers(0, 5))):
+        a = int(rng.integers(0, len(blob) + 1))
+        b = int(rng.integers(a, min(len(blob), a + 80) + 1))
+        blob[a:b] = rng.bytes(int(rng.integers(0, 51)))
+    return bytes(blob)
+
+
+def test_parser_matches_loop_on_damaged_streams():
+    intact = 0
+    for seed in range(300):
+        blob = _damaged_stream(seed)
+        _assert_parses_like_the_loop(blob)
+        intact += parse_stream_loop(blob)[1].dropped_packets == 0
+    # both branches of the comparison ran
+    assert 30 <= intact <= 270
+
+
+def _stream_losing(lost: set[int], n_frames: int = 200):
+    """Counts 100 * frame + channel, encoded, with the packets at the
+    given arrival indices removed."""
+    counts = 100 * np.arange(n_frames)[:, None] + np.arange(16)
+    blob = encode_stream(counts)
+    packets = [blob[i : i + PACKET_LEN] for i in range(0, len(blob), PACKET_LEN)]
+    return counts, b"".join(p for i, p in enumerate(packets) if i not in lost)
+
+
+@pytest.mark.parametrize(
+    "lost, gaps",
+    [
+        ({100}, ((50, 1),)),  # the lower half of frame 50
+        ({101}, ((50, 1),)),  # the upper half of frame 50
+        ({100, 101}, ((50, 1),)),  # all of frame 50
+        (set(range(57, 93)), ((28, 19),)),  # upper of 28 through lower of 46
+        (set(range(250, 263)), ((125, 7),)),  # across the sample-number wrap
+        ({3, 10, 11, 396}, ((1, 1), (4, 1), (196, 1))),
+    ],
+    ids=["lower", "upper", "frame", "burst", "burst-over-wrap", "scattered"],
+)
+def test_lost_packets_keep_channel_order_and_board_time(lost, gaps):
+    counts, blob = _stream_losing(lost)
+    rec, report = parse_stream(blob, rate=125.0)
+    kept = sorted(set(range(200)) - {p // 2 for p in lost})
+    assert report.dropped_packets == len(lost)
+    assert report.actual_samples == rec.n_samples == len(kept)
+    assert report.expected_samples == 200
+    assert report.gaps == gaps
+    # every received sample carries its own frame's channels, in order
+    assert np.array_equal(rec.data, counts_to_microvolts(counts[kept]).T)
+    # and the gaps put each one back at its board frame
+    board = np.arange(rec.n_samples)
+    for sample, missing in gaps:
+        board[sample:] += missing
+    assert board.tolist() == kept
+
+
+def test_stream_report_lists_gaps():
+    _, blob = _stream_losing({100, 101})
+    _, report = parse_stream(blob, rate=125.0)
+    assert report.to_dict()["gaps"] == [{"sample": 50, "missing": 1}]
+    segment = IntegrityReport(expected_samples=1, actual_samples=1, first_t=0.0, last_t=0.0)
+    assert "gaps" not in segment.to_dict()
+
+
+def test_parse_stream_memory_is_about_the_samples():
+    counts = np.random.default_rng(4).integers(-(2**23), 2**23, size=(20_000, 16))
+    blob = encode_stream(counts)
+    tracemalloc.start()
+    try:
+        rec, _ = parse_stream(blob, rate=125.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.n_samples == 20_000
+    # the float samples, plus at most twice the capture in temporaries
+    assert peak <= rec.data.nbytes + 2 * len(blob)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=140),
+    start=st.integers(min_value=0, max_value=255),
+    footer_tag=st.integers(min_value=0, max_value=0x0F),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_encode_stream_matches_raw_packets(n, start, footer_tag, seed):
+    counts = np.random.default_rng(seed).integers(-(2**23), 2**23, size=(n, 16))
+    counts[: min(n, 2), :2] = [-(2**23), 2**23 - 1]
+    want = b"".join(
+        RawPacket(
+            (start + 2 * f + half) % 256,
+            tuple(int(v) for v in counts[f, 8 * half : 8 * half + 8]),
+            footer_tag=footer_tag,
+        ).encode()
+        for f in range(n)
+        for half in (0, 1)
+    )
+    assert encode_stream(counts, start_sample_number=start, footer_tag=footer_tag) == want
+
+
+@pytest.mark.parametrize("bad", [2**23, -(2**23) - 1])
+def test_encode_stream_rejects_counts_outside_24_bits(bad):
+    counts = np.zeros((3, 16), dtype=np.int64)
+    counts[2, 5] = bad
+    with pytest.raises(StreamError, match=f"count {bad} outside signed 24-bit range"):
+        encode_stream(counts)
+
+
+@pytest.mark.parametrize("shape", [(3, 8), (16,), (2, 16, 1)])
+def test_encode_stream_rejects_other_shapes(shape):
+    with pytest.raises(StreamError, match="counts must be"):
+        encode_stream(np.zeros(shape, dtype=np.int64))
 
 
 def test_packet_validation():
@@ -195,10 +344,9 @@ def test_recording_validation():
         )
 
 
-def test_frames_to_recording_shape():
+def test_parse_stream_returns_recording():
     blob = encode_stream(np.arange(32).reshape(2, 16))
-    frames, _ = parse_stream(blob, rate=125.0)
-    rec = frames_to_recording(frames, 125.0)
+    rec, _ = parse_stream(blob, rate=125.0)
     assert rec.data.shape == (16, 2)
     assert rec.n_samples == 2
     assert rec.duration_s == pytest.approx(2 / 125.0)
@@ -217,6 +365,19 @@ def test_session_csv_roundtrip(tmp_path):
     assert back.labels == rec.labels
     assert np.allclose(back.data, rec.data, atol=1e-6)
     assert path.read_text().startswith("#rate=125\n")
+
+
+def test_session_csv_writer_matches_per_value_format(tmp_path):
+    rng = np.random.default_rng(8)
+    data = rng.normal(scale=50.0, size=(3, 25_000))
+    data[0, :6] = [-0.0, -4e-7, 4e-7, -5e-7, 1e17, -123456789.1234567]
+    data[1, :3] = [np.finfo(float).max, -1e-300, 0.0000005]
+    rec = Recording(rate=250.0, labels=["a", "b", "c"], data=data, t0=1.5)
+    path = tmp_path / "s.csv"
+    save_session_csv(rec, path)
+    text = path.read_text()
+    assert text == session_csv_text(rec)
+    assert ",-0.000000," in text
 
 
 def test_session_csv_rate_inferred_without_comment(tmp_path):
@@ -240,10 +401,6 @@ def test_session_csv_ragged_row_reports_line(tmp_path):
     path.write_text("#rate=125\nt_s,ch1,ch2\n0.000000,1.0,2.0\n0.008000,3.0\n")
     with pytest.raises(ValueError, match=r"s\.csv:4: 2 fields, header has 3"):
         load_session_csv(path)
-
-
-def _bits(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a).view(np.int64)
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,13 @@ import pytest
 
 from earpipe.cardiac import BeatSeries, rr_periods
 from earpipe.filters import design_fir
-from earpipe.ingest import Event, save_events_csv, save_session_csv
+from earpipe.ingest import (
+    Event,
+    encode_stream,
+    microvolts_to_counts,
+    save_events_csv,
+    save_session_csv,
+)
 from earpipe.pipeline import (
     ConfigError,
     DataError,
@@ -196,6 +202,31 @@ def test_readme_run_config_lists_every_key():
 
 
 # ------------------------------------------------------------ run_pipeline
+
+
+def test_run_from_raw_stream_writes_the_stream_report(tmp_path):
+    rec = berger_inputs(tmp_path)
+    (tmp_path / "stream.bin").write_bytes(encode_stream(microvolts_to_counts(rec.data.T)))
+    ini = base_config(tmp_path).read_text().replace(
+        f"session = {tmp_path / 'session.csv'}", f"raw = {tmp_path / 'stream.bin'}\nrate = 125"
+    )
+    run_pipeline(load_config(write_config(tmp_path / "raw.ini", ini)))
+    report = json.loads((tmp_path / "out" / "integrity.json").read_text())
+    assert [s["condition"] for s in report["segments"]] == ["eyes_open", "eyes_closed"]
+    assert report["stream"] == {
+        "expected_samples": rec.n_samples,
+        "actual_samples": rec.n_samples,
+        "first_t": 0.0,
+        "last_t": (rec.n_samples - 1) / 125.0,
+        "dropped_packets": 0,
+        "resyncs": 0,
+        "flags": [],
+        "gaps": [],
+    }
+
+    run_pipeline(load_config(base_config(tmp_path)))  # the same session as CSV
+    report = json.loads((tmp_path / "out" / "integrity.json").read_text())
+    assert list(report) == ["segments"]
 
 
 def test_run_pipeline_berger(tmp_path):
