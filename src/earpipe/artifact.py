@@ -5,10 +5,13 @@ The ICA is a symmetric fixed-point iteration with the log-cosh
 contrast on PCA-whitened data. The cardiac source is found without it:
 a one-unit fixed point with the skewness contrast extracts the most
 skewed directions of the whitened data one by one, fitted on half the
-epochs and gated on the other half. Burst rejection (ASR-style) learns
-an orthonormal component basis and per-component RMS thresholds from
-clean calibration windows, then rebuilds contaminated processing
-windows from the sub-threshold subspace with raised-cosine cross-fades.
+epochs and gated on the other half; each fixed-point step contracts the
+fit epochs' third-moment tensor, built once per segment, so a step
+costs microseconds rather than passes over the samples. Burst
+rejection (ASR-style) learns an orthonormal component basis and
+per-component RMS thresholds from clean calibration windows, then
+rebuilds contaminated processing windows from the sub-threshold
+subspace with raised-cosine cross-fades.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .ingest import Recording
 ICA_TOL = 1e-6
 ICA_MAX_ITER = 2000
 # a skewed source converges in a few steps; the cap bounds a unit that
-# only rotates in a near-Gaussian remainder
+# only rotates in a near-Gaussian remainder, at microseconds per step
 ECG_MAX_ITER = 200
 ECG_MAX_UNITS = 4
 
@@ -245,6 +248,39 @@ def _deflate(w: np.ndarray, found: np.ndarray) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
+# floats in the pair-product buffer of _third_moments (2 MB): one chunk's
+# samples times the k (k + 1) / 2 row pairs
+MOMENT_CHUNK_ELEMS = 1 << 18
+
+
+def _third_moments(fit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The third-moment tensor of (k, n) data as a (k, k * k) matrix,
+    m3[i, j * k + l] = mean(fit_i * fit_j * fit_l), and the row means.
+
+    The tensor is symmetric in its three indices, so only the row pairs
+    j <= l are formed. The samples are taken in chunks; one buffer holds
+    a chunk's pair products fit_j * fit_l, and one matrix product sums
+    them against every row.
+    """
+    k, n = fit.shape
+    rows_j, rows_l = np.triu_indices(k)
+    chunk = max(1, MOMENT_CHUNK_ELEMS // len(rows_j))
+    sums = np.zeros((len(rows_j), k))  # [p, i]: sum of fit_j fit_l fit_i, p = (j, l)
+    buf = np.empty((len(rows_j), min(chunk, n)))
+    for s in range(0, n, chunk):
+        part = fit[:, s : s + chunk]
+        pairs = buf[:, : part.shape[1]]
+        p = 0
+        for j in range(k):
+            np.multiply(part[j], part[j:], out=pairs[p : p + k - j])
+            p += k - j
+        sums += pairs @ part.T
+    m3 = np.empty((k, k, k))
+    m3[rows_j, rows_l] = sums
+    m3[rows_l, rows_j] = sums
+    return m3.reshape(k, k * k) / n, fit.mean(axis=1)
+
+
 def skew_units(
     rec: Recording,
     n_components: int | None = None,
@@ -253,34 +289,42 @@ def skew_units(
 ) -> Iterator[SkewUnit]:
     """The most skewed directions of the whitened data, one at a time.
 
-    The data is PCA-whitened as for ica_decompose (same rank reduction
-    and n_components errors) and split into consecutive SKEW_EPOCH_S
-    epochs; a trailing part epoch is dropped, and data shorter than two
-    epochs yields no unit. Each unit is fitted on the even epochs alone
-    by the one-unit fixed point with the skewness contrast g(u) = u^2
-    (Hyvarinen 1999): w <- mean(z (w'z)^2) - 2 mean(w'z) w, deflated
-    against the units before it and normalized. It starts at the
-    remaining whitened axis with the largest |epoch_skewness| on those
-    epochs and stops once |1 - |<w_new, w>|| < tol or after max_iter
-    steps. Up to ECG_MAX_UNITS units, computed as they are asked for.
-    Deterministic: there is no random start.
+    The data is split into consecutive SKEW_EPOCH_S epochs; a trailing
+    part epoch is dropped, and data shorter than two epochs yields no
+    unit and is not whitened. Otherwise it is PCA-whitened as for
+    ica_decompose (same rank reduction and n_components errors). Each
+    unit is fitted on the even epochs alone by the one-unit fixed point
+    with the skewness contrast g(u) = u^2 (Hyvarinen 1999):
+    w <- mean(z (w'z)^2) - 2 mean(w'z) w, deflated against the units
+    before it and normalized. It starts at the remaining whitened axis
+    with the largest |epoch_skewness| on those epochs and stops once
+    |1 - |<w_new, w>|| < tol or after max_iter steps. Up to
+    ECG_MAX_UNITS units, computed as they are asked for. Deterministic:
+    there is no random start.
+
+    mean(z (w'z)^2) is the fit epochs' third-moment tensor contracted
+    twice with w, so the tensor is built once, in one pass over the fit
+    epochs, and each step is a (k, k^2) matrix-vector product: a tensor
+    power iteration (Anandkumar et al. 2014). A unit that runs to the
+    max_iter cap costs microseconds per step, not passes over the data.
     """
     rate = rec.rate
-    *_, z = _whiten(rec.data, n_components)
-    k, n = z.shape
     width = int(round(SKEW_EPOCH_S * rate))
-    m = n // width if width > 0 else 0
+    m = rec.n_samples // width if width > 0 else 0
     if m < 2:
         return
+    *_, z = _whiten(rec.data, n_components)
+    k = z.shape[0]
     fit = z[:, : m * width].reshape(k, m, width)[:, 0::2].reshape(k, -1)
     starts = np.argsort([-abs(epoch_skewness(row, rate)) for row in fit], kind="stable")
+    m3, mu = _third_moments(fit)
+    del fit
     found = np.empty((0, k))
     for index in range(min(ECG_MAX_UNITS, k)):
         w = _deflate(np.eye(k)[starts[index]], found)
         it = 0
         for it in range(1, max_iter + 1):
-            y = w @ fit
-            w_new = _deflate((fit @ (y * y)) / len(y) - 2.0 * y.mean() * w, found)
+            w_new = _deflate(m3 @ np.outer(w, w).ravel() - 2.0 * float(w @ mu) * w, found)
             delta = abs(1.0 - abs(float(w_new @ w)))
             w = w_new
             if delta < tol:
@@ -363,6 +407,20 @@ class FlaggedWindow:
     bad_fraction: float
 
 
+def calibration_windows(n_samples: int, rate: float, cfg: AsrConfig) -> tuple[int, int]:
+    """The length and count of the calibration windows asr_calibrate cuts
+    from n_samples; CalibrationError when the window or the data is too short."""
+    w = int(round(cfg.calib_win_s * rate))
+    if w < 2:
+        raise CalibrationError(f"calibration window of {cfg.calib_win_s} s is too short")
+    count = n_samples // w
+    if count < MIN_CALIB_WINDOWS:
+        raise CalibrationError(
+            f"need at least {MIN_CALIB_WINDOWS} calibration windows, data allows {count}"
+        )
+    return w, count
+
+
 def asr_calibrate(rec: Recording, cfg: AsrConfig = AsrConfig()) -> AsrModel:
     """Learn the clean-data component basis and burst thresholds.
 
@@ -372,16 +430,11 @@ def asr_calibrate(rec: Recording, cfg: AsrConfig = AsrConfig()) -> AsrModel:
     component's threshold is mean + burst_k * std of its RMS over the
     clean windows.
     """
-    w = int(round(cfg.calib_win_s * rec.rate))
-    if w < 2:
-        raise CalibrationError(f"calibration window of {cfg.calib_win_s} s is too short")
-    count = rec.n_samples // w
-    if count < MIN_CALIB_WINDOWS:
-        raise CalibrationError(
-            f"need at least {MIN_CALIB_WINDOWS} calibration windows, data allows {count}"
-        )
+    w, count = calibration_windows(rec.n_samples, rec.rate, cfg)
     chunks = rec.data[:, : count * w].reshape(rec.n_channels, count, w)
-    rms = np.sqrt((chunks**2).mean(axis=2))  # (channels, windows)
+    # RMS one channel (and below one component) at a time, so no
+    # segment-sized temporary is squared
+    rms = np.sqrt(np.array([(c * c).mean(axis=1) for c in chunks]))  # (channels, windows)
     mu = rms.mean(axis=1, keepdims=True)
     sd = rms.std(axis=1, ddof=0, keepdims=True)
     sd = np.where(sd > 0, sd, 1.0)
@@ -393,14 +446,17 @@ def asr_calibrate(rec: Recording, cfg: AsrConfig = AsrConfig()) -> AsrModel:
             f"only {n_clean} clean calibration windows (z in [{CALIB_Z_BOUNDS[0]}, "
             f"{CALIB_Z_BOUNDS[1]}]); need {MIN_CALIB_WINDOWS}"
         )
-    clean_chunks = chunks[:, clean, :]
+    # the one copy of the clean windows; it is contiguous, so xc is a view of it
+    clean_chunks = chunks.compress(clean, axis=1)
     xc = clean_chunks.reshape(rec.n_channels, -1)
     cov = (xc @ xc.T) / xc.shape[1]
     _, basis = np.linalg.eigh(cov)
-    comp = np.einsum("ck,cwt->kwt", basis, clean_chunks)
-    del clean_chunks, xc  # the one copy is not held while comp is squared
-    comp_rms = np.sqrt((comp**2).mean(axis=2))  # (components, clean windows)
-    thr = comp_rms.mean(axis=1) + cfg.burst_k * comp_rms.std(axis=1, ddof=0)
+    comp_rms = np.empty((n_clean, basis.shape[1]))  # (clean windows, components)
+    for j, b in enumerate(basis.T):
+        comp = np.einsum("c,cwt->wt", b, clean_chunks)
+        comp_rms[:, j] = (comp * comp).mean(axis=1)
+    np.sqrt(comp_rms, out=comp_rms)
+    thr = comp_rms.mean(axis=0) + cfg.burst_k * comp_rms.std(axis=0, ddof=0)
     return AsrModel(basis=basis, thresholds=thr, calib_windows_used=n_clean)
 
 

@@ -79,6 +79,15 @@ def design_fir(spec: FirSpec, rate: float) -> FirFilter:
     return FirFilter(taps=taps, group_delay=spec.order // 2, spec=spec)
 
 
+def check_fir_length(n: int, fir: FirFilter) -> None:
+    """The length rule of apply_zero_phase_array: n samples must outnumber the taps."""
+    if n <= fir.n_taps:
+        raise ValueError(
+            f"segment length {n} too short for a {fir.n_taps}-tap filter; "
+            f"need more than {fir.n_taps} samples"
+        )
+
+
 def apply_zero_phase_array(x: np.ndarray, fir: FirFilter) -> np.ndarray:
     """Filter one or more rows with zero net delay.
 
@@ -89,11 +98,7 @@ def apply_zero_phase_array(x: np.ndarray, fir: FirFilter) -> np.ndarray:
     single = x.ndim == 1
     rows = x[None, :] if single else x
     n = rows.shape[1]
-    if n <= fir.n_taps:
-        raise ValueError(
-            f"segment length {n} too short for a {fir.n_taps}-tap filter; "
-            f"need more than {fir.n_taps} samples"
-        )
+    check_fir_length(n, fir)
     d = fir.group_delay
     out = np.empty_like(rows)
     for i in range(rows.shape[0]):

@@ -27,6 +27,7 @@ from .artifact import (
     EcgPick,
     asr_calibrate,
     asr_process,
+    calibration_windows,
     extract_ecg,
 )
 from .cardiac import BeatSeries, match_beats, paired_rr, rr_outlier_filter, rr_periods
@@ -34,6 +35,7 @@ from .filters import (
     FirSpec,
     apply_zero_phase,
     baseline_correct,
+    check_fir_length,
     check_line_noise,
     design_fir,
     remove_line_noise,
@@ -364,6 +366,21 @@ def clean_segment(rec: Recording, cfg: PipelineConfig, monmap, plan: StagePlan) 
     return out
 
 
+def preflight_segments(segments, plan: StagePlan) -> None:
+    """Check every segment's length against the planned FIR kernels and
+    the ASR calibration minimum before any segment is processed; the
+    first failure is the DataError process_segment would raise."""
+    for i, seg in enumerate(segments):
+        n = seg.recording.n_samples
+        try:
+            for fir in plan.firs:
+                check_fir_length(n, fir)
+            if plan.asr is not None:
+                calibration_windows(n, seg.recording.rate, plan.asr)
+        except ValueError as exc:
+            raise DataError(f"segment {i} ({seg.condition}): {exc}") from None
+
+
 @dataclass
 class SegmentResult:
     condition: str
@@ -486,6 +503,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     for seg in segments:
         if seg.report.actual_samples == 0:
             raise DataError(f"event {seg.condition} yields an empty segment")
+    preflight_segments(segments, plan)
 
     seg_results = [
         process_segment(seg.recording, seg.condition, cfg, monmap, plan, i)

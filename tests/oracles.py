@@ -10,10 +10,21 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from earpipe.artifact import (
+    ECG_MAX_ITER,
+    ECG_MAX_UNITS,
+    ICA_TOL,
+    SKEW_EPOCH_S,
+    SkewUnit,
+    _deflate,
+    _whiten,
+    epoch_skewness,
+)
 from earpipe.ingest import (
     ADS_GAIN,
     ADS_VREF_VOLTS,
@@ -24,6 +35,7 @@ from earpipe.ingest import (
     PACKET_LEN,
     WORDS_PER_PACKET,
     IntegrityReport,
+    Recording,
     counts_to_microvolts,
     decode_word,
 )
@@ -182,6 +194,47 @@ def fixed_point_ica(x: np.ndarray, seed: int, max_iter: int, tol: float):
     stds = sources.std(axis=1, ddof=0)
     stds = np.where(stds > 0, stds, 1.0)
     return (w @ whiten) / stds[:, None], (color @ w.T) * stds[None, :], sources / stds[:, None], it
+
+
+# The skewness extraction with every fixed-point step as two passes over
+# the fit epochs: y = w'z, then mean(z y^2) - 2 mean(y) w. The package
+# contracts the fit epochs' third-moment tensor instead; a unit that
+# converges must take the same steps to the same direction.
+
+
+def skew_units_loop(
+    rec: Recording,
+    n_components: int | None = None,
+    max_iter: int = ECG_MAX_ITER,
+    tol: float = ICA_TOL,
+) -> Iterator[SkewUnit]:
+    """artifact.skew_units with a per-sample fixed-point step."""
+    rate = rec.rate
+    *_, z = _whiten(rec.data, n_components)
+    k, n = z.shape
+    width = int(round(SKEW_EPOCH_S * rate))
+    m = n // width if width > 0 else 0
+    if m < 2:
+        return
+    fit = z[:, : m * width].reshape(k, m, width)[:, 0::2].reshape(k, -1)
+    starts = np.argsort([-abs(epoch_skewness(row, rate)) for row in fit], kind="stable")
+    found = np.empty((0, k))
+    for index in range(min(ECG_MAX_UNITS, k)):
+        w = _deflate(np.eye(k)[starts[index]], found)
+        it = 0
+        for it in range(1, max_iter + 1):
+            y = w @ fit
+            w_new = _deflate((fit @ (y * y)) / len(y) - 2.0 * y.mean() * w, found)
+            delta = abs(1.0 - abs(float(w_new @ w)))
+            w = w_new
+            if delta < tol:
+                break
+        found = np.vstack([found, w])
+        source = w @ z
+        epochs = source[: m * width].reshape(m, width)
+        sign = -1.0 if epoch_skewness(epochs[0::2].ravel(), rate) < 0 else 1.0
+        held_out = sign * epoch_skewness(epochs[1::2].ravel(), rate)
+        yield SkewUnit(index=index, source=sign * source, held_out_skew=held_out, n_iter=it)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from earpipe import artifact
 from earpipe.artifact import (
     ECG_SCORE_THRESHOLD,
     ECG_SKEW_THRESHOLD,
@@ -17,11 +20,13 @@ from earpipe.artifact import (
     extract_ecg,
     ica_decompose,
     skew_units,
+    _third_moments,
 )
 from earpipe.ingest import Recording
 from earpipe.synth import EcgSynthSpec, EegSynthSpec, gen_ecg, gen_eeg
 
-from oracles import align_sources, fixed_point_ica
+from oracles import align_sources, fixed_point_ica, skew_units_loop
+from test_acceptance import ecg_eeg_mixture
 
 RATE = 125.0
 
@@ -130,8 +135,69 @@ def test_extract_ecg_whitens_like_ica():
     assert len(units) == 3
     with pytest.raises(ValueError, match="n_components 5 outside 1-4"):
         extract_ecg(_rec(laplacian_sources(4, 4000, 26)), n_components=5)
-    with pytest.raises(ValueError, match="need at least"):
-        extract_ecg(_rec(laplacian_sources(4, 60, 27)))
+    # two epochs, but fewer than 20 samples per channel
+    with pytest.raises(ValueError, match="need at least 1280 samples for 64 channels"):
+        extract_ecg(_rec(laplacian_sources(64, 1250, 27)))
+
+
+def test_segment_shorter_than_two_epochs_gets_no_pick():
+    # 2.4 s: too short to whiten 16 channels, and shorter than two epochs
+    rec = _rec(laplacian_sources(16, 300, 28))
+    assert list(skew_units(rec)) == []
+    assert extract_ecg(rec) is None
+
+
+def test_third_moments_match_einsum(monkeypatch):
+    fit = laplacian_sources(5, 3001, 29)
+    # chunks of 41 samples, the last one shorter
+    monkeypatch.setattr(artifact, "MOMENT_CHUNK_ELEMS", 41 * 15)
+    m3, mu = _third_moments(fit)
+    want = np.einsum("in,jn,ln->ijl", fit, fit, fit) / fit.shape[1]
+    assert m3.shape == (5, 25)
+    assert np.allclose(m3.reshape(5, 5, 5), want, rtol=1e-12, atol=1e-12)
+    assert np.allclose(mu, fit.mean(axis=1), rtol=1e-12, atol=1e-15)
+
+
+def _oracle_cases():
+    yield "acceptance 9", ecg_eeg_mixture(250.0)[0]
+    yield "planted heartbeat", _rec(_ecg_mixture(seed=30)[0], rate=250.0)
+    for rate in (125.0, 250.0):
+        for duration_s in (20.0, 60.0):
+            for seed in (100, 101, 102):
+                data = _noise("pink", seed, 16, rate, duration_s)
+                yield f"pink {rate:g} Hz {duration_s:g} s seed {seed}", _rec(data, rate)
+
+
+def test_skew_units_match_the_per_sample_loop():
+    # A unit the loop stops before the cap takes the same steps to the same
+    # direction. A capped unit only rotates in a near-Gaussian remainder, so
+    # its end, and every unit deflated against it, is not pinned.
+    compared = 0
+    for name, rec in _oracle_cases():
+        want = list(skew_units_loop(rec))
+        got = list(skew_units(rec))
+        assert len(got) == len(want), name
+        for a, b in zip(want, got):
+            if a.n_iter == ECG_MAX_ITER:
+                break
+            assert b.n_iter == a.n_iter, (name, a.index)
+            assert np.max(np.abs(b.source - a.source)) <= 1e-9, (name, a.index)
+            assert abs(b.held_out_skew - a.held_out_skew) <= 1e-9, (name, a.index)
+            compared += 1
+    assert compared >= 40
+
+
+def test_extract_ecg_picks_as_with_the_per_sample_loop(monkeypatch):
+    cases = list(_oracle_cases())
+    picks = [extract_ecg(rec) for _, rec in cases]
+    monkeypatch.setattr(artifact, "skew_units", skew_units_loop)
+    want = [extract_ecg(rec) for _, rec in cases]
+    assert sum(p is not None for p in want) == 2  # the two heartbeat mixtures
+    for (name, _), got, ref in zip(cases, picks, want):
+        assert (got is None) == (ref is None), name
+        if ref is not None:
+            assert got.index == ref.index, name
+            assert np.array_equal(got.beats.beat_times, ref.beats.beat_times), name
 
 
 @pytest.mark.parametrize("rate", [125.0, 250.0])
@@ -221,6 +287,20 @@ def test_calibration_needs_enough_windows():
     short = gaussian_rec(40, duration_s=5.0)
     with pytest.raises(CalibrationError, match="10"):
         asr_calibrate(short, AsrConfig())
+
+
+def test_calibration_holds_at_most_one_copy_of_the_segment():
+    rec = gaussian_rec(40, n_ch=16, duration_s=120.0)
+    rec.data[:, 2000:2300] *= 30.0  # windows 16-18 are left out of the fit
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        model = asr_calibrate(rec, AsrConfig())
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert model.calib_windows_used < 120
+    assert peak < 2 * rec.data.nbytes
 
 
 def test_clean_data_passes_through_exactly():

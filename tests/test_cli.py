@@ -219,6 +219,27 @@ def test_run_rejects_non_finite_sample(tmp_path, capsys, asr):
     assert f"in {header[3]} at t_s={row[0]}" in diag["message"]
 
 
+def test_run_checks_every_segment_length_before_any_segment(tmp_path, capsys, monkeypatch):
+    data = synth_berger(tmp_path, capsys, segment_s=30)
+    (data / "events.csv").write_text(
+        "condition,start_s,end_s\neyes_open,0,30\neyes_closed,30,32\n"
+    )
+    calls = []
+    monkeypatch.setattr("earpipe.pipeline.extract_ecg", lambda *a, **k: calls.append(a))
+    cfg = write_spec(
+        tmp_path / "run.ini",
+        f"[input]\nsession = {data / 'session.csv'}\nevents = {data / 'events.csv'}\n\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n",
+    )
+    code, _, err = run_cli(capsys, "run", "--config", cfg)
+    assert code == 3
+    assert json.loads(err)["message"] == (
+        "segment 1 (eyes_closed): segment length 250 too short for a 501-tap filter; "
+        "need more than 501 samples"
+    )
+    assert calls == []
+
+
 def test_run_bad_config_exits_2(tmp_path, capsys):
     cfg = write_spec(tmp_path / "bad.ini", "[input]\nsession = x.csv\n")
     code, _, err = run_cli(capsys, "run", "--config", cfg)

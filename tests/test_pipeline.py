@@ -364,6 +364,19 @@ def test_event_shorter_than_highpass_kernel_names_the_segment(tmp_path):
         run_pipeline(cfg)
 
 
+def test_segment_too_short_for_asr_calibration_fails_before_any_segment(tmp_path, monkeypatch):
+    berger_inputs(tmp_path, segment_s=20.0)
+    events = [Event("eyes_open", 0.0, 20.0), Event("eyes_closed", 20.0, 28.0)]
+    save_events_csv(events, tmp_path / "events.csv")
+    cleaned = []
+    monkeypatch.setattr("earpipe.pipeline.clean_segment", lambda *a: cleaned.append(a))
+    cfg = load_config(base_config(tmp_path, extra_stages="highpass = off\nlowpass = off"))
+    with pytest.raises(DataError, match=r"^segment 1 \(eyes_closed\): need at least 10 "
+                                        r"calibration windows, data allows 8$"):
+        run_pipeline(cfg)
+    assert cleaned == []
+
+
 def test_reduced_montage_with_rereference_fails_before_any_segment(tmp_path):
     # R5 maps to channel 4 and L5 to channel 12: eight rows lack L5
     berger_inputs(tmp_path, segment_s=10.0, n_channels=8)
