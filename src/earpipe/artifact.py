@@ -16,6 +16,7 @@ subspace with raised-cosine cross-fades.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -59,6 +60,16 @@ def _sym_decorrelate(w: np.ndarray) -> np.ndarray:
     return (u / np.sqrt(s)) @ u.T @ w
 
 
+# an eigenvalue at or below this fraction of the largest is rounding
+# noise: a linked-mastoid re-reference leaves one exactly null direction
+NULL_EIG_RTOL = 1e-12
+
+
+def _above_null(evals: np.ndarray) -> np.ndarray:
+    """Mask of the covariance eigenvalues that are more than rounding noise."""
+    return evals > max(evals.max(), 0) * NULL_EIG_RTOL
+
+
 def _whiten(x: np.ndarray, n_components: int | None):
     """Center (channels, samples) data and PCA-whiten it to at most
     n_components dimensions; near-zero-variance directions are dropped
@@ -80,7 +91,7 @@ def _whiten(x: np.ndarray, n_components: int | None):
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]
     evals, evecs = evals[order], evecs[:, order]
-    usable = int(np.sum(evals > max(evals[0], 0) * 1e-12))
+    usable = int(np.sum(_above_null(evals)))
     if usable < k:
         warnings.warn(
             f"rank-deficient data: reducing components {k} -> {usable}", RuntimeWarning
@@ -384,8 +395,8 @@ class AsrConfig:
             raise ValueError(f"burst_k must be positive, got {self.burst_k}")
         if not 0 < self.window_criterion <= 1:
             raise ValueError(f"window_criterion must lie in (0, 1], got {self.window_criterion}")
-        if self.calib_win_s <= 0 or self.proc_win_s <= 0:
-            raise ValueError("window lengths must be positive")
+        if not (0 < self.calib_win_s < math.inf and 0 < self.proc_win_s < math.inf):
+            raise ValueError("window lengths must be positive and finite")
 
 
 MIN_CALIB_WINDOWS = 10
@@ -394,7 +405,7 @@ CALIB_Z_BOUNDS = (-3.5, 5.0)
 
 @dataclass
 class AsrModel:
-    basis: np.ndarray  # (channels, channels), orthonormal columns
+    basis: np.ndarray  # (channels, components), orthonormal columns, null directions left out
     thresholds: np.ndarray  # per-component RMS threshold
     calib_windows_used: int
 
@@ -426,8 +437,10 @@ def asr_calibrate(rec: Recording, cfg: AsrConfig = AsrConfig()) -> AsrModel:
 
     Calibration windows are consecutive non-overlapping chunks whose
     per-channel RMS z-scores (across windows) stay within [-3.5, 5].
-    The eigenvectors of the clean covariance form the basis; each
-    component's threshold is mean + burst_k * std of its RMS over the
+    The eigenvectors of the clean covariance form the basis, less those
+    whose eigenvalue is rounding noise (the rule _whiten drops them by),
+    so a null direction of a re-referenced montage is never counted as
+    bad; each component's threshold is mean + burst_k * std of its RMS over the
     clean windows.
     """
     w, count = calibration_windows(rec.n_samples, rec.rate, cfg)
@@ -450,7 +463,8 @@ def asr_calibrate(rec: Recording, cfg: AsrConfig = AsrConfig()) -> AsrModel:
     clean_chunks = chunks.compress(clean, axis=1)
     xc = clean_chunks.reshape(rec.n_channels, -1)
     cov = (xc @ xc.T) / xc.shape[1]
-    _, basis = np.linalg.eigh(cov)
+    evals, basis = np.linalg.eigh(cov)
+    basis = basis[:, _above_null(evals)]
     comp_rms = np.empty((n_clean, basis.shape[1]))  # (clean windows, components)
     for j, b in enumerate(basis.T):
         comp = np.einsum("c,cwt->wt", b, clean_chunks)
@@ -458,6 +472,35 @@ def asr_calibrate(rec: Recording, cfg: AsrConfig = AsrConfig()) -> AsrModel:
     np.sqrt(comp_rms, out=comp_rms)
     thr = comp_rms.mean(axis=0) + cfg.burst_k * comp_rms.std(axis=0, ddof=0)
     return AsrModel(basis=basis, thresholds=thr, calib_windows_used=n_clean)
+
+
+def processing_window(n_samples: int, rate: float, cfg: AsrConfig) -> int:
+    """The length of the windows asr_process slides over n_samples;
+    ValueError when it does not fit."""
+    w = int(round(cfg.proc_win_s * rate))
+    if w < 2 or w > n_samples:
+        raise ValueError(f"processing window of {cfg.proc_win_s} s does not fit the data")
+    return w
+
+
+# floats in one block of squared component values in _window_rms (2 MB)
+ASR_BLOCK_ELEMS = 1 << 18
+
+
+def _window_rms(x: np.ndarray, basis: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
+    """The RMS of every component over every length-w window, (components,
+    windows); the components are formed one column block of windows at a time."""
+    k = basis.shape[1]
+    rms = np.empty((k, len(starts)))
+    per_block = max(1, ASR_BLOCK_ELEMS // max(1, k * w))
+    for i in range(0, len(starts), per_block):
+        first = starts[i]
+        block = starts[i : i + per_block] - first
+        comp = basis.T @ x[:, first : first + block[-1] + w]
+        np.multiply(comp, comp, out=comp)
+        windows = np.lib.stride_tricks.sliding_window_view(comp, w, axis=1)[:, block]
+        rms[:, i : i + per_block] = windows.mean(axis=2)
+    return np.sqrt(rms, out=rms)
 
 
 def asr_process(
@@ -472,39 +515,40 @@ def asr_process(
     where the over-threshold component fraction exceeds the window
     criterion are additionally flagged for downstream exclusion. A
     window with nothing over threshold passes through bit-identically.
+    Every window's component RMS is taken in column blocks; only the
+    windows with a component over threshold are rebuilt.
     """
     if model.basis.shape[0] != rec.n_channels:
         raise ValueError("model channel count does not match the recording")
     n = rec.n_samples
-    w = int(round(cfg.proc_win_s * rec.rate))
-    if w < 2 or w > n:
-        raise ValueError(f"processing window of {cfg.proc_win_s} s does not fit the data")
+    w = processing_window(n, rec.rate, cfg)
     starts, taper = overlap_add_windows(n, w, max(1, w // 2))
-    corr = np.zeros_like(rec.data)
+    bad = _window_rms(rec.data, model.basis, np.asarray(starts), w) > model.thresholds[:, None]
+    hits = np.flatnonzero(bad.any(axis=0))
+    if len(hits) == 0:
+        return rec.with_data(rec.data), []
     wsum = np.zeros(n)
+    for s in starts:
+        wsum[s : s + w] += taper
+    corr = np.zeros_like(rec.data)
     touched = np.zeros(n, dtype=bool)
     flagged: list[FlaggedWindow] = []
     n_comp = model.basis.shape[1]
-    for idx, s in enumerate(starts):
+    for idx in hits:
+        s = starts[idx]
         seg = rec.data[:, s : s + w]
         comp = model.basis.T @ seg
-        rms = np.sqrt((comp**2).mean(axis=1))
-        bad = rms > model.thresholds
-        wsum[s : s + w] += taper
-        if not bad.any():
-            continue
-        comp_fixed = comp.copy()
-        comp_fixed[bad, :] = 0.0
-        rebuilt = model.basis @ comp_fixed
+        comp[bad[:, idx], :] = 0.0
+        rebuilt = model.basis @ comp
         corr[:, s : s + w] += taper * (rebuilt - seg)
         touched[s : s + w] = True
-        frac = float(bad.sum()) / n_comp
+        frac = float(bad[:, idx].sum()) / n_comp
         if frac > cfg.window_criterion:
             flagged.append(
-                FlaggedWindow(index=idx, start_s=s / rec.rate, end_s=(s + w) / rec.rate,
+                FlaggedWindow(index=int(idx), start_s=s / rec.rate, end_s=(s + w) / rec.rate,
                               bad_fraction=frac)
             )
-    if not touched.any():
-        return rec.with_data(rec.data), flagged
-    scale = np.where(wsum > 0, wsum, 1.0)
-    return rec.with_data(rec.data + np.where(touched, corr / scale, 0.0)), flagged
+    corr /= np.where(wsum > 0, wsum, 1.0)
+    corr[:, ~touched] = 0.0
+    corr += rec.data
+    return rec.with_data(corr), flagged

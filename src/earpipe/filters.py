@@ -3,13 +3,18 @@
 Filters are windowed-sinc FIR kernels applied as a single zero-phase
 pass: the linear convolution is computed against the zero-padded signal
 and shifted back by the group delay (order/2), so a symmetric kernel
-introduces no net lag. Mains interference is removed by sliding-window
-least-squares fits of sine/cosine pairs at the line frequency rather
-than by a notch, which leaves the neighbouring spectrum untouched.
+introduces no net lag. The convolution runs by block FFT overlap-add
+over all channels at once; the result is the same zero-padded,
+zero-phase output a direct convolution gives, to rounding. Mains
+interference is removed by sliding-window least-squares fits of
+sine/cosine pairs at the line frequency rather than by a notch, which
+leaves the neighbouring spectrum untouched; every window shares one
+projector onto the regressors' span.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,22 +93,45 @@ def check_fir_length(n: int, fir: FirFilter) -> None:
         )
 
 
+# FFT length of one overlap-add block: about 2048 points, and at least
+# four kernel lengths so a block's step stays most of its length
+FIR_BLOCK = 2048
+
+
+def _block_length(n_taps: int, n: int) -> int:
+    """The FFT length for an n_taps kernel over n samples: a power of two,
+    no longer than one that holds the whole convolution."""
+    nfft = max(FIR_BLOCK, 1 << (4 * n_taps - 1).bit_length())
+    return min(nfft, 1 << (n + n_taps - 2).bit_length())
+
+
 def apply_zero_phase_array(x: np.ndarray, fir: FirFilter) -> np.ndarray:
     """Filter one or more rows with zero net delay.
 
     Accepts (n,) or (channels, n). The input is implicitly zero-padded,
     so the first and last group_delay samples carry edge transients.
+    All rows are filtered at once by block overlap-add: each block of
+    input is transformed with the kernel's spectrum, and the part of its
+    linear convolution that lands inside the output, shifted back by the
+    group delay, is added there.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     rows = x[None, :] if single else x
     n = rows.shape[1]
     check_fir_length(n, fir)
-    d = fir.group_delay
-    out = np.empty_like(rows)
-    for i in range(rows.shape[0]):
-        full = np.convolve(rows[i], fir.taps)
-        out[i] = full[d : d + n]
+    n_taps, d = fir.n_taps, fir.group_delay
+    nfft = _block_length(n_taps, n)
+    step = nfft - n_taps + 1
+    kernel = np.fft.rfft(fir.taps, nfft)
+    out = np.zeros_like(rows)
+    for s in range(0, n, step):
+        block = rows[:, s : s + step]
+        full = np.fft.irfft(np.fft.rfft(block, nfft, axis=1) * kernel, nfft, axis=1)
+        # full[:, i] is sample s + i of the padded convolution, output s + i - d
+        lo = max(s - d, 0)
+        hi = min(s + block.shape[1] + n_taps - 1 - d, n)
+        out[:, lo:hi] += full[:, lo - s + d : hi - s + d]
     return out[0] if single else out
 
 
@@ -151,8 +179,25 @@ def check_line_noise(rate: float, f0: float, win_s: float, step_s: float, harmon
         raise ValueError(f"line frequency must be positive, got {f0}")
     if f0 * harmonics >= rate / 2:
         raise ValueError(f"line frequency {f0} Hz x {harmonics} harmonics >= Nyquist {rate / 2} Hz")
-    if win_s <= 0 or step_s <= 0:
-        raise ValueError("window and step must be positive")
+    if not (0 < win_s < math.inf and 0 < step_s < math.inf):
+        raise ValueError("window and step must be positive and finite")
+    # fewer samples than twice the regressors and the fit follows the data
+    # itself (one sample fits exactly); an infinite rate checks no length
+    need = 4 * harmonics
+    samples = round(min(win_s * rate, need))
+    if samples < need:
+        raise ValueError(
+            f"a {win_s} s window at {rate} Hz holds {samples} samples, "
+            f"fewer than the {need} a fit of {2 * harmonics} regressors needs"
+        )
+
+
+def _line_basis(w_len: int, rate: float, f0: float, harmonics: int) -> np.ndarray:
+    """Orthonormal (w_len, rank) basis of the sin/cos regressors' span over
+    w_len samples, cut at lstsq's default rank rule."""
+    design = _line_design_matrix(np.arange(w_len) / rate, f0, harmonics)
+    u, sv, _ = np.linalg.svd(design, full_matrices=False)
+    return u[:, sv > np.finfo(float).eps * max(design.shape) * sv[0]]
 
 
 def remove_line_noise(
@@ -169,27 +214,25 @@ def remove_line_noise(
     the requested number of harmonics); the per-window estimates are
     blended by raised-cosine overlap-add before subtraction. A window
     longer than the segment degrades to a single whole-segment fit.
+
+    A shift in time rotates each sin/cos pair into itself, so every
+    window's regressors span the same columns: one SVD of the first
+    window's design gives the projector U U' that fits them all.
     """
     check_line_noise(rec.rate, f0, win_s, step_s, harmonics)
     n = rec.n_samples
     if n == 0:
         raise ValueError("cannot filter an empty recording")
-    t = np.arange(n) / rec.rate
-
-    w_len = int(round(win_s * rec.rate))
-    if w_len >= n:
-        design = _line_design_matrix(t, f0, harmonics)
-        beta, *_ = np.linalg.lstsq(design, rec.data.T, rcond=None)
-        return rec.with_data(rec.data - (design @ beta).T)
+    w_len = min(int(round(win_s * rec.rate)), n)
+    u = _line_basis(w_len, rec.rate, f0, harmonics)
+    if w_len == n:
+        return rec.with_data(rec.data - (rec.data @ u) @ u.T)
 
     starts, taper = overlap_add_windows(n, w_len, max(1, int(round(step_s * rec.rate))))
     est = np.zeros_like(rec.data)
     wsum = np.zeros(n)
     for s in starts:
-        seg = rec.data[:, s : s + w_len]
-        design = _line_design_matrix(t[s : s + w_len], f0, harmonics)
-        beta, *_ = np.linalg.lstsq(design, seg.T, rcond=None)
-        est[:, s : s + w_len] += taper * (design @ beta).T
+        est[:, s : s + w_len] += taper * ((rec.data[:, s : s + w_len] @ u) @ u.T)
         wsum[s : s + w_len] += taper
     est /= np.maximum(wsum, np.finfo(float).tiny)
     return rec.with_data(rec.data - est)

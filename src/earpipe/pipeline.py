@@ -29,6 +29,7 @@ from .artifact import (
     asr_process,
     calibration_windows,
     extract_ecg,
+    processing_window,
 )
 from .cardiac import BeatSeries, match_beats, paired_rr, rr_outlier_filter, rr_periods
 from .filters import (
@@ -58,6 +59,7 @@ from .spectral import (
     BandPowerRow,
     DEFAULT_BANDS,
     PsdEstimate,
+    check_welch_length,
     check_welch_window,
     parse_band_spec,
     qc_report,
@@ -308,7 +310,7 @@ def plan_stages(cfg: PipelineConfig, rec: Recording, monmap) -> StagePlan:
     rows = [_try(problems, key, monmap.channel, getattr(cfg, key))
             for key in ("reref_left", "reref_right") if cfg.stages.rereference]
     if cfg.stages.line:
-        _try(problems, "line_freq_hz, line_harmonics", check_line_noise,
+        _try(problems, "line_freq_hz, line_win_s, line_harmonics", check_line_noise,
              rate, cfg.line_freq_hz, cfg.line_win_s, cfg.line_step_s, cfg.line_harmonics)
     firs = []
     for on, kind, cutoff, order in (
@@ -366,10 +368,11 @@ def clean_segment(rec: Recording, cfg: PipelineConfig, monmap, plan: StagePlan) 
     return out
 
 
-def preflight_segments(segments, plan: StagePlan) -> None:
-    """Check every segment's length against the planned FIR kernels and
-    the ASR calibration minimum before any segment is processed; the
-    first failure is the DataError process_segment would raise."""
+def preflight_segments(segments, cfg: PipelineConfig, plan: StagePlan) -> None:
+    """Check every segment's length against the planned FIR kernels, the
+    ASR calibration minimum and processing window, and the Welch window
+    before any segment is processed; the first failure is the DataError
+    process_segment would raise."""
     for i, seg in enumerate(segments):
         n = seg.recording.n_samples
         try:
@@ -377,6 +380,8 @@ def preflight_segments(segments, plan: StagePlan) -> None:
                 check_fir_length(n, fir)
             if plan.asr is not None:
                 calibration_windows(n, seg.recording.rate, plan.asr)
+                processing_window(n, seg.recording.rate, plan.asr)
+            check_welch_length(n, cfg.psd_segment)
         except ValueError as exc:
             raise DataError(f"segment {i} ({seg.condition}): {exc}") from None
 
@@ -503,7 +508,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     for seg in segments:
         if seg.report.actual_samples == 0:
             raise DataError(f"event {seg.condition} yields an empty segment")
-    preflight_segments(segments, plan)
+    preflight_segments(segments, cfg, plan)
 
     seg_results = [
         process_segment(seg.recording, seg.condition, cfg, monmap, plan, i)

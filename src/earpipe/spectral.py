@@ -71,6 +71,16 @@ def check_welch_window(seg: int, overlap: int) -> None:
         raise ValueError(f"overlap {overlap} must satisfy 0 <= overlap < seg ({seg})")
 
 
+def check_welch_length(n: int, seg: int) -> None:
+    """The length rule of welch_psd_recording: n samples must hold one window."""
+    if n < seg:
+        raise ValueError(f"{n} samples is too short for {seg}-sample windows")
+
+
+# floats in one chunk of windows welch_psd_recording transforms at once (2 MB)
+WELCH_CHUNK_ELEMS = 1 << 18
+
+
 def welch_psd(x: np.ndarray, rate: float, seg: int = 256, overlap: int = 64) -> PsdEstimate:
     """Welch periodogram average of a single channel.
 
@@ -93,9 +103,10 @@ def welch_psd_recording(
     """Per-channel Welch PSD of a recording.
 
     Segments hop by seg - overlap samples; each is mean-detrended,
-    Hamming-windowed and transformed; squared magnitudes are scaled by
-    1/(rate * sum(w^2)) and one-sided-doubled except at DC and Nyquist,
-    then averaged across segments.
+    Hamming-windowed and transformed; squared magnitudes are averaged
+    across segments, scaled by 1/(rate * sum(w^2)) and one-sided-doubled
+    except at DC and Nyquist. The kept segments are transformed in
+    chunks of a sliding-window view of the samples.
 
     exclude_spans lists [start_s, end_s) intervals (in the recording's
     own timebase, t0 = 0) whose overlapping segments are skipped, e.g.
@@ -104,37 +115,31 @@ def welch_psd_recording(
     check_welch_window(seg, overlap)
     hop = seg - overlap
     n = rec.n_samples
-    if n < seg:
-        raise ValueError(f"{n} samples is too short for {seg}-sample windows")
-    count = 1 + (n - seg) // hop
-    keep: list[int] = []
-    for j in range(count):
-        s = j * hop
-        t_lo = s / rec.rate
-        t_hi = (s + seg) / rec.rate
-        bad = False
-        for a, b in exclude_spans or ():
-            if t_lo < b and a < t_hi:
-                bad = True
-                break
-        if not bad:
-            keep.append(s)
-    if not keep:
+    check_welch_length(n, seg)
+    starts = np.arange(1 + (n - seg) // hop) * hop
+    t_lo = starts / rec.rate
+    t_hi = (starts + seg) / rec.rate
+    kept = np.ones(len(starts), dtype=bool)
+    for a, b in exclude_spans or ():
+        kept &= ~((t_lo < b) & (a < t_hi))
+    keep = starts[kept]
+    if len(keep) == 0:
         raise ValueError("every segment overlaps an excluded span; nothing to average")
 
     w = np.hamming(seg)
-    norm = 1.0 / (rec.rate * np.sum(w * w))
+    windows = np.lib.stride_tricks.sliding_window_view(rec.data, seg, axis=1)
+    per_chunk = max(1, WELCH_CHUNK_ELEMS // max(1, rec.n_channels * seg))
     acc = np.zeros((rec.n_channels, seg // 2 + 1))
-    for s in keep:
-        d = rec.data[:, s : s + seg]
-        d = d - d.mean(axis=1, keepdims=True)
-        spect = np.fft.rfft(d * w, axis=1)
-        p = (spect.real**2 + spect.imag**2) * norm
-        p[:, 1:] *= 2.0
-        if seg % 2 == 0:
-            p[:, -1] *= 0.5
-        acc += p
-    acc /= len(keep)
+    for i in range(0, len(keep), per_chunk):
+        d = windows[:, keep[i : i + per_chunk]]  # (channels, windows, seg), a copy
+        d -= d.mean(axis=2, keepdims=True)
+        d *= w
+        spect = np.fft.rfft(d, axis=2)
+        acc += (spect.real**2 + spect.imag**2).sum(axis=1)
+    acc *= 1.0 / (rec.rate * np.sum(w * w)) / len(keep)
+    acc[:, 1:] *= 2.0
+    if seg % 2 == 0:
+        acc[:, -1] *= 0.5
     return PsdEstimate(
         freqs=np.fft.rfftfreq(seg, d=1.0 / rec.rate),
         power=acc,

@@ -20,10 +20,20 @@ from earpipe.artifact import (
     ECG_MAX_UNITS,
     ICA_TOL,
     SKEW_EPOCH_S,
+    AsrConfig,
+    AsrModel,
+    FlaggedWindow,
     SkewUnit,
     _deflate,
     _whiten,
     epoch_skewness,
+)
+from earpipe.filters import (
+    FirFilter,
+    _line_design_matrix,
+    check_fir_length,
+    check_line_noise,
+    overlap_add_windows,
 )
 from earpipe.ingest import (
     ADS_GAIN,
@@ -39,6 +49,7 @@ from earpipe.ingest import (
     counts_to_microvolts,
     decode_word,
 )
+from earpipe.spectral import PsdEstimate, check_welch_window
 
 
 def dft(x: np.ndarray) -> np.ndarray:
@@ -349,3 +360,149 @@ def session_csv_text(rec) -> str:
         row = ",".join(f"{v:.6f}" for v in rec.data[:, i])
         lines.append(f"{t[i]:.6f},{row}\n")
     return "".join(lines)
+
+
+# The per-window stages as loops with one small numpy call per window or
+# row: a direct convolution per row, one lstsq per line-fit window, one
+# projection per ASR window and one FFT per Welch window. The package
+# runs them as block operations and must agree with these to rounding.
+
+
+def apply_zero_phase_loop(x: np.ndarray, fir: FirFilter) -> np.ndarray:
+    """filters.apply_zero_phase_array with one np.convolve per row."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    rows = x[None, :] if single else x
+    n = rows.shape[1]
+    check_fir_length(n, fir)
+    d = fir.group_delay
+    out = np.empty_like(rows)
+    for i in range(rows.shape[0]):
+        full = np.convolve(rows[i], fir.taps)
+        out[i] = full[d : d + n]
+    return out[0] if single else out
+
+
+def remove_line_noise_loop(
+    rec: Recording,
+    f0: float = 50.0,
+    win_s: float = 4.0,
+    step_s: float = 1.0,
+    harmonics: int = 1,
+) -> Recording:
+    """filters.remove_line_noise with one design matrix and lstsq per window."""
+    check_line_noise(rec.rate, f0, win_s, step_s, harmonics)
+    n = rec.n_samples
+    if n == 0:
+        raise ValueError("cannot filter an empty recording")
+    t = np.arange(n) / rec.rate
+
+    w_len = int(round(win_s * rec.rate))
+    if w_len >= n:
+        design = _line_design_matrix(t, f0, harmonics)
+        beta, *_ = np.linalg.lstsq(design, rec.data.T, rcond=None)
+        return rec.with_data(rec.data - (design @ beta).T)
+
+    starts, taper = overlap_add_windows(n, w_len, max(1, int(round(step_s * rec.rate))))
+    est = np.zeros_like(rec.data)
+    wsum = np.zeros(n)
+    for s in starts:
+        seg = rec.data[:, s : s + w_len]
+        design = _line_design_matrix(t[s : s + w_len], f0, harmonics)
+        beta, *_ = np.linalg.lstsq(design, seg.T, rcond=None)
+        est[:, s : s + w_len] += taper * (design @ beta).T
+        wsum[s : s + w_len] += taper
+    est /= np.maximum(wsum, np.finfo(float).tiny)
+    return rec.with_data(rec.data - est)
+
+
+def asr_process_loop(
+    rec: Recording, model: AsrModel, cfg: AsrConfig = AsrConfig()
+) -> tuple[Recording, list[FlaggedWindow]]:
+    """artifact.asr_process with one projection and RMS per window."""
+    if model.basis.shape[0] != rec.n_channels:
+        raise ValueError("model channel count does not match the recording")
+    n = rec.n_samples
+    w = int(round(cfg.proc_win_s * rec.rate))
+    if w < 2 or w > n:
+        raise ValueError(f"processing window of {cfg.proc_win_s} s does not fit the data")
+    starts, taper = overlap_add_windows(n, w, max(1, w // 2))
+    corr = np.zeros_like(rec.data)
+    wsum = np.zeros(n)
+    touched = np.zeros(n, dtype=bool)
+    flagged: list[FlaggedWindow] = []
+    n_comp = model.basis.shape[1]
+    for idx, s in enumerate(starts):
+        seg = rec.data[:, s : s + w]
+        comp = model.basis.T @ seg
+        rms = np.sqrt((comp**2).mean(axis=1))
+        bad = rms > model.thresholds
+        wsum[s : s + w] += taper
+        if not bad.any():
+            continue
+        comp_fixed = comp.copy()
+        comp_fixed[bad, :] = 0.0
+        rebuilt = model.basis @ comp_fixed
+        corr[:, s : s + w] += taper * (rebuilt - seg)
+        touched[s : s + w] = True
+        frac = float(bad.sum()) / n_comp
+        if frac > cfg.window_criterion:
+            flagged.append(
+                FlaggedWindow(index=idx, start_s=s / rec.rate, end_s=(s + w) / rec.rate,
+                              bad_fraction=frac)
+            )
+    if not touched.any():
+        return rec.with_data(rec.data), flagged
+    scale = np.where(wsum > 0, wsum, 1.0)
+    return rec.with_data(rec.data + np.where(touched, corr / scale, 0.0)), flagged
+
+
+def welch_psd_loop(
+    rec: Recording,
+    seg: int = 256,
+    overlap: int = 64,
+    exclude_spans: list[tuple[float, float]] | None = None,
+) -> PsdEstimate:
+    """spectral.welch_psd_recording with one FFT per window."""
+    check_welch_window(seg, overlap)
+    hop = seg - overlap
+    n = rec.n_samples
+    if n < seg:
+        raise ValueError(f"{n} samples is too short for {seg}-sample windows")
+    count = 1 + (n - seg) // hop
+    keep: list[int] = []
+    for j in range(count):
+        s = j * hop
+        t_lo = s / rec.rate
+        t_hi = (s + seg) / rec.rate
+        bad = False
+        for a, b in exclude_spans or ():
+            if t_lo < b and a < t_hi:
+                bad = True
+                break
+        if not bad:
+            keep.append(s)
+    if not keep:
+        raise ValueError("every segment overlaps an excluded span; nothing to average")
+
+    w = np.hamming(seg)
+    norm = 1.0 / (rec.rate * np.sum(w * w))
+    acc = np.zeros((rec.n_channels, seg // 2 + 1))
+    for s in keep:
+        d = rec.data[:, s : s + seg]
+        d = d - d.mean(axis=1, keepdims=True)
+        spect = np.fft.rfft(d * w, axis=1)
+        p = (spect.real**2 + spect.imag**2) * norm
+        p[:, 1:] *= 2.0
+        if seg % 2 == 0:
+            p[:, -1] *= 0.5
+        acc += p
+    acc /= len(keep)
+    return PsdEstimate(
+        freqs=np.fft.rfftfreq(seg, d=1.0 / rec.rate),
+        power=acc,
+        rate=rec.rate,
+        segment_length=seg,
+        window_count=len(keep),
+        labels=list(rec.labels),
+    )

@@ -23,9 +23,10 @@ from earpipe.artifact import (
     _third_moments,
 )
 from earpipe.ingest import Recording
+from earpipe.montage import builtin_montage_path, load_montage_csv, rereference_linked_mastoid
 from earpipe.synth import EcgSynthSpec, EegSynthSpec, gen_ecg, gen_eeg
 
-from oracles import align_sources, fixed_point_ica, skew_units_loop
+from oracles import align_sources, asr_process_loop, fixed_point_ica, skew_units_loop
 from test_acceptance import ecg_eeg_mixture
 
 RATE = 125.0
@@ -368,6 +369,49 @@ def test_flagged_window_reports_time_and_fraction():
     hits = [w for w in flagged if w.start_s <= 30.2 <= w.end_s]
     assert hits
     assert all(0.0 < w.bad_fraction <= 1.0 for w in hits)
+
+
+def rereferenced_bursts(seed: int, duration_s: float = 60.0) -> Recording:
+    """16 channels of noise, linked-mastoid re-referenced (rank 15), with a
+    strong 1 s burst at 15 s and 45 s and a weak one at 30 s."""
+    rec = gaussian_rec(seed, n_ch=16, duration_s=duration_s)
+    rng = np.random.default_rng(seed + 1)
+    for start_s, uv in ((15.0, 25.0), (30.0, 4.0), (45.0, 25.0)):
+        i0 = int(start_s * RATE)
+        burst = rng.normal(size=(16, 1)) * rng.normal(size=(1, int(RATE)))
+        rec.data[:, i0 : i0 + int(RATE)] += uv * burst
+    return rereference_linked_mastoid(rec, load_montage_csv(builtin_montage_path()))
+
+
+def test_asr_leaves_the_null_direction_of_a_rereferenced_montage_out():
+    rec = rereferenced_bursts(47)
+    cfg = AsrConfig()
+    model = asr_calibrate(rec, cfg)
+    assert model.basis.shape == (16, 15)
+    assert np.allclose(model.basis.T @ model.basis, np.eye(15))
+    _, flagged = asr_process(rec, model, cfg)
+    assert flagged
+    # a last-digit change of the data moves no window in or out, and no fraction
+    _, again = asr_process(rec.with_data(rec.data * (1 + 1e-13)), model, cfg)
+    assert [(w.index, w.bad_fraction) for w in again] == [
+        (w.index, w.bad_fraction) for w in flagged
+    ]
+    assert all(w.bad_fraction * 15 == round(w.bad_fraction * 15) for w in flagged)
+
+
+@pytest.mark.parametrize("seed, duration_s, proc_win_s", [(48, 60.0, 0.5), (49, 61.3, 0.5),
+                                                          (50, 50.0, 0.23)])
+def test_asr_matches_per_window_loop(seed, duration_s, proc_win_s):
+    # duration and window put the last window off the hop grid; 0.23 s is
+    # 29 samples, an odd window with a hop of 14
+    rec = rereferenced_bursts(seed, duration_s)
+    cfg = AsrConfig(proc_win_s=proc_win_s)
+    model = asr_calibrate(rec, cfg)
+    out, flagged = asr_process(rec, model, cfg)
+    want, want_flagged = asr_process_loop(rec, model, cfg)
+    assert flagged and flagged == want_flagged
+    assert not np.array_equal(out.data, rec.data)
+    assert np.max(np.abs(out.data - want.data)) <= 1e-12 * np.max(np.abs(rec.data))
 
 
 def test_calibration_excludes_artifact_windows():

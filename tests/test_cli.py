@@ -240,6 +240,34 @@ def test_run_checks_every_segment_length_before_any_segment(tmp_path, capsys, mo
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "events, body, message",
+    [
+        ("eyes_open,0,30\neyes_closed,30,31.5",
+         "[stages]\nhighpass = off\nlowpass = off\nasr = off",
+         "segment 1 (eyes_closed): 188 samples is too short for 256-sample windows"),
+        ("eyes_open,0,30\neyes_closed,30,50", "[pipeline]\nasr_proc_win_s = 25",
+         "segment 1 (eyes_closed): processing window of 25.0 s does not fit the data"),
+    ],
+)
+def test_run_checks_the_welch_and_asr_windows_before_any_segment(
+    tmp_path, capsys, monkeypatch, events, body, message
+):
+    data = synth_berger(tmp_path, capsys, segment_s=30)
+    (data / "events.csv").write_text(f"condition,start_s,end_s\n{events}\n")
+    calls = []
+    monkeypatch.setattr("earpipe.pipeline.extract_ecg", lambda *a, **k: calls.append(a))
+    cfg = write_spec(
+        tmp_path / "run.ini",
+        f"[input]\nsession = {data / 'session.csv'}\nevents = {data / 'events.csv'}\n\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n\n{body}\n",
+    )
+    code, _, err = run_cli(capsys, "run", "--config", cfg)
+    assert code == 3
+    assert json.loads(err)["message"] == message
+    assert calls == []
+
+
 def test_run_bad_config_exits_2(tmp_path, capsys):
     cfg = write_spec(tmp_path / "bad.ini", "[input]\nsession = x.csv\n")
     code, _, err = run_cli(capsys, "run", "--config", cfg)
@@ -319,6 +347,10 @@ def berger_20s(tmp_path_factory):
         ("reref_left = L3", {2}),
         ("psd_segment = 4000", {2, 3}),
         ("psd_segment = 5\npsd_overlap = 0", {2, 3}),
+        ("line_win_s = 0.008", {2}),  # 1 sample: the fit would wipe every band
+        ("line_win_s = 0.001", {2}),  # 0 samples: the stage would be skipped
+        ("line_win_s = inf", {2}),
+        ("asr_proc_win_s = inf", {2}),
     ],
 )
 def test_run_bad_stage_value_keeps_cli_contract(tmp_path, capsys, berger_20s, pipeline, codes):

@@ -1,17 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from earpipe.filters import (
+    FIR_BLOCK,
     FirSpec,
     apply_zero_phase,
     apply_zero_phase_array,
     baseline_correct,
+    check_line_noise,
     design_fir,
     remove_line_noise,
 )
 from earpipe.ingest import Recording
 
-from oracles import fir_response
+from oracles import apply_zero_phase_loop, fir_response, remove_line_noise_loop
 
 RATE = 125.0
 
@@ -153,3 +157,76 @@ def test_line_removal_short_recording_whole_fit():
     rec = Recording(rate=RATE, labels=["a"], data=x[None, :])
     out = remove_line_noise(rec, f0=50.0)
     assert np.sqrt(np.mean(out.data[0] ** 2)) < 0.05
+
+
+# the overlap-add FFT path against one direct convolution per row: one
+# block just short of, at and just past one block step, a kernel with
+# one more sample than taps, and many blocks
+@pytest.mark.parametrize("order, kind, cutoff", [(100, "lowpass", 45.0), (500, "highpass", 1.0)])
+@pytest.mark.parametrize("extra", ["taps+1", "step-1", "step", "step+1", "blocks"])
+@pytest.mark.parametrize("channels", [None, 16])
+def test_zero_phase_matches_direct_convolution(order, kind, cutoff, extra, channels):
+    fir = design_fir(FirSpec(kind, cutoff, order, "hann"), RATE)
+    step = FIR_BLOCK - fir.n_taps + 1
+    n = {"taps+1": fir.n_taps + 1, "step-1": step - 1, "step": step, "step+1": step + 1,
+         "blocks": 5 * step + 37}[extra]
+    rng = np.random.default_rng(order + n)
+    x = rng.normal(scale=30.0, size=n if channels is None else (channels, n)) + 5.0
+    y = apply_zero_phase_array(x, fir)
+    assert y.shape == x.shape
+    assert np.max(np.abs(y - apply_zero_phase_loop(x, fir))) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_zero_phase_peak_memory_is_the_output():
+    x = np.random.default_rng(8).normal(size=(16, 225_000))
+    fir = design_fir(FirSpec("highpass", 1.0, 500, "hann"), RATE)
+    tracemalloc.start()
+    try:
+        apply_zero_phase_array(x, fir)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * x.nbytes
+
+
+# one projector for every window against one design matrix and lstsq
+# per window: harmonics 1-3, 125 and 250 Hz, a window longer than the
+# segment, and a last window off the hop grid (30.3 s with 1 s hops)
+@pytest.mark.parametrize(
+    "rate, f0, harmonics, win_s, duration_s",
+    [
+        (125.0, 50.0, 1, 4.0, 30.3),
+        (250.0, 50.0, 2, 4.0, 30.3),
+        (125.0, 16.0, 3, 2.5, 20.0),
+        (250.0, 40.0, 3, 4.0, 30.3),
+        (125.0, 50.0, 1, 40.0, 30.3),
+        (250.0, 50.0, 2, 40.0, 30.0),
+    ],
+)
+def test_line_removal_matches_per_window_lstsq(rate, f0, harmonics, win_s, duration_s):
+    rng = np.random.default_rng(harmonics)
+    n = int(duration_s * rate)
+    t = np.arange(n) / rate
+    data = rng.normal(scale=5.0, size=(4, n))
+    for h in range(1, harmonics + 1):
+        phase = rng.uniform(0, 6, size=(4, 1))
+        data += rng.uniform(1, 20, size=(4, 1)) * np.sin(2 * np.pi * h * f0 * t + phase)
+    rec = Recording(rate=rate, labels=list("abcd"), data=data)
+    got = remove_line_noise(rec, f0=f0, win_s=win_s, harmonics=harmonics).data
+    want = remove_line_noise_loop(rec, f0=f0, win_s=win_s, harmonics=harmonics).data
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(data))
+
+
+@pytest.mark.parametrize(
+    "rate, win_s, harmonics, ok",
+    [(RATE, 0.008, 1, False), (RATE, 0.001, 1, False), (RATE, 0.032, 1, True),
+     (RATE, 0.032, 2, False), (1e308, 4.0, 1, True), (float("inf"), 4.0, 1, True)],
+)
+def test_line_window_must_hold_twice_the_regressors(rate, win_s, harmonics, ok):
+    # 0.032 s is 4 samples at 125 Hz: enough for one sin/cos pair, not two;
+    # a window of more samples than a float holds passes
+    if ok:
+        check_line_noise(rate, 10.0, win_s, 1.0, harmonics)
+    else:
+        with pytest.raises(ValueError, match=f"fewer than the {4 * harmonics} a fit"):
+            check_line_noise(rate, 10.0, win_s, 1.0, harmonics)

@@ -16,7 +16,7 @@ from earpipe.spectral import (
     write_band_table,
 )
 
-from oracles import psd_one_window
+from oracles import psd_one_window, welch_psd_loop
 
 RATE = 125.0
 
@@ -73,6 +73,18 @@ def test_recording_psd_and_exclusion():
     part = welch_psd_recording(rec, seg=256, overlap=64, exclude_spans=[(5.0, 8.0)])
     assert part.window_count < full.window_count
     assert part.power.shape == full.power.shape
+
+
+@pytest.mark.parametrize("seg, overlap", [(256, 64), (255, 0), (64, 63)])
+@pytest.mark.parametrize("exclude", [None, [(5.0, 8.0), (8.5, 8.6), (19.0, 30.0)]])
+def test_recording_psd_matches_per_window_loop(seg, overlap, exclude):
+    rng = np.random.default_rng(seg)
+    rec = Recording(rate=RATE, labels=list("abc"), data=rng.normal(3.0, 20.0, size=(3, 2531)))
+    got = welch_psd_recording(rec, seg=seg, overlap=overlap, exclude_spans=exclude)
+    want = welch_psd_loop(rec, seg=seg, overlap=overlap, exclude_spans=exclude)
+    assert got.window_count == want.window_count
+    assert np.array_equal(got.freqs, want.freqs)
+    assert np.allclose(got.power, want.power, rtol=1e-12, atol=0.0)
 
 
 def test_exclusion_of_everything_errors():
