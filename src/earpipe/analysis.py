@@ -87,11 +87,7 @@ def pool_channels(rows: list[BandPowerRow]) -> dict:
 
 
 def _band_names(rows: list[BandPowerRow]) -> list[str]:
-    seen: list[str] = []
-    for r in rows:
-        if r.band not in seen:
-            seen.append(r.band)
-    return seen
+    return list(dict.fromkeys(r.band for r in rows))
 
 
 def _joined_arrays(pooled: dict, scores: dict, band: str, exclude: tuple):
@@ -124,19 +120,13 @@ def band_score_models(rows: list[BandPowerRow], scores: dict, exclude: tuple = (
     out: dict = {"workload_linear": {}, "flow_quadratic": {}}
     for band in _band_names(rows):
         participants, power, tlx, flow = _joined_arrays(pooled, scores, band, exclude)
-        if len(power) < 3:
-            why = f"only {len(power)} joined observations"
-            out["workload_linear"][band] = {"status": "not_computed", "reason": why}
-            out["flow_quadratic"][band] = {"status": "not_computed", "reason": why}
-            continue
         try:
-            pz = z_standardize(power, participants)
-            tz = z_standardize(tlx, participants)
-            fz = z_standardize(flow, participants)
+            if len(power) < 3:
+                raise ValueError(f"only {len(power)} joined observations")
+            pz, tz, fz = (z_standardize(v, participants) for v in (power, tlx, flow))
         except ValueError as exc:
-            why = str(exc)
-            out["workload_linear"][band] = {"status": "not_computed", "reason": why}
-            out["flow_quadratic"][band] = {"status": "not_computed", "reason": why}
+            for model in out.values():
+                model[band] = {"status": "not_computed", "reason": str(exc)}
             continue
         out["workload_linear"][band] = _fit_or_reason(fit_linear, pz, tz)
         out["flow_quadratic"][band] = _fit_or_reason(fit_quadratic_orthogonal, pz, fz)

@@ -531,7 +531,6 @@ def asr_process(
     for s in starts:
         wsum[s : s + w] += taper
     corr = np.zeros_like(rec.data)
-    touched = np.zeros(n, dtype=bool)
     flagged: list[FlaggedWindow] = []
     n_comp = model.basis.shape[1]
     for idx in hits:
@@ -541,7 +540,6 @@ def asr_process(
         comp[bad[:, idx], :] = 0.0
         rebuilt = model.basis @ comp
         corr[:, s : s + w] += taper * (rebuilt - seg)
-        touched[s : s + w] = True
         frac = float(bad[:, idx].sum()) / n_comp
         if frac > cfg.window_criterion:
             flagged.append(
@@ -549,6 +547,5 @@ def asr_process(
                               bad_fraction=frac)
             )
     corr /= np.where(wsum > 0, wsum, 1.0)
-    corr[:, ~touched] = 0.0
     corr += rec.data
     return rec.with_data(corr), flagged

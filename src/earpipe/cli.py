@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import analyze_tables, read_scores
 from .artifact import ECG_SKEW_THRESHOLD, SKEW_EPOCH_S, detect_beats, epoch_skewness
-from .cardiac import rr_periods, match_beats, paired_rr
+from .cardiac import rr_periods
 from .ingest import (
     cut_segments,
     load_events_csv,
@@ -39,6 +39,7 @@ from .pipeline import (
     psd_band_rows,
     read_ini,
     read_sections,
+    rr_agreement,
     rr_rows,
     run_pipeline,
     write_rr_csv,
@@ -52,7 +53,6 @@ from .spectral import (
     write_band_table,
     read_band_table,
 )
-from .stats import bland_altman
 from .synth import BergerSpec, EcgSynthSpec, EegSynthSpec, berger_session, gen_ecg, gen_eeg
 
 
@@ -226,21 +226,7 @@ def cmd_ecg(args) -> int:
 def cmd_agree(args) -> int:
     ref = load_input("R-R file", load_rr_beats, args.ref)
     alt = load_input("R-R file", load_rr_beats, args.alt)
-    match = match_beats(ref, alt, args.tolerance)
-    rr_ref, rr_alt = paired_rr(match, ref, alt)
-    if len(rr_ref) < 2:
-        raise DataError(
-            f"only {len(rr_ref)} paired R-R intervals at tolerance {args.tolerance}s"
-        )
-    report = bland_altman(rr_ref, rr_alt)
-    payload = {
-        "matched_beats": len(match.pairs),
-        "unmatched_ref": match.unmatched_ref,
-        "unmatched_alt": match.unmatched_alt,
-        "rr_pairs": len(rr_ref),
-        "tolerance_s": args.tolerance,
-        **report.to_dict(),
-    }
+    payload = {**rr_agreement(ref, alt, args.tolerance), "tolerance_s": args.tolerance}
     if args.out:
         _json_dump(payload, args.out)
     _emit({"command": "agree", **payload})

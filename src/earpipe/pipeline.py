@@ -154,8 +154,9 @@ class PipelineConfig:
             problems.append("input: exactly one of 'session' or 'raw' must be set")
         if self.events is None:
             problems.append("input: 'events' file is required")
-        if self.raw is not None and not self.rate > 0:
-            problems.append(f"input: rate must be positive, got {self.rate}")
+        if self.raw is not None and not 0 < self.rate < float("inf"):
+            rule = "finite" if self.rate > 0 else "positive"
+            problems.append(f"input: rate must be {rule}, got {self.rate}")
         choices = {"ica_input": ("filtered", "asr"), "psd_average": ("per_segment", "pooled")}
         for key, allowed in choices.items():
             value = getattr(self, key)
@@ -279,8 +280,9 @@ def _read_bytes(path) -> bytes:
 
 
 def _load_inputs(cfg: PipelineConfig):
-    """The session, events and montage; the stream report is None for a
-    session CSV."""
+    """The session, events, montage, stream report, reference beats and
+    scores; the stream report is None for a session CSV, the last two
+    None when not configured."""
     stream = None
     if cfg.session is not None:
         rec = load_input("session file", load_session_csv, cfg.session)
@@ -291,7 +293,12 @@ def _load_inputs(cfg: PipelineConfig):
     violations = validate_montage(monmap)
     if violations:
         raise DataError(f"montage violates constraints: {', '.join(violations)}")
-    return rec, events, monmap, stream
+    ref_beats = scores = None
+    if cfg.reference_rr:
+        ref_beats = load_input("R-R file", load_rr_beats, cfg.reference_rr)
+    if cfg.surveys:
+        scores = load_input("surveys file", read_scores, cfg.surveys, cfg.participant)
+    return rec, events, monmap, stream, ref_beats, scores
 
 
 @dataclass(frozen=True)
@@ -486,18 +493,32 @@ def psd_band_rows(participant: str, condition: str, psd, bands) -> list[BandPowe
     ]
 
 
-def run_pipeline(cfg: PipelineConfig) -> dict:
-    """Execute the full chain and write all reports into cfg.out_dir."""
-    t_start = time.time()
+@dataclass
+class RunResult:
+    """What one run computed: the content of every report but run_meta.json."""
+
+    cfg: PipelineConfig
+    started_unix: float  # when compute_run began; run_meta.json's elapsed_s counts from it
+    conditions: list[str]
+    band_rows: list[BandPowerRow]
+    qc: dict
+    integrity: dict
+    rr_rows: list
+    bland_altman: dict
+    regression: dict
+
+
+def compute_run(cfg: PipelineConfig) -> RunResult:
+    """Load every input, process every segment and build the content of
+    every report but run_meta.json; writes no file."""
+    started = time.time()
     problems = cfg.validate()
     if problems:
         raise ConfigError("; ".join(problems))
-    rec, events, monmap, stream = _load_inputs(cfg)
+    rec, events, monmap, stream, ref_beats, scores = _load_inputs(cfg)
     plan = plan_stages(cfg, rec, monmap)
     if rec.n_channels == len(monmap.channel_of):
         rec = relabel_by_montage(rec, monmap)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     segments = cut_segments(rec, events)
     # the segments hold copies of their samples; drop the whole session
@@ -517,10 +538,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
     # band powers per condition: average linear PSDs across a condition's
     # segments (or pool samples before the PSD), then dB and median bands
-    conditions: list[str] = []
-    for s in segments:
-        if s.condition not in conditions:
-            conditions.append(s.condition)
+    conditions = list(dict.fromkeys(s.condition for s in segments))
     band_rows: list[BandPowerRow] = []
     for cond in conditions:
         idx = [i for i, s in enumerate(segments) if s.condition == cond]
@@ -537,17 +555,14 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                 pooled, seg=cfg.psd_segment, overlap=cfg.psd_overlap, exclude_spans=exclude
             )
         else:
-            psd = seg_results[idx[0]].psd
-            if len(idx) > 1:
-                psd = replace(
-                    psd,
-                    power=np.mean([seg_results[i].psd.power for i in idx], axis=0),
-                    window_count=sum(seg_results[i].psd.window_count for i in idx),
-                )
+            psd = replace(
+                seg_results[idx[0]].psd,
+                power=np.mean([seg_results[i].psd.power for i in idx], axis=0),
+                window_count=sum(seg_results[i].psd.window_count for i in idx),
+            )
         band_rows.extend(psd_band_rows(cfg.participant, cond, psd, cfg.bands))
-    write_band_table(band_rows, out_dir / "bands.csv")
 
-    qc_payload = {
+    qc = {
         "participant": cfg.participant,
         "rate": rate,
         "segments": [
@@ -561,63 +576,76 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             for r in seg_results
         ],
     }
-    _json_dump(qc_payload, out_dir / "qc.json")
-    integrity = [{"condition": seg.condition, **seg.report.to_dict()} for seg in segments]
-    integrity_payload: dict = {"segments": integrity}
+    integrity = {"segments": [{"condition": s.condition, **s.report.to_dict()} for s in segments]}
     if stream is not None:
-        integrity_payload["stream"] = stream.to_dict()
-    _json_dump(integrity_payload, out_dir / "integrity.json")
+        integrity["stream"] = stream.to_dict()
 
     picked = [
         (seg.report.first_t, res.ecg.beats) for seg, res in zip(segments, seg_results) if res.ecg
     ]
-    write_rr_csv([row for t0, beats in picked for row in rr_rows(beats, t0)], out_dir / "rr.csv")
+    try:
+        if ref_beats is None:
+            raise DataError("no reference R-R series configured")
+        if not picked:
+            raise DataError("no ECG component detected")
+        alt = BeatSeries(np.concatenate([t0 + beats.beat_times for t0, beats in picked]), rate)
+        ba = {"status": "ok", **rr_agreement(ref_beats, alt, cfg.match_tolerance_s)}
+    except DataError as exc:
+        ba = {"status": "not_computed", "reason": str(exc)}
+    rr = [row for t0, beats in picked for row in rr_rows(beats, t0)]
+    regression = _run_regressions(cfg, band_rows, scores)
+    return RunResult(cfg, started, conditions, band_rows, qc, integrity, rr, ba, regression)
 
-    ba_payload: dict
-    if cfg.reference_rr:
-        ref_beats = load_input("R-R file", load_rr_beats, cfg.reference_rr)
-        alt_times = [t for t0, beats in picked for t in (t0 + beats.beat_times).tolist()]
-        if len(alt_times) >= 3:
-            alt_beats = BeatSeries(beat_times=np.array(alt_times), rate=rate)
-            match = match_beats(ref_beats, alt_beats, cfg.match_tolerance_s)
-            rr_ref, rr_alt = paired_rr(match, ref_beats, alt_beats)
-            if len(rr_ref) >= 2:
-                ba = bland_altman(rr_ref, rr_alt)
-                ba_payload = {
-                    "status": "ok",
-                    "matched_pairs": len(match.pairs),
-                    "unmatched_ref": match.unmatched_ref,
-                    "unmatched_alt": match.unmatched_alt,
-                    "rr_pairs": len(rr_ref),
-                    **ba.to_dict(),
-                }
-            else:
-                ba_payload = {"status": "not_computed", "reason": "too few matched R-R pairs"}
-        else:
-            ba_payload = {"status": "not_computed", "reason": "no ECG component detected"}
-    else:
-        ba_payload = {"status": "not_computed", "reason": "no reference R-R series configured"}
-    _json_dump(ba_payload, out_dir / "bland_altman.json")
 
-    regression_payload = _run_regressions(cfg, band_rows)
-    _json_dump(regression_payload, out_dir / "regression.json")
-
+def write_reports(result: RunResult, out_dir) -> dict:
+    """Write a run's seven reports into out_dir, made if missing; returns
+    the run summary."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_band_table(result.band_rows, out_dir / "bands.csv")
+    _json_dump(result.qc, out_dir / "qc.json")
+    _json_dump(result.integrity, out_dir / "integrity.json")
+    write_rr_csv(result.rr_rows, out_dir / "rr.csv")
+    _json_dump(result.bland_altman, out_dir / "bland_altman.json")
+    _json_dump(result.regression, out_dir / "regression.json")
+    n_segments = len(result.integrity["segments"])
     _json_dump(
         {
             "version": __version__,
             "numpy_version": np.__version__,
-            "config": asdict(cfg),
-            "elapsed_s": round(time.time() - t_start, 3),
+            "config": asdict(result.cfg),
+            "elapsed_s": round(time.time() - result.started_unix, 3),
             "finished_unix": time.time(),
-            "n_segments": len(segments),
+            "n_segments": n_segments,
         },
         out_dir / "run_meta.json",
     )
     return {
         "out_dir": str(out_dir),
-        "n_segments": len(segments),
-        "conditions": conditions,
-        "band_rows": len(band_rows),
+        "n_segments": n_segments,
+        "conditions": result.conditions,
+        "band_rows": len(result.band_rows),
+    }
+
+
+def run_pipeline(cfg: PipelineConfig) -> dict:
+    """Execute the full chain, then write all reports into cfg.out_dir."""
+    return write_reports(compute_run(cfg), cfg.out_dir)
+
+
+def rr_agreement(ref: BeatSeries, alt: BeatSeries, tolerance_s: float) -> dict:
+    """Bland-Altman agreement of the R-R intervals between beats matched
+    within tolerance_s; a DataError when fewer than two intervals pair."""
+    match = match_beats(ref, alt, tolerance_s)
+    rr_ref, rr_alt = paired_rr(match, ref, alt)
+    if len(rr_ref) < 2:
+        raise DataError(f"only {len(rr_ref)} paired R-R intervals at tolerance {tolerance_s}s")
+    return {
+        "matched_pairs": len(match.pairs),
+        "unmatched_ref": match.unmatched_ref,
+        "unmatched_alt": match.unmatched_alt,
+        "rr_pairs": len(rr_ref),
+        **bland_altman(rr_ref, rr_alt).to_dict(),
     }
 
 
@@ -648,10 +676,9 @@ def load_rr_beats(path) -> BeatSeries:
     return BeatSeries(beat_times=np.array(beats), rate=0.0)
 
 
-def _run_regressions(cfg: PipelineConfig, band_rows) -> dict:
-    if not cfg.surveys:
+def _run_regressions(cfg: PipelineConfig, band_rows, scores) -> dict:
+    if scores is None:
         return {"status": "not_computed", "reason": "no surveys configured"}
-    scores = load_input("surveys file", read_scores, cfg.surveys, cfg.participant)
     return {
         "status": "ok",
         "excluded_conditions": list(cfg.exclude_conditions),

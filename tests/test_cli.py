@@ -275,8 +275,15 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
     assert json.loads(err)["error"] == "config"
 
 
-@pytest.mark.parametrize("rate", ["0", "-125"])
-def test_run_raw_rate_not_positive_exits_2(tmp_path, capsys, rate):
+@pytest.mark.parametrize(
+    "rate, rule",
+    [
+        pytest.param("0", "positive", id="0"),
+        pytest.param("-125", "positive", id="-125"),
+        pytest.param("inf", "finite", id="inf"),  # a zero sample period
+    ],
+)
+def test_run_raw_rate_not_positive_exits_2(tmp_path, capsys, rate, rule):
     raw = tmp_path / "stream.bin"
     raw.write_bytes(encode_stream(np.zeros((250, 16), dtype=int)))
     (tmp_path / "events.csv").write_text("condition,start_s,end_s\nall,0,1\n")
@@ -289,7 +296,7 @@ def test_run_raw_rate_not_positive_exits_2(tmp_path, capsys, rate):
     assert code == 2
     diag = json.loads(err)
     assert diag["error"] == "config"
-    assert f"rate must be positive, got {float(rate)}" in diag["message"]
+    assert f"rate must be {rule}, got {float(rate)}" in diag["message"]
 
 
 def test_run_without_ecg_detection_needs_no_ica_seed(tmp_path, capsys):
@@ -491,6 +498,8 @@ def test_ecg_then_agree(tmp_path, capsys):
     assert code == 0
     report = last_json(out)
     assert report["rr_pairs"] >= 20
+    # the same key as bland_altman.json of earpipe run
+    assert report["matched_pairs"] > report["rr_pairs"] and "matched_beats" not in report
     assert abs(report["mean_diff_ms"]) < 5.0
     saved = json.loads((tmp_path / "agree.json").read_text())
     assert saved["mean_diff_ms"] == report["mean_diff_ms"]

@@ -1,6 +1,7 @@
 import configparser
 import json
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,11 @@ from earpipe.pipeline import (
     DataError,
     _SECTIONS,
     PipelineConfig,
+    compute_run,
     load_config,
     load_rr_beats,
     run_pipeline,
+    write_reports,
 )
 from earpipe.spectral import read_band_table
 from earpipe.synth import BergerSpec, berger_session
@@ -375,6 +378,50 @@ def test_segment_too_short_for_asr_calibration_fails_before_any_segment(tmp_path
                                         r"calibration windows, data allows 8$"):
         run_pipeline(cfg)
     assert cleaned == []
+
+
+
+# a reference R-R series or a surveys file that cannot be read is found
+# while the inputs load, before any segment runs or any report is written
+@pytest.mark.parametrize(
+    "key, content, message",
+    [
+        ("reference_rr", None, r"^R-R file not found: "),
+        ("reference_rr", "t,rr\n1.0,1000.0\n", r"expected header beat_time_s,rr_ms"),
+        ("surveys", None, r"^surveys file not found: "),
+        ("surveys", "participant,condition,score\nP07,eyes_open,3\n",
+         r"expected either item columns"),
+    ],
+    ids=["missing-reference-rr", "malformed-reference-rr", "missing-surveys", "malformed-surveys"],
+)
+def test_bad_optional_input_fails_before_any_segment(tmp_path, monkeypatch, key, content, message):
+    berger_inputs(tmp_path, segment_s=10.0)
+    path = tmp_path / f"{key}.csv"
+    if content is not None:
+        path.write_text(content)
+    cleaned = []
+    monkeypatch.setattr("earpipe.pipeline.clean_segment", lambda *a: cleaned.append(a))
+    cfg = replace(load_config(base_config(tmp_path)), **{key: str(path)})
+    with pytest.raises(DataError, match=message):
+        run_pipeline(cfg)
+    assert cleaned == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_compute_run_writes_nothing_and_write_reports_gives_the_run_bytes(tmp_path):
+    berger_inputs(tmp_path, segment_s=10.0)
+    cfg = load_config(base_config(tmp_path))
+    result = compute_run(cfg)
+    assert not Path(cfg.out_dir).exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["events.csv", "run.ini", "session.csv"]
+    summary = write_reports(result, tmp_path / "written")
+    assert summary == {**run_pipeline(cfg), "out_dir": str(tmp_path / "written")}
+    names = ["bands.csv", "qc.json", "integrity.json", "rr.csv", "bland_altman.json",
+             "regression.json"]
+    for name in names:
+        assert (tmp_path / "written" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
+    written = sorted(p.name for p in (tmp_path / "written").iterdir())
+    assert written == sorted(names + ["run_meta.json"])
 
 
 def test_reduced_montage_with_rereference_fails_before_any_segment(tmp_path):
