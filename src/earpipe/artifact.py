@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cardiac import MIN_DURATION_S, BeatSeries, pan_tompkins
-from .filters import overlap_add_windows
+from .filters import blend_windows, overlap_add_windows
 from .ingest import Recording
 
 ICA_TOL = 1e-6
@@ -444,10 +444,8 @@ def asr_calibrate(rec: Recording, cfg: AsrConfig = AsrConfig()) -> AsrModel:
     clean windows.
     """
     w, count = calibration_windows(rec.n_samples, rec.rate, cfg)
-    chunks = rec.data[:, : count * w].reshape(rec.n_channels, count, w)
-    # RMS one channel (and below one component) at a time, so no
-    # segment-sized temporary is squared
-    rms = np.sqrt(np.array([(c * c).mean(axis=1) for c in chunks]))  # (channels, windows)
+    starts = np.arange(count) * w
+    rms = _window_rms(rec.data, np.eye(rec.n_channels), starts, w)  # (channels, windows)
     mu = rms.mean(axis=1, keepdims=True)
     sd = rms.std(axis=1, ddof=0, keepdims=True)
     sd = np.where(sd > 0, sd, 1.0)
@@ -459,17 +457,14 @@ def asr_calibrate(rec: Recording, cfg: AsrConfig = AsrConfig()) -> AsrModel:
             f"only {n_clean} clean calibration windows (z in [{CALIB_Z_BOUNDS[0]}, "
             f"{CALIB_Z_BOUNDS[1]}]); need {MIN_CALIB_WINDOWS}"
         )
-    # the one copy of the clean windows; it is contiguous, so xc is a view of it
-    clean_chunks = chunks.compress(clean, axis=1)
-    xc = clean_chunks.reshape(rec.n_channels, -1)
+    # the one copy of the clean windows, freed before their components are formed
+    chunks = rec.data[:, : count * w].reshape(rec.n_channels, count, w)
+    xc = chunks.compress(clean, axis=1).reshape(rec.n_channels, -1)
     cov = (xc @ xc.T) / xc.shape[1]
+    del xc
     evals, basis = np.linalg.eigh(cov)
     basis = basis[:, _above_null(evals)]
-    comp_rms = np.empty((n_clean, basis.shape[1]))  # (clean windows, components)
-    for j, b in enumerate(basis.T):
-        comp = np.einsum("c,cwt->wt", b, clean_chunks)
-        comp_rms[:, j] = (comp * comp).mean(axis=1)
-    np.sqrt(comp_rms, out=comp_rms)
+    comp_rms = _window_rms(rec.data, basis, starts[clean], w).T  # (clean windows, components)
     thr = comp_rms.mean(axis=0) + cfg.burst_k * comp_rms.std(axis=0, ddof=0)
     return AsrModel(basis=basis, thresholds=thr, calib_windows_used=n_clean)
 
@@ -483,16 +478,16 @@ def processing_window(n_samples: int, rate: float, cfg: AsrConfig) -> int:
     return w
 
 
-# floats in one block of squared component values in _window_rms (2 MB)
+# floats in one block of _window_rms: its squared components plus their windows' copy (2 MB)
 ASR_BLOCK_ELEMS = 1 << 18
 
 
 def _window_rms(x: np.ndarray, basis: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
-    """The RMS of every component over every length-w window, (components,
-    windows); the components are formed one column block of windows at a time."""
+    """The RMS of every component over the length-w windows at ascending starts,
+    (components, windows); the components are formed one column block of windows at a time."""
     k = basis.shape[1]
     rms = np.empty((k, len(starts)))
-    per_block = max(1, ASR_BLOCK_ELEMS // max(1, k * w))
+    per_block = max(1, ASR_BLOCK_ELEMS // max(1, 2 * k * w))
     for i in range(0, len(starts), per_block):
         first = starts[i]
         block = starts[i : i + per_block] - first
@@ -524,28 +519,22 @@ def asr_process(
     w = processing_window(n, rec.rate, cfg)
     starts, taper = overlap_add_windows(n, w, max(1, w // 2))
     bad = _window_rms(rec.data, model.basis, np.asarray(starts), w) > model.thresholds[:, None]
+    frac = bad.mean(axis=0)
+    flagged = [
+        FlaggedWindow(index=int(i), start_s=starts[i] / rec.rate, end_s=(starts[i] + w) / rec.rate,
+                      bad_fraction=float(frac[i]))
+        for i in np.flatnonzero(frac > cfg.window_criterion)
+    ]
     hits = np.flatnonzero(bad.any(axis=0))
     if len(hits) == 0:
-        return rec.with_data(rec.data), []
-    wsum = np.zeros(n)
-    for s in starts:
-        wsum[s : s + w] += taper
-    corr = np.zeros_like(rec.data)
-    flagged: list[FlaggedWindow] = []
-    n_comp = model.basis.shape[1]
-    for idx in hits:
-        s = starts[idx]
-        seg = rec.data[:, s : s + w]
-        comp = model.basis.T @ seg
-        comp[bad[:, idx], :] = 0.0
-        rebuilt = model.basis @ comp
-        corr[:, s : s + w] += taper * (rebuilt - seg)
-        frac = float(bad[:, idx].sum()) / n_comp
-        if frac > cfg.window_criterion:
-            flagged.append(
-                FlaggedWindow(index=int(idx), start_s=s / rec.rate, end_s=(s + w) / rec.rate,
-                              bad_fraction=frac)
-            )
-    corr /= np.where(wsum > 0, wsum, 1.0)
-    corr += rec.data
-    return rec.with_data(corr), flagged
+        return rec.with_data(rec.data), flagged
+
+    def corrections():
+        for i in hits:
+            seg = rec.data[:, starts[i] : starts[i] + w]
+            comp = model.basis.T @ seg
+            comp[bad[:, i], :] = 0.0
+            yield starts[i], model.basis @ comp - seg
+
+    blended = blend_windows(rec.data.shape, starts, taper, corrections())
+    return rec.with_data(rec.data + blended), flagged

@@ -1,15 +1,17 @@
 """Command line front end.
 
 Exit codes: 0 on success, 2 for configuration problems (bad flags,
-malformed or inconsistent config files), 3 for data problems (missing
-or unreadable inputs). Diagnostics go to stderr as a single JSON object
-so callers can parse failures; result summaries go to stdout.
+malformed or inconsistent config files, an output path that cannot be
+written), 3 for data problems (missing or unreadable inputs).
+Diagnostics go to stderr as a single JSON object so callers can parse
+failures; result summaries go to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -32,11 +34,10 @@ from .pipeline import (
     DataError,
     _json_dump,
     _jsonable,
-    _read_bytes,
+    condition_band_rows,
     load_config,
     load_input,
     load_rr_beats,
-    psd_band_rows,
     read_ini,
     read_sections,
     rr_agreement,
@@ -57,7 +58,7 @@ from .synth import BergerSpec, EcgSynthSpec, EegSynthSpec, berger_session, gen_e
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(_jsonable(payload), sort_keys=True))
+    print(json.dumps(_jsonable(payload), sort_keys=True, allow_nan=False))
 
 
 # --- synth spec parsing ------------------------------------------------------
@@ -92,7 +93,10 @@ def _read_synth_spec(path, seed_override: int | None):
 
 
 def cmd_parse(args) -> int:
-    rec, report = parse_stream(load_input("raw stream", _read_bytes, args.raw), rate=args.rate)
+    if not 0 < args.rate < math.inf:  # also refuses nan
+        raise ConfigError(f"--rate must be positive and finite, got {args.rate}")
+    raw = load_input("raw stream", Path.read_bytes, Path(args.raw))
+    rec, report = parse_stream(raw, rate=args.rate)
     # zero decoded frames is a valid outcome (empty or unrecoverable input):
     # the session CSV is then header-only and the integrity report says why
     out = Path(args.out_dir)
@@ -111,8 +115,8 @@ def cmd_parse(args) -> int:
     return 0
 
 
-def cmd_synth(args, seed_override: int | None) -> int:
-    kind, spec = _read_synth_spec(args.spec, seed_override)
+def cmd_synth(args) -> int:
+    kind, spec = _read_synth_spec(args.spec, args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if kind == "ecg":
@@ -143,11 +147,11 @@ def cmd_synth(args, seed_override: int | None) -> int:
     return 0
 
 
-def cmd_run(args, seed_override: int | None, line_override: float | None) -> int:
+def cmd_run(args) -> int:
     if args.config is None:
         raise ConfigError("run needs a config: pass --config either globally or after 'run'")
     cfg = load_config(
-        args.config, out_dir=args.out_dir, ica_seed=seed_override, line_freq_hz=line_override
+        args.config, out_dir=args.out_dir, ica_seed=args.seed, line_freq_hz=args.line_freq
     )
     _emit({"command": "run", **run_pipeline(cfg)})
     return 0
@@ -167,17 +171,22 @@ def cmd_bands(args) -> int:
         check_welch_window(args.segment, args.overlap)
     except ValueError as exc:
         raise ConfigError(f"--segment, --overlap: {exc}") from None
-    rows: list[BandPowerRow] = []
-    for seg in cut_segments(rec, events):
+    try:
+        segments = cut_segments(rec, events)
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
+    psds = []
+    for seg in segments:
         # with the window checked, Welch can only find the segment too short
         try:
-            psd = welch_psd_recording(seg.recording, seg=args.segment, overlap=args.overlap)
+            psds.append((seg.condition, welch_psd_recording(
+                seg.recording, seg=args.segment, overlap=args.overlap)))
         except ValueError as exc:
             raise DataError(f"segment {seg.condition}: {exc}") from None
-        try:
-            rows.extend(psd_band_rows(args.participant, seg.condition, psd, bands))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    try:
+        rows = condition_band_rows(args.participant, psds, bands)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     write_band_table(rows, args.out)
     _emit({"command": "bands", "rows": len(rows), "out": args.out})
     return 0
@@ -224,6 +233,8 @@ def cmd_ecg(args) -> int:
 
 
 def cmd_agree(args) -> int:
+    if not args.tolerance > 0:  # also refuses nan
+        raise ConfigError(f"--tolerance must be positive, got {args.tolerance}")
     ref = load_input("R-R file", load_rr_beats, args.ref)
     alt = load_input("R-R file", load_rr_beats, args.alt)
     payload = {**rr_agreement(ref, alt, args.tolerance), "tolerance_s": args.tolerance}
@@ -272,8 +283,15 @@ def cmd_analyze(args) -> int:
 # --- entry point -------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are ConfigErrors, reported as one JSON object; subparsers share it."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="earpipe",
         description="Around-the-ear EEG/ECG processing: parse, clean, "
         "score bands, recover heartbeats, compare and analyze.",
@@ -291,19 +309,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="decode a raw amplifier byte stream to a session CSV")
+    p.set_defaults(handler=cmd_parse)
     p.add_argument("--raw", required=True, help="raw packet stream file")
     p.add_argument("--rate", type=float, default=125.0, help="nominal frame rate in Hz")
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("synth", help="generate synthetic sessions from a spec file")
+    p.set_defaults(handler=cmd_synth)
     p.add_argument("--spec", required=True, help="INI spec with [synth] kind/seed")
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("run", help="run the full cleaning and scoring chain")
+    p.set_defaults(handler=cmd_run)
     p.add_argument("--config", default=argparse.SUPPRESS, help="pipeline INI config")
     p.add_argument("--out-dir", default=None, help="override [output] dir")
 
     p = sub.add_parser("bands", help="band powers from a session CSV without cleaning")
+    p.set_defaults(handler=cmd_bands)
     p.add_argument("--session", required=True)
     p.add_argument("--events", default=None)
     p.add_argument("--bands", default=None, help="name:lo:hi[,name:lo:hi...]")
@@ -313,17 +335,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("ecg", help="detect beats on one channel and write R-R intervals")
+    p.set_defaults(handler=cmd_ecg)
     p.add_argument("--session", required=True)
     p.add_argument("--channel", required=True, help="channel label or 1-based index")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("agree", help="compare two R-R series (Bland-Altman)")
+    p.set_defaults(handler=cmd_agree)
     p.add_argument("--ref", required=True, help="reference rr.csv")
     p.add_argument("--alt", required=True, help="alternative rr.csv")
     p.add_argument("--tolerance", type=float, default=0.15, help="beat match tolerance in s")
     p.add_argument("--out", default=None, help="also write the report to this JSON file")
 
     p = sub.add_parser("analyze", help="group regressions and contrasts over band tables")
+    p.set_defaults(handler=cmd_analyze)
     p.add_argument("--bands", required=True, nargs="+", help="one or more band table CSVs")
     p.add_argument("--scores", default=None, help="questionnaire scores CSV")
     p.add_argument(
@@ -339,30 +364,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.command == "parse":
-            return cmd_parse(args)
-        if args.command == "synth":
-            return cmd_synth(args, args.seed)
-        if args.command == "run":
-            return cmd_run(args, args.seed, args.line_freq)
-        if args.command == "bands":
-            return cmd_bands(args)
-        if args.command == "ecg":
-            return cmd_ecg(args)
-        if args.command == "agree":
-            return cmd_agree(args)
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        parser.error(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(json.dumps({"error": "data", "message": str(exc)}), file=sys.stderr)
-        return 3
-    return 0
+        args = parser.parse_args(argv)
+        return args.handler(args)
+    except (ConfigError, DataError, OSError) as exc:
+        # inputs are read through load_input and read_ini, so an OSError
+        # here is a write to a path named by a flag or by [output] dir
+        if isinstance(exc, OSError):
+            exc = ConfigError(f"cannot write {exc.filename}: {exc.strerror}")
+        kind, code = ("data", 3) if isinstance(exc, DataError) else ("config", 2)
+        print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

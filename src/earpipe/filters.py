@@ -162,6 +162,20 @@ def overlap_add_windows(n: int, w: int, hop: int) -> tuple[list[int], np.ndarray
     return starts, np.sin(np.pi * (np.arange(w) + 0.5) / w) ** 2
 
 
+def blend_windows(shape: tuple, starts, taper: np.ndarray, pieces) -> np.ndarray:
+    """The taper-weighted overlap-add of pieces, (start, array) pairs for any
+    subset of the windows at starts, over the taper sum of every window at starts."""
+    w = len(taper)
+    out = np.zeros(shape)
+    wsum = np.zeros(shape[-1])
+    for s in starts:
+        wsum[s : s + w] += taper
+    for s, piece in pieces:
+        out[:, s : s + w] += taper * piece
+    out /= np.maximum(wsum, np.finfo(float).tiny)
+    return out
+
+
 def _line_design_matrix(t: np.ndarray, f0: float, harmonics: int) -> np.ndarray:
     cols = []
     for h in range(1, harmonics + 1):
@@ -229,10 +243,5 @@ def remove_line_noise(
         return rec.with_data(rec.data - (rec.data @ u) @ u.T)
 
     starts, taper = overlap_add_windows(n, w_len, max(1, int(round(step_s * rec.rate))))
-    est = np.zeros_like(rec.data)
-    wsum = np.zeros(n)
-    for s in starts:
-        est[:, s : s + w_len] += taper * ((rec.data[:, s : s + w_len] @ u) @ u.T)
-        wsum[s : s + w_len] += taper
-    est /= np.maximum(wsum, np.finfo(float).tiny)
-    return rec.with_data(rec.data - est)
+    fits = ((s, (rec.data[:, s : s + w_len] @ u) @ u.T) for s in starts)
+    return rec.with_data(rec.data - blend_windows(rec.data.shape, starts, taper, fits))

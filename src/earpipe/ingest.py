@@ -164,8 +164,8 @@ class Recording:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"rate must be positive and finite, got {self.rate}")
         if self.data.ndim != 2:
             raise ValueError(f"data must be 2-D (channels, samples), got ndim={self.data.ndim}")
         if len(self.labels) != self.data.shape[0]:
@@ -490,7 +490,7 @@ def save_events_csv(events: list[Event], path) -> None:
 def load_events_csv(path) -> list[Event]:
     events = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")  # a missing field reads "", not None
         if reader.fieldnames is None or set(["condition", "start_s", "end_s"]) - set(reader.fieldnames):
             raise ValueError(f"{path}: expected header condition,start_s,end_s")
         for row in reader:
@@ -517,6 +517,10 @@ def cut_segments(rec: Recording, events: list[Event] | None = None) -> list[Segm
     span_lo = rec.t0
     span_hi = rec.t0 + rec.n_samples / rec.rate
     for ev in events:
+        # bounds every sample offset below; also refuses a NaN or infinite time
+        if not math.isfinite((abs(ev.start_s - rec.t0) + abs(ev.end_s - rec.t0)) * rec.rate):
+            raise ValueError(f"event {ev.condition} [{ev.start_s}, {ev.end_s}) cannot be "
+                             f"counted in samples at {rec.rate} Hz")
         flags: list[str] = []
         if ev.start_s < span_lo - 1e-9 or ev.end_s > span_hi + 1e-9:
             flags.append("out-of-span")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
@@ -162,7 +163,7 @@ class PipelineConfig:
             value = getattr(self, key)
             if value not in allowed:
                 problems.append(f"pipeline: {key} must be {' or '.join(allowed)}, got {value}")
-        if self.match_tolerance_s <= 0:
+        if not self.match_tolerance_s > 0:  # also refuses nan
             problems.append("analysis: match_tolerance_s must be positive")
         # the other rules live in the stage that uses the values: each stage's
         # object or check is tried once on them, and a problem names their keys
@@ -210,14 +211,16 @@ _FIELDS["dir"] = _FIELDS["out_dir"]
 
 
 def read_ini(path, what: str) -> configparser.ConfigParser:
-    """Parse an INI file; a missing file or bad syntax is a ConfigError
-    that names the file as <what>."""
+    """Parse an INI file; a file that cannot be opened or bad syntax is a
+    ConfigError that names the file as <what>."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         with open(path) as fh:
             parser.read_file(fh)
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"{what} file cannot be read: {path}: {exc.strerror}") from None
     except configparser.Error as exc:
         raise ConfigError(f"{what} syntax: {exc}") from None
     return parser
@@ -264,19 +267,16 @@ def load_config(path, **overrides) -> PipelineConfig:
 
 def load_input(what: str, load, path, *args):
     """load(path, *args) with the input errors the CLI reports as data
-    errors: a missing file becomes "<what> not found: <path>" and
-    malformed content (ValueError) keeps its message."""
+    errors: a missing file becomes "<what> not found: <path>", a file that
+    cannot be read names both, and malformed content keeps its message."""
     try:
         return load(path, *args)
     except FileNotFoundError:
         raise DataError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"{what} cannot be read: {path}: {exc.strerror}") from None
     except ValueError as exc:
         raise DataError(str(exc)) from None
-
-
-def _read_bytes(path) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
 
 
 def _load_inputs(cfg: PipelineConfig):
@@ -287,7 +287,8 @@ def _load_inputs(cfg: PipelineConfig):
     if cfg.session is not None:
         rec = load_input("session file", load_session_csv, cfg.session)
     else:
-        rec, stream = parse_stream(load_input("raw stream", _read_bytes, cfg.raw), rate=cfg.rate)
+        raw = load_input("raw stream", Path.read_bytes, Path(cfg.raw))
+        rec, stream = parse_stream(raw, rate=cfg.rate)
     events = load_input("events file", load_events_csv, cfg.events)
     monmap = load_input("montage file", load_montage_csv, cfg.montage or builtin_montage_path())
     violations = validate_montage(monmap)
@@ -396,7 +397,6 @@ def preflight_segments(segments, cfg: PipelineConfig, plan: StagePlan) -> None:
 @dataclass
 class SegmentResult:
     condition: str
-    cleaned: Recording | None  # kept only for psd_average = pooled
     flagged: list
     qc: dict
     ecg: EcgPick | None
@@ -432,14 +432,7 @@ def process_segment(
         qc = qc_report(asr_out, psd, line_freq_hz=cfg.line_freq_hz).to_dict()
     except ValueError as exc:
         raise DataError(f"segment {seg_index} ({condition}): {exc}") from None
-    return SegmentResult(
-        condition=condition,
-        cleaned=asr_out if cfg.psd_average == "pooled" else None,
-        flagged=flagged,
-        qc=qc,
-        ecg=pick,
-        psd=psd,
-    )
+    return SegmentResult(condition=condition, flagged=flagged, qc=qc, ecg=pick, psd=psd)
 
 
 def _jsonable(obj):
@@ -450,15 +443,17 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None  # strict JSON has no NaN or Infinity
     return obj
 
 
 def _json_dump(obj, path) -> None:
     """Write a report as sorted, indented JSON; numpy values become plain
-    numbers and lists."""
+    numbers and lists, and a NaN or infinity becomes null."""
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -483,14 +478,21 @@ def write_rr_csv(rows, path) -> None:
             fh.write(f"{t:.6f},{rr_ms:.3f},{flag}\n")
 
 
-def psd_band_rows(participant: str, condition: str, psd, bands) -> list[BandPowerRow]:
-    """Band-table rows of a linear PSD: median dB power per band and channel."""
-    per_band = band_power(to_db(psd), bands)
-    return [
-        BandPowerRow(participant, condition, label, name, float(values[ch]))
-        for name, values in per_band.items()
-        for ch, label in enumerate(psd.labels)
-    ]
+def condition_band_rows(participant: str, psds: list, bands, pooled=False) -> list[BandPowerRow]:
+    """Band-table rows of (condition, linear PSD) pairs, conditions in first-seen
+    order: the average of a condition's PSDs, counting each segment once or,
+    pooled, each Welch window once, then median dB power per band and channel."""
+    rows = []
+    for cond in dict.fromkeys(c for c, _ in psds):
+        group = [p for c, p in psds if c == cond]
+        weights = [p.window_count for p in group] if pooled else None
+        psd = replace(group[0], power=np.average([p.power for p in group], axis=0, weights=weights))
+        rows.extend(
+            BandPowerRow(participant, cond, label, name, float(values[ch]))
+            for name, values in band_power(to_db(psd), bands).items()
+            for ch, label in enumerate(psd.labels)
+        )
+    return rows
 
 
 @dataclass
@@ -520,9 +522,12 @@ def compute_run(cfg: PipelineConfig) -> RunResult:
     if rec.n_channels == len(monmap.channel_of):
         rec = relabel_by_montage(rec, monmap)
 
-    segments = cut_segments(rec, events)
+    try:
+        segments = cut_segments(rec, events)
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
     # the segments hold copies of their samples; drop the whole session
-    rate, labels = rec.rate, rec.labels
+    rate = rec.rate
     del rec
     if not segments:
         raise DataError("no events to process")
@@ -536,31 +541,9 @@ def compute_run(cfg: PipelineConfig) -> RunResult:
         for i, seg in enumerate(segments)
     ]
 
-    # band powers per condition: average linear PSDs across a condition's
-    # segments (or pool samples before the PSD), then dB and median bands
     conditions = list(dict.fromkeys(s.condition for s in segments))
-    band_rows: list[BandPowerRow] = []
-    for cond in conditions:
-        idx = [i for i, s in enumerate(segments) if s.condition == cond]
-        if cfg.psd_average == "pooled":
-            joined = np.concatenate([seg_results[i].cleaned.data for i in idx], axis=1)
-            pooled = Recording(rate=rate, labels=list(labels), data=joined)
-            exclude: list = []
-            offset = 0.0
-            for i in idx:
-                for f in seg_results[i].flagged:
-                    exclude.append((offset + f.start_s, offset + f.end_s))
-                offset += seg_results[i].cleaned.duration_s
-            psd = welch_psd_recording(
-                pooled, seg=cfg.psd_segment, overlap=cfg.psd_overlap, exclude_spans=exclude
-            )
-        else:
-            psd = replace(
-                seg_results[idx[0]].psd,
-                power=np.mean([seg_results[i].psd.power for i in idx], axis=0),
-                window_count=sum(seg_results[i].psd.window_count for i in idx),
-            )
-        band_rows.extend(psd_band_rows(cfg.participant, cond, psd, cfg.bands))
+    band_rows = condition_band_rows(cfg.participant, [(r.condition, r.psd) for r in seg_results],
+                                    cfg.bands, pooled=cfg.psd_average == "pooled")
 
     qc = {
         "participant": cfg.participant,

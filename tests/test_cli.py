@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
+import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from earpipe.cli import main
-from earpipe.ingest import encode_stream, load_session_csv
-from earpipe.spectral import read_band_table
+from earpipe.ingest import Event, cut_segments, encode_stream, load_session_csv
+from earpipe.spectral import band_power, read_band_table, to_db, welch_psd_recording
 
 
 def run_cli(capsys, *argv):
@@ -379,10 +384,12 @@ def test_run_bad_stage_value_keeps_cli_contract(tmp_path, capsys, berger_20s, pi
         assert diag["error"] == "data" and diag["message"].startswith("segment 0 (eyes_open): ")
 
 
-def test_line_freq_choices():
-    with pytest.raises(SystemExit) as exc:
-        main(["--line-freq", "55", "run"])
-    assert exc.value.code == 2
+def test_line_freq_choices(capsys):
+    code, _, err = run_cli(capsys, "--line-freq", "55", "run")
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+    assert "--line-freq" in json.loads(lines[0])["message"]
 
 
 def test_version_flag():
@@ -414,6 +421,25 @@ def test_bands_subcommand(tmp_path, capsys):
     assert {r.condition for r in rows} == {"all"}
     by_band = {b: np.mean([r.power_db for r in rows if r.band == b]) for b in ("alpha", "beta")}
     assert by_band["alpha"] > by_band["beta"]
+
+
+def test_bands_averages_a_repeated_condition_like_run(tmp_path, capsys):
+    spec = write_spec(tmp_path / "s.ini", "[synth]\nkind = eeg\nseed = 1\n\n[eeg]\nduration_s = 10\n")
+    run_cli(capsys, "synth", "--spec", spec, "--out-dir", str(tmp_path / "d"))
+    session = load_session_csv(tmp_path / "d" / "session.csv")
+    (tmp_path / "events.csv").write_text("condition,start_s,end_s\nrest,0,4\nrest,4,10\n")
+    code, _, err = run_cli(capsys, "bands", "--session", str(tmp_path / "d" / "session.csv"),
+                           "--events", str(tmp_path / "events.csv"), "--out", str(tmp_path / "b.csv"))
+    assert code == 0, err
+    got = {(r.channel, r.band): r.power_db for r in read_band_table(tmp_path / "b.csv")}
+    psds = [welch_psd_recording(seg.recording) for seg in cut_segments(
+        session, [Event("rest", 0.0, 4.0), Event("rest", 4.0, 10.0)])]
+    mean = replace(psds[0], power=(psds[0].power + psds[1].power) / 2)
+    want = band_power(to_db(mean))
+    assert len(got) == len(want) * len(mean.labels)
+    for band, values in want.items():
+        for label, value in zip(mean.labels, values):
+            assert got[(label, band)] == pytest.approx(value, abs=1e-6)
 
 
 def test_bands_segment_too_long(tmp_path, capsys):
@@ -633,3 +659,187 @@ def test_analyze_missing_table(tmp_path, capsys):
                            "--out-dir", str(tmp_path / "o"))
     assert code == 3
     assert json.loads(err)["error"] == "data"
+
+
+# ------------------------------------------------------------- contract
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    spec = root / "eeg.ini"
+    spec.write_text("[synth]\nkind = eeg\nseed = 1\n\n[eeg]\nduration_s = 2.048\nn_channels = 1\n")
+    assert main(["synth", "--spec", str(spec), "--out-dir", str(root)]) == 0
+    (root / "rr.csv").write_text("beat_time_s,rr_ms,flag\n1.0,800.0,ok\n1.8,800.0,ok\n2.6,800.0,ok\n")
+    (root / "dir").mkdir()
+    (root / "cap.bin").write_bytes(encode_stream(np.zeros((250, 16), dtype=int)))
+    (root / "run.ini").write_text(f"[input]\nsession = {root / 'dir'}\nevents = {root / 'events.csv'}\n")
+    for name, row in (("short_row", "all,0"), ("nan_time", "all,nan,1"),
+                      ("huge_span", "all,-1e308,1e308")):
+        (root / f"{name}.csv").write_text(f"condition,start_s,end_s\n{row}\n")
+    session = (root / "session.csv").read_text().splitlines()
+    (root / "nan_rate.csv").write_text("\n".join(["#rate=nan", *session[1:]]) + "\n")
+    return root
+
+
+@pytest.mark.parametrize(
+    "argv, code, fragment",
+    [
+        pytest.param("agree --ref {rr} --alt {rr} --tolerance 0", 2, "--tolerance", id="tol-0"),
+        pytest.param("agree --ref {rr} --alt {rr} --tolerance -1", 2, "--tolerance", id="tol-neg"),
+        pytest.param("agree --ref {rr} --alt {rr} --tolerance nan", 2, "--tolerance", id="tol-nan"),
+        pytest.param("parse --raw {root}/cap.bin --rate 0 --out-dir {root}/p", 2, "--rate",
+                     id="rate-0"),
+        pytest.param("parse --raw {root}/cap.bin --rate nan --out-dir {root}/p", 2, "--rate",
+                     id="rate-nan"),
+        pytest.param("run --config {root}/run.ini", 3, "session file cannot be read: {dir}",
+                     id="run-session-dir"),
+        pytest.param("run --config {dir}", 2, "config file cannot be read: {dir}", id="run-config-dir"),
+        pytest.param("bands --session {dir} --out {root}/b.csv", 3, "session file cannot be read",
+                     id="bands-session-dir"),
+        pytest.param("agree --ref {dir} --alt {rr}", 3, "R-R file cannot be read", id="agree-ref-dir"),
+        pytest.param("parse --raw {dir} --out-dir {root}/p", 3, "raw stream cannot be read",
+                     id="parse-raw-dir"),
+        pytest.param("bands --session {session} --out {dir}", 2, "cannot write {dir}",
+                     id="bands-out-dir"),
+        pytest.param("bands --session {session} --out {root}/missing/b.csv", 2,
+                     "cannot write {root}/missing/b.csv", id="bands-out-missing-parent"),
+        pytest.param("bands --session {session} --segment abc --out {root}/b.csv", 2,
+                     "argument --segment: invalid int value", id="usage-bad-int"),
+        pytest.param("frob", 2, "invalid choice: 'frob'", id="usage-unknown-command"),
+        pytest.param("bands --session {session} --events {root}/short_row.csv --out {root}/b.csv",
+                     3, "could not convert string to float", id="events-short-row"),
+        pytest.param("bands --session {session} --events {root}/nan_time.csv --out {root}/b.csv",
+                     3, "[nan, 1.0) cannot be counted in samples", id="events-nan-time"),
+        pytest.param("bands --session {session} --events {root}/huge_span.csv --out {root}/b.csv",
+                     3, "cannot be counted in samples", id="events-huge-span"),
+        pytest.param("bands --session {root}/nan_rate.csv --out {root}/b.csv", 3,
+                     "rate must be positive and finite, got nan", id="session-nan-rate"),
+    ],
+)
+def test_bad_flag_or_path_exits_with_one_json_object(capsys, contract_inputs, argv, code, fragment):
+    paths = {"root": contract_inputs, "dir": contract_inputs / "dir",
+             "rr": contract_inputs / "rr.csv", "session": contract_inputs / "session.csv"}
+    got, out, err = run_cli(capsys, *argv.format(**paths).split())
+    assert got == code and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "Traceback" not in err
+    diag = json.loads(lines[0])
+    assert diag["error"] == {2: "config", 3: "data"}[code]
+    assert fragment.format(**paths) in diag["message"]
+
+
+def test_analyze_writes_null_for_a_non_finite_statistic(tmp_path, capsys):
+    # b-c is shared by P1 alone (no t-test: NaN); a-b differs by exactly 2 dB
+    # for both participants who hold it (zero spread: t is infinite)
+    cells = {("P1", "a"): 10.0, ("P1", "b"): 8.0, ("P1", "c"): 9.0,
+             ("P2", "a"): 12.0, ("P2", "b"): 10.0, ("P3", "a"): 11.0, ("P3", "c"): 7.5}
+    table = tmp_path / "table.csv"
+    table.write_text("participant,condition,channel,band,power_db\n" + "".join(
+        f"{p},{c},L1,alpha,{v}\n" for (p, c), v in cells.items()))
+    code, _, _ = run_cli(capsys, "analyze", "--bands", str(table), "--out-dir", str(tmp_path / "o"))
+    assert code == 0
+
+    def refuse(token):
+        raise AssertionError(f"{token} in analysis.json")
+
+    payload = json.loads((tmp_path / "o" / "analysis.json").read_text(), parse_constant=refuse)
+    pairs = {(p["a"], p["b"]): p for p in payload["contrasts"]["alpha"]["pairs"]}
+    assert pairs[("b", "c")]["mean_diff"] is None
+    assert pairs[("a", "b")]["t"] is None and pairs[("a", "b")]["mean_diff"] == 2.0
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    spec = root / "berger.ini"
+    spec.write_text("[synth]\nkind = berger\nseed = 3\n\n[berger]\nsegment_s = 12\n")
+    assert main(["synth", "--spec", str(spec), "--out-dir", str(root)]) == 0
+    (root / "rr.csv").write_text("beat_time_s,rr_ms,flag\n" + "".join(
+        f"{0.5 + 0.8 * i:.6f},800.000,ok\n" for i in range(25)))
+    return root
+
+
+def _mutate_text(text: str, kind: str, line: int, field: int, value: str) -> str:
+    """One edit of a CSV or INI file: drop its lines from one on, put value
+    into one CSV field or INI value, or append value as a line."""
+    lines = text.splitlines()
+    i = line % len(lines)
+    if kind == "truncate":
+        lines = lines[:i]
+    elif kind == "append":
+        lines.append(value)
+    elif " = " in lines[i]:
+        lines[i] = lines[i].split(" = ")[0] + " = " + value
+    else:
+        cells = lines[i].split(",")
+        cells[field % len(cells)] = value
+        lines[i] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+_FILE_EDITS = st.one_of(
+    st.just(("keep",)),
+    st.sampled_from([("delete",), ("directory",), ("empty",)]),
+    st.tuples(
+        st.sampled_from(["truncate", "append", "value"]),
+        st.integers(0, 40),
+        st.integers(0, 20),
+        st.sampled_from(["nan", "inf", "-1", "0", "", "abc", "1e308", "2.5", "off", "[x]",
+                         "eyes_open,0,1e9", "P01,a,b", "9", "0.001"]),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    command=st.sampled_from(["run", "bands", "agree", "ecg"]),
+    edits=st.fixed_dictionaries({name: _FILE_EDITS
+                                 for name in ("session.csv", "events.csv", "rr.csv", "run.ini")}),
+    out_kind=st.sampled_from(["fresh", "file", "under-file", "missing-parent"]),
+    extra=st.sampled_from(["", "[pipeline]\npsd_average = pooled\n", "[stages]\nasr = off\n",
+                           "[pipeline]\npsd_segment = 2048\n", "[analysis]\ndetect_ecg = off\n"]),
+)
+def test_cli_contract_holds_for_mutated_inputs(fuzz_inputs, tmp_path_factory, command, edits,
+                                               out_kind, extra):
+    d = tmp_path_factory.mktemp("case")
+    for name in ("session.csv", "events.csv", "rr.csv"):
+        shutil.copy(fuzz_inputs / name, d / name)
+    (d / "run.ini").write_text(
+        f"[input]\nsession = {d / 'session.csv'}\nevents = {d / 'events.csv'}\n"
+        f"reference_rr = {d / 'rr.csv'}\n\n[output]\ndir = {d / 'out'}\n\n{extra}"
+    )
+    for name, (kind, *how) in edits.items():
+        path = d / name
+        if kind == "delete":
+            path.unlink()
+        elif kind == "directory":
+            path.unlink()
+            path.mkdir()
+        elif kind == "empty":
+            path.write_text("")
+        elif kind != "keep":
+            path.write_text(_mutate_text(path.read_text(), kind, *how))
+    (d / "a_file").write_text("x")
+    out = {"fresh": d / "o", "file": d / "a_file", "under-file": d / "a_file" / "o",
+           "missing-parent": d / "no" / "o"}[out_kind]
+    argv = {
+        "run": ["run", "--config", d / "run.ini", "--out-dir", out],
+        "bands": ["bands", "--session", d / "session.csv", "--events", d / "events.csv",
+                  "--out", out],
+        "agree": ["agree", "--ref", d / "rr.csv", "--alt", fuzz_inputs / "rr.csv", "--out", out],
+        "ecg": ["ecg", "--session", d / "session.csv", "--channel", "1", "--out", out],
+    }[command]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([str(a) for a in argv])
+    err = stderr.getvalue()
+    assert code in (0, 2, 3) and "Traceback" not in err
+    if code:
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert diag["error"] == {2: "config", 3: "data"}[code] and diag["message"]
+    else:
+        assert json.loads(stdout.getvalue().strip().splitlines()[-1])["command"] == command

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from earpipe import pipeline
 from earpipe.cardiac import BeatSeries, rr_periods
 from earpipe.filters import design_fir
 from earpipe.ingest import (
@@ -27,7 +28,7 @@ from earpipe.pipeline import (
     run_pipeline,
     write_reports,
 )
-from earpipe.spectral import read_band_table
+from earpipe.spectral import band_power, read_band_table, to_db
 from earpipe.synth import BergerSpec, berger_session
 
 
@@ -127,11 +128,15 @@ x = 1
 [pipeline]
 hp_order = 501
 nonsense = 3
+
+[analysis]
+match_tolerance_s = nan
 """,
     )
     with pytest.raises(ConfigError) as err:
         load_config(path)
     msg = str(err.value)
+    assert "match_tolerance_s must be positive" in msg
     assert "unknown section [typo]" in msg
     assert "bad value for rate" in msg
     assert "exactly one of 'session' or 'raw'" in msg
@@ -471,6 +476,48 @@ def test_repeated_condition_segments_average(tmp_path):
         rows = read_band_table(tmp_path / mode / "bands.csv")
         # one row per (condition, channel, band) even with repeated segments
         assert len(rows) == 2 * 16 * len(cfg.bands)
+
+
+@pytest.mark.parametrize(
+    "bounds, equal",
+    [
+        pytest.param(((0, 12), (12, 30), (30, 40), (40, 60)), False, id="unequal"),
+        pytest.param(((0, 15), (15, 30), (30, 45), (45, 60)), True, id="equal"),
+    ],
+)
+def test_pooled_bands_weight_each_segment_psd_by_its_windows(tmp_path, monkeypatch, bounds, equal):
+    rec = berger_session(BergerSpec(seed=1, segment_s=30.0))
+    save_session_csv(rec, tmp_path / "session.csv")
+    conditions = ("eyes_open", "eyes_open", "eyes_closed", "eyes_closed")
+    save_events_csv([Event(c, a, b) for c, (a, b) in zip(conditions, bounds)],
+                    tmp_path / "events.csv")
+    psds = []
+    welch = pipeline.welch_psd_recording
+
+    def recorded_welch(*args, **kwargs):
+        psds.append(welch(*args, **kwargs))
+        return psds[-1]
+
+    monkeypatch.setattr(pipeline, "welch_psd_recording", recorded_welch)
+    band_db = {}
+    for mode in ("per_segment", "pooled"):
+        cfg = load_config(base_config(tmp_path, extra_pipeline=f"psd_average = {mode}"),
+                          detect_ecg=False)
+        psds.clear()
+        result = compute_run(cfg)
+        assert len(psds) == 4  # one Welch pass per segment, none over joined segments
+        band_db[mode] = {(r.condition, r.channel, r.band): r.power_db for r in result.band_rows}
+    counts = [p.window_count for p in psds]
+    for cond, (i, j) in (("eyes_open", (0, 1)), ("eyes_closed", (2, 3))):
+        power = (counts[i] * psds[i].power + counts[j] * psds[j].power) / (counts[i] + counts[j])
+        want = band_power(to_db(replace(psds[i], power=power)), cfg.bands)
+        for band, values in want.items():
+            for label, value in zip(psds[i].labels, values):
+                assert band_db["pooled"][(cond, label, band)] == pytest.approx(value, abs=1e-9)
+    # equal window counts: pooled and per_segment weight alike
+    assert (len(set(counts)) == 1) == equal
+    gaps = [abs(band_db["pooled"][key] - band_db["per_segment"][key]) for key in band_db["pooled"]]
+    assert (max(gaps) < 1e-9) == equal
 
 
 # ------------------------------------------------------------- rr file
