@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .ingest import read_table
 from .spectral import BandPowerRow
 from .stats import (
     SurveyResponse,
@@ -34,41 +35,26 @@ def read_scores(path, default_participant: str = "P01") -> dict:
     or pre-aggregated columns (tlx_total, flow_mean). Repeated rows for
     the same participant and condition are averaged.
     """
-    with open(path, newline="") as fh:
-        header = [h.strip() for h in fh.readline().strip().split(",")]
-        if "condition" not in header:
-            raise ValueError(f"{path}: scores need a 'condition' column")
-        raw_items = all(c in header for c in TLX_COLUMNS + FLOW_COLUMNS)
-        aggregated = "tlx_total" in header and "flow_mean" in header
-        if not raw_items and not aggregated:
-            raise ValueError(
-                f"{path}: expected either item columns "
-                f"({', '.join(TLX_COLUMNS + FLOW_COLUMNS)}) or tlx_total,flow_mean"
-            )
-        col = {name: i for i, name in enumerate(header)}
-        sums: dict[tuple, list] = {}
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != len(header):
-                raise ValueError(f"{path}:{line_no}: expected {len(header)} fields")
-            participant = parts[col["participant"]] if "participant" in col else default_participant
-            condition = parts[col["condition"]]
+    header, rows = read_table(path, ("condition",), "scores need a 'condition' column")
+    raw_items = all(c in header for c in TLX_COLUMNS + FLOW_COLUMNS)
+    aggregated = "tlx_total" in header and "flow_mean" in header
+    if not raw_items and not aggregated:
+        raise ValueError(
+            f"{path}: expected either item columns "
+            f"({', '.join(TLX_COLUMNS + FLOW_COLUMNS)}) or tlx_total,flow_mean"
+        )
+    sums: dict[tuple, list] = {}
+    for row in rows:
+        if raw_items:
+            items = [tuple(row.number(c) for c in columns) for columns in (TLX_COLUMNS, FLOW_COLUMNS)]
             try:
-                if raw_items:
-                    resp = SurveyResponse(
-                        nasa_tlx=tuple(float(parts[col[c]]) for c in TLX_COLUMNS),
-                        flow=tuple(float(parts[col[c]]) for c in FLOW_COLUMNS),
-                    )
-                    tlx, flow = aggregate_survey(resp)
-                else:
-                    tlx = float(parts[col["tlx_total"]])
-                    flow = float(parts[col["flow_mean"]])
+                tlx, flow = aggregate_survey(SurveyResponse(*items))
             except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
-            sums.setdefault((participant, condition), []).append((tlx, flow))
+                raise ValueError(f"{path}:{row.line}: {exc}") from None
+        else:
+            tlx, flow = row.number("tlx_total"), row.number("flow_mean")
+        participant = row.get("participant", default_participant)
+        sums.setdefault((participant, row["condition"]), []).append((tlx, flow))
     return {
         key: (
             float(np.mean([t for t, _ in vals])),

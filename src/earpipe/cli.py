@@ -16,6 +16,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analysis import analyze_tables, read_scores
 from .artifact import ECG_SKEW_THRESHOLD, SKEW_EPOCH_S, detect_beats, epoch_skewness
@@ -25,6 +27,7 @@ from .ingest import (
     load_events_csv,
     load_session_csv,
     parse_stream,
+    read_table,
     save_events_csv,
     save_session_csv,
     Event,
@@ -160,7 +163,17 @@ def cmd_run(args) -> int:
 def cmd_bands(args) -> int:
     rec = load_input("session file", load_session_csv, args.session)
     try:
+        check_welch_window(args.segment, args.overlap)
+    except ValueError as exc:
+        raise ConfigError(f"--segment, --overlap: {exc}") from None
+    try:
         bands = parse_band_spec(args.bands) if args.bands else DEFAULT_BANDS
+        # checked against the Welch bins before Welch runs, as run's plan
+        # does; a window longer than the session is left to Welch
+        if args.segment <= rec.n_samples:
+            freqs = np.fft.rfftfreq(args.segment, d=1.0 / rec.rate)
+            for band in bands:
+                band.bins(freqs, rec.rate)
     except ValueError as exc:
         raise ConfigError(f"--bands: {exc}") from None
     if args.events:
@@ -168,11 +181,9 @@ def cmd_bands(args) -> int:
     else:
         events = [Event("all", 0.0, rec.duration_s)]
     try:
-        check_welch_window(args.segment, args.overlap)
-    except ValueError as exc:
-        raise ConfigError(f"--segment, --overlap: {exc}") from None
-    try:
         segments = cut_segments(rec, events)
+        for ev in events:  # run flags an event outside the span; bands refuses it
+            rec.check_span(ev)
     except ValueError as exc:
         raise DataError(str(exc)) from None
     psds = []
@@ -183,10 +194,7 @@ def cmd_bands(args) -> int:
                 seg.recording, seg=args.segment, overlap=args.overlap)))
         except ValueError as exc:
             raise DataError(f"segment {seg.condition}: {exc}") from None
-    try:
-        rows = condition_band_rows(args.participant, psds, bands)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    rows = condition_band_rows(args.participant, psds, bands)
     write_band_table(rows, args.out)
     _emit({"command": "bands", "rows": len(rows), "out": args.out})
     return 0
@@ -246,11 +254,8 @@ def cmd_agree(args) -> int:
 
 def _inline_scores(path) -> dict:
     """Scores carried as tlx_total/flow_mean columns inside a band table."""
-    with open(path, newline="") as fh:
-        header = fh.readline().strip().split(",")
-    if "tlx_total" not in header or "flow_mean" not in header:
-        return {}
-    return read_scores(path)
+    header, _ = read_table(path, ())
+    return read_scores(path) if {"tlx_total", "flow_mean"} <= set(header) else {}
 
 
 def cmd_analyze(args) -> int:

@@ -172,13 +172,17 @@ class Recording:
             raise ValueError(
                 f"{len(self.labels)} labels for {self.data.shape[0]} channel rows"
             )
-        span_end = self.t0 + self.data.shape[1] / self.rate
         for ev in self.events:
-            if ev.start_s < self.t0 - 1e-9 or ev.end_s > span_end + 1e-9:
-                raise ValueError(
-                    f"event {ev.condition} [{ev.start_s}, {ev.end_s}) outside the "
-                    f"recorded span [{self.t0}, {span_end})"
-                )
+            self.check_span(ev)
+
+    def check_span(self, ev: Event) -> None:
+        """A ValueError naming ev and the recorded span when ev runs outside it."""
+        span_end = self.t0 + self.data.shape[1] / self.rate
+        if ev.start_s < self.t0 - 1e-9 or ev.end_s > span_end + 1e-9:
+            raise ValueError(
+                f"event {ev.condition} [{ev.start_s}, {ev.end_s}) outside the "
+                f"recorded span [{self.t0}, {span_end})"
+            )
 
     @property
     def n_channels(self) -> int:
@@ -399,12 +403,12 @@ def _bad_row_error(path, header: list[str], cause: ValueError) -> ValueError:
         numbered = ((n, line) for n, line in enumerate(lines, start=1) if line)
         next(numbered)  # the header
         for line_no, line in numbered:
-            row = line.split(",")
-            if len(row) != len(header):
-                return ValueError(f"{path}:{line_no}: {len(row)} fields, header has {len(header)}")
-            for name, value in zip(header, row):
-                if not _reads_as_float(value):
-                    return ValueError(f"{path}:{line_no}: {value.strip()!r} in {name} is not a number")
+            try:
+                row = TableRow(path, line_no, header, line.split(","))
+                for name in header:
+                    row.number(name)
+            except ValueError as exc:
+                return exc
     return ValueError(f"{path}: {cause}")
 
 
@@ -487,15 +491,46 @@ def save_events_csv(events: list[Event], path) -> None:
             writer.writerow([ev.condition, f"{ev.start_s:g}", f"{ev.end_s:g}"])
 
 
-def load_events_csv(path) -> list[Event]:
-    events = []
+class TableRow(dict):
+    """A read_table row: column -> stripped field, with its file and line."""
+
+    def __init__(self, path, line: int, header: list[str], fields: list[str], error=ValueError):
+        if len(fields) != len(header):
+            raise error(f"{path}:{line}: {len(fields)} fields, header has {len(header)}")
+        super().__init__(zip(header, (f.strip() for f in fields)))
+        self.path, self.line, self.error = path, line, error
+
+    def number(self, column: str) -> float:
+        """The column's field as a float, by the session CSV's rule."""
+        text = self[column]
+        if not _reads_as_float(text):
+            raise self.error(f"{self.path}:{self.line}: {text!r} in {column} is not a number")
+        return float(text)
+
+
+def read_table(path, required, header_rule: str | None = None, error=ValueError):
+    """The header and the TableRows of a small CSV table, split by the csv
+    module, names and fields stripped, blank lines skipped. The header
+    must hold every `required` column, else `error` is "<path>:
+    <header_rule>" ("expected header <required>" by default); every row
+    must have as many fields as the header. A bad row or number is an
+    `error` naming its line."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh, restval="")  # a missing field reads "", not None
-        if reader.fieldnames is None or set(["condition", "start_s", "end_s"]) - set(reader.fieldnames):
-            raise ValueError(f"{path}: expected header condition,start_s,end_s")
-        for row in reader:
-            events.append(Event(row["condition"], float(row["start_s"]), float(row["end_s"])))
-    return events
+        reader = csv.reader(fh)
+        records = ((reader.line_num, fields) for fields in reader
+                   if len(fields) > 1 or "".join(fields).strip())
+        try:
+            header = [name.strip() for name in next(records, (0, []))[1]]
+            if not set(required) <= set(header):
+                raise error(f"{path}: {header_rule or 'expected header ' + ','.join(required)}")
+            return header, [TableRow(path, line, header, fields, error) for line, fields in records]
+        except csv.Error as exc:
+            raise error(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def load_events_csv(path) -> list[Event]:
+    _, rows = read_table(path, ("condition", "start_s", "end_s"))
+    return [Event(row["condition"], row.number("start_s"), row.number("end_s")) for row in rows]
 
 
 @dataclass

@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .ingest import Recording
+from .ingest import Recording, read_table
 
 SIDES = ("L", "R")
 POSITIONS_PER_SIDE = 10
@@ -158,24 +158,22 @@ def load_montage_csv(path) -> MontageMap:
     reference = None
     ground = None
     excluded = set()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        need = {"label", "role", "channel"}
-        if reader.fieldnames is None or need - set(reader.fieldnames):
-            raise MontageError(f"{path}: expected header label,role,channel")
-        for row in reader:
-            lab = ElectrodeLabel.parse(row["label"])
-            role = row["role"].strip().lower()
-            if role == "record":
-                mapping[lab] = int(row["channel"])
-            elif role == "reference":
-                reference = lab
-            elif role == "ground":
-                ground = lab
-            elif role == "excluded":
-                excluded.add(lab)
-            else:
-                raise MontageError(f"{path}: unknown role {role!r} for {lab}")
+    for row in read_table(path, ("label", "role", "channel"), error=MontageError)[1]:
+        lab = ElectrodeLabel.parse(row["label"])
+        role = row["role"].lower()
+        if role == "record":
+            channel = row.number("channel")
+            if not channel.is_integer():
+                raise MontageError(f"{path}:{row.line}: channel {row['channel']!r} is not a whole number")
+            mapping[lab] = int(channel)
+        elif role == "reference":
+            reference = lab
+        elif role == "ground":
+            ground = lab
+        elif role == "excluded":
+            excluded.add(lab)
+        else:
+            raise MontageError(f"{path}:{row.line}: unknown role {role!r} for {lab}")
     if reference is None or ground is None:
         raise MontageError(f"{path}: montage must name a reference and a ground")
     return MontageMap(

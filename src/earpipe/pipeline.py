@@ -48,6 +48,7 @@ from .ingest import (
     load_events_csv,
     load_session_csv,
     parse_stream,
+    read_table,
 )
 from .montage import (
     builtin_montage_path,
@@ -634,27 +635,13 @@ def rr_agreement(ref: BeatSeries, alt: BeatSeries, tolerance_s: float) -> dict:
 
 def load_rr_beats(path) -> BeatSeries:
     """Rebuild a beat series from an rr.csv file (anchors plus final beat)."""
-    times: list[float] = []
-    rr_last = None
-    with open(path, newline="") as fh:
-        header = fh.readline().strip().split(",")
-        if header[:2] != ["beat_time_s", "rr_ms"]:
-            raise DataError(f"{path}: expected header beat_time_s,rr_ms[,flag]")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                times.append(float(parts[0]))
-                rr_last = float(parts[1])
-            except (IndexError, ValueError):
-                raise DataError(
-                    f"{path}:{line_no}: expected beat_time_s,rr_ms numbers, got {line!r}"
-                ) from None
-    if not times:
+    rows = read_table(path, ("beat_time_s", "rr_ms"), "expected header beat_time_s,rr_ms[,flag]",
+                      DataError)[1]
+    intervals = [(row.number("beat_time_s"), row.number("rr_ms")) for row in rows]
+    if not intervals:
         raise DataError(f"{path}: no intervals")
-    beats = times + [times[-1] + rr_last / 1000.0]
+    last_t, last_rr = intervals[-1]
+    beats = [t for t, _ in intervals] + [last_t + last_rr / 1000.0]
     # the source rate is not recorded in rr.csv and nothing downstream needs it
     return BeatSeries(beat_times=np.array(beats), rate=0.0)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ingest import Recording
+from .ingest import Recording, read_table
 
 DB_EPS = 1e-15
 DB_FLOOR = -150.0
@@ -259,22 +259,8 @@ def write_band_table(rows: list[BandPowerRow], path) -> None:
 
 
 def read_band_table(path) -> list[BandPowerRow]:
-    import csv as _csv
-
-    rows = []
-    with open(path, newline="") as fh:
-        reader = _csv.DictReader(fh)
-        need = {"participant", "condition", "channel", "band", "power_db"}
-        if reader.fieldnames is None or need - set(reader.fieldnames):
-            raise ValueError(f"{path}: expected header participant,condition,channel,band,power_db")
-        for row in reader:
-            rows.append(
-                BandPowerRow(
-                    row["participant"],
-                    row["condition"],
-                    row["channel"],
-                    row["band"],
-                    float(row["power_db"]),
-                )
-            )
-    return rows
+    _, rows = read_table(path, ("participant", "condition", "channel", "band", "power_db"))
+    return [
+        BandPowerRow(r["participant"], r["condition"], r["channel"], r["band"], r.number("power_db"))
+        for r in rows
+    ]

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import shutil
+import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from earpipe.cli import main
 from earpipe.ingest import Event, cut_segments, encode_stream, load_session_csv
+from earpipe.montage import builtin_montage_path
 from earpipe.spectral import band_power, read_band_table, to_db, welch_psd_recording
 
 
@@ -664,6 +667,10 @@ def test_analyze_missing_table(tmp_path, capsys):
 # ------------------------------------------------------------- contract
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
 @pytest.fixture(scope="module")
 def contract_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("contract")
@@ -675,10 +682,11 @@ def contract_inputs(tmp_path_factory):
     (root / "cap.bin").write_bytes(encode_stream(np.zeros((250, 16), dtype=int)))
     (root / "run.ini").write_text(f"[input]\nsession = {root / 'dir'}\nevents = {root / 'events.csv'}\n")
     for name, row in (("short_row", "all,0"), ("nan_time", "all,nan,1"),
-                      ("huge_span", "all,-1e308,1e308")):
+                      ("huge_span", "all,-1e308,1e308"), ("out_of_span", "all,0,1e300")):
         (root / f"{name}.csv").write_text(f"condition,start_s,end_s\n{row}\n")
     session = (root / "session.csv").read_text().splitlines()
     (root / "nan_rate.csv").write_text("\n".join(["#rate=nan", *session[1:]]) + "\n")
+    (root / "huge_rate.csv").write_text("\n".join(["#rate=1e308", *session[1:]]) + "\n")
     return root
 
 
@@ -708,19 +716,29 @@ def contract_inputs(tmp_path_factory):
                      "argument --segment: invalid int value", id="usage-bad-int"),
         pytest.param("frob", 2, "invalid choice: 'frob'", id="usage-unknown-command"),
         pytest.param("bands --session {session} --events {root}/short_row.csv --out {root}/b.csv",
-                     3, "could not convert string to float", id="events-short-row"),
+                     3, "{root}/short_row.csv:2: 2 fields, header has 3", id="events-short-row"),
         pytest.param("bands --session {session} --events {root}/nan_time.csv --out {root}/b.csv",
                      3, "[nan, 1.0) cannot be counted in samples", id="events-nan-time"),
         pytest.param("bands --session {session} --events {root}/huge_span.csv --out {root}/b.csv",
                      3, "cannot be counted in samples", id="events-huge-span"),
         pytest.param("bands --session {root}/nan_rate.csv --out {root}/b.csv", 3,
                      "rate must be positive and finite, got nan", id="session-nan-rate"),
+        pytest.param("bands --session {session} --events {root}/out_of_span.csv --out {root}/b.csv",
+                     3, "event all [0.0, 1e+300) outside the recorded span [0.0, 2.048)",
+                     id="events-out-of-span"),
+        # a 1e308 Hz rate overflows Welch's density scale; the bands fail first
+        pytest.param("bands --session {root}/huge_rate.csv --out {root}/b.csv", 2,
+                     "band theta contains no frequency bins", id="session-huge-rate"),
     ],
 )
 def test_bad_flag_or_path_exits_with_one_json_object(capsys, contract_inputs, argv, code, fragment):
     paths = {"root": contract_inputs, "dir": contract_inputs / "dir",
              "rr": contract_inputs / "rr.csv", "session": contract_inputs / "session.csv"}
-    got, out, err = run_cli(capsys, *argv.format(**paths).split())
+    with warnings.catch_warnings():
+        # a warning is printed to stderr, as outside pytest
+        warnings.simplefilter("always")
+        warnings.showwarning = _print_warning
+        got, out, err = run_cli(capsys, *argv.format(**paths).split())
     assert got == code and out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and "Traceback" not in err
@@ -757,18 +775,28 @@ def fuzz_inputs(tmp_path_factory):
     assert main(["synth", "--spec", str(spec), "--out-dir", str(root)]) == 0
     (root / "rr.csv").write_text("beat_time_s,rr_ms,flag\n" + "".join(
         f"{0.5 + 0.8 * i:.6f},800.000,ok\n" for i in range(25)))
+    shutil.copy(builtin_montage_path(), root / "montage.csv")
+    (root / "scores.csv").write_text(
+        "participant,condition,tlx_total,flow_mean\nP01,eyes_open,40,3\nP01,eyes_closed,60,4.5\n")
+    assert main(["bands", "--session", str(root / "session.csv"), "--events",
+                 str(root / "events.csv"), "--out", str(root / "bands.csv")]) == 0
     return root
 
 
 def _mutate_text(text: str, kind: str, line: int, field: int, value: str) -> str:
-    """One edit of a CSV or INI file: drop its lines from one on, put value
-    into one CSV field or INI value, or append value as a line."""
+    """One edit of a CSV or INI file: drop its lines from one on, drop one
+    CSV field, put value into one CSV field or INI value, or append value
+    as a line."""
     lines = text.splitlines()
     i = line % len(lines)
     if kind == "truncate":
         lines = lines[:i]
     elif kind == "append":
         lines.append(value)
+    elif kind == "drop":
+        cells = lines[i].split(",")
+        del cells[field % len(cells)]
+        lines[i] = ",".join(cells)
     elif " = " in lines[i]:
         lines[i] = lines[i].split(" = ")[0] + " = " + value
     else:
@@ -782,21 +810,22 @@ _FILE_EDITS = st.one_of(
     st.just(("keep",)),
     st.sampled_from([("delete",), ("directory",), ("empty",)]),
     st.tuples(
-        st.sampled_from(["truncate", "append", "value"]),
+        st.sampled_from(["truncate", "append", "value", "drop"]),
         st.integers(0, 40),
         st.integers(0, 20),
         st.sampled_from(["nan", "inf", "-1", "0", "", "abc", "1e308", "2.5", "off", "[x]",
-                         "eyes_open,0,1e9", "P01,a,b", "9", "0.001"]),
+                         "eyes_open,0,1e9", "P01,a,b", "9", "0.001", "1_000", " L1 ",
+                         "L1,record"]),
     ),
 )
+_FUZZ_FILES = ("session.csv", "events.csv", "rr.csv", "montage.csv", "scores.csv", "bands.csv")
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(
-    command=st.sampled_from(["run", "bands", "agree", "ecg"]),
-    edits=st.fixed_dictionaries({name: _FILE_EDITS
-                                 for name in ("session.csv", "events.csv", "rr.csv", "run.ini")}),
+    command=st.sampled_from(["run", "bands", "agree", "ecg", "analyze"]),
+    edits=st.fixed_dictionaries({name: _FILE_EDITS for name in (*_FUZZ_FILES, "run.ini")}),
     out_kind=st.sampled_from(["fresh", "file", "under-file", "missing-parent"]),
     extra=st.sampled_from(["", "[pipeline]\npsd_average = pooled\n", "[stages]\nasr = off\n",
                            "[pipeline]\npsd_segment = 2048\n", "[analysis]\ndetect_ecg = off\n"]),
@@ -804,11 +833,12 @@ _FILE_EDITS = st.one_of(
 def test_cli_contract_holds_for_mutated_inputs(fuzz_inputs, tmp_path_factory, command, edits,
                                                out_kind, extra):
     d = tmp_path_factory.mktemp("case")
-    for name in ("session.csv", "events.csv", "rr.csv"):
+    for name in _FUZZ_FILES:
         shutil.copy(fuzz_inputs / name, d / name)
     (d / "run.ini").write_text(
         f"[input]\nsession = {d / 'session.csv'}\nevents = {d / 'events.csv'}\n"
-        f"reference_rr = {d / 'rr.csv'}\n\n[output]\ndir = {d / 'out'}\n\n{extra}"
+        f"montage = {d / 'montage.csv'}\nreference_rr = {d / 'rr.csv'}\n"
+        f"surveys = {d / 'scores.csv'}\n\n[output]\ndir = {d / 'out'}\n\n{extra}"
     )
     for name, (kind, *how) in edits.items():
         path = d / name
@@ -830,6 +860,8 @@ def test_cli_contract_holds_for_mutated_inputs(fuzz_inputs, tmp_path_factory, co
                   "--out", out],
         "agree": ["agree", "--ref", d / "rr.csv", "--alt", fuzz_inputs / "rr.csv", "--out", out],
         "ecg": ["ecg", "--session", d / "session.csv", "--channel", "1", "--out", out],
+        "analyze": ["analyze", "--bands", d / "bands.csv", "--scores", d / "scores.csv",
+                    "--out-dir", out],
     }[command]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -843,3 +875,46 @@ def test_cli_contract_holds_for_mutated_inputs(fuzz_inputs, tmp_path_factory, co
         assert diag["error"] == {2: "config", 3: "data"}[code] and diag["message"]
     else:
         assert json.loads(stdout.getvalue().strip().splitlines()[-1])["command"] == command
+
+
+# table -> (input file, command reading it from {table}, a number column)
+_TABLES = {
+    "events": ("events.csv", "bands --session {d}/session.csv --events {table} --out {o}/b.csv",
+               "end_s"),
+    "rr": ("rr.csv", "agree --ref {table} --alt {table}", "rr_ms"),
+    "scores": ("scores.csv", "analyze --bands {d}/bands.csv --scores {table} --out-dir {o}",
+               "flow_mean"),
+    "bands": ("bands.csv", "analyze --bands {table} --out-dir {o}", "power_db"),
+    "montage": ("montage.csv", "run --config {o}/run.ini", "channel"),
+}
+
+
+@pytest.mark.parametrize("fault", ["none", "short", "long", "number"])
+@pytest.mark.parametrize("table", list(_TABLES))
+def test_every_table_reader_names_the_bad_line(fuzz_inputs, tmp_path, capsys, table, fault):
+    # spaces around the header's names, a blank line, then the last row with its fault
+    name, command, column = _TABLES[table]
+    header, *rows = (fuzz_inputs / name).read_text().splitlines()
+    columns = header.split(",")
+    last = dict(zip(columns, rows[-1].split(",")))
+    if fault == "number":
+        last[column] = "1_000"
+    cells = list(last.values())
+    if fault == "short":
+        cells.pop()
+    elif fault == "long":
+        cells.append("x")
+    path = tmp_path / name
+    path.write_text("\n".join([" , ".join(columns), *rows[:-1], "", ",".join(cells)]) + "\n")
+    (tmp_path / "run.ini").write_text(
+        f"[input]\nsession = {fuzz_inputs / 'session.csv'}\nevents = {fuzz_inputs / 'events.csv'}\n"
+        f"montage = {path}\n\n[output]\ndir = {tmp_path / 'out'}\n")
+    argv = command.format(d=fuzz_inputs, table=path, o=tmp_path).split()
+    code, out, err = run_cli(capsys, *argv)
+    if fault == "none":
+        assert code == 0 and last_json(out)["command"] == argv[0]
+        return
+    problem = (f"'1_000' in {column} is not a number" if fault == "number"
+               else f"{len(cells)} fields, header has {len(columns)}")
+    assert code == 3 and "Traceback" not in err
+    assert json.loads(err) == {"error": "data", "message": f"{path}:{len(rows) + 2}: {problem}"}

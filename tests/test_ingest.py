@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from earpipe.ingest import (
     load_session_csv,
     microvolts_to_counts,
     parse_stream,
+    read_table,
     save_events_csv,
     save_session_csv,
 )
@@ -479,6 +481,42 @@ def test_events_csv_rejects_bad_header(tmp_path):
     path.write_text("cond,begin,end\nx,0,1\n")
     with pytest.raises(ValueError):
         load_events_csv(path)
+
+
+def test_events_csv_strips_names_and_times(tmp_path):
+    path = tmp_path / "ev.csv"
+    path.write_text("condition, start_s ,end_s\n eyes_open , 0, 10\n")
+    assert load_events_csv(path) == [Event("eyes_open", 0.0, 10.0)]
+
+
+def test_read_table_rules(tmp_path):
+    path = tmp_path / "t.csv"
+    # blank and spaces-only lines skipped, CRLF, a quoted comma, an extra column
+    path.write_bytes(b'\r\n a , b ,c\r\n   \r\n"x, y", 1 ,\r\n\r\n')
+    header, rows = read_table(path, ("b", "a"))
+    assert header == ["a", "b", "c"]
+    assert rows == [{"a": "x, y", "b": "1", "c": ""}] and rows[0].line == 4
+    assert rows[0].number("b") == 1.0
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:4: '' in c is not a number$"):
+        rows[0].number("c")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: expected header a,z$"):
+        read_table(path, ("a", "z"))
+    path.write_text("")
+    with pytest.raises(ValueError, match="need a"):
+        read_table(path, ("a",), "need a")
+    assert read_table(path, ()) == ([], [])
+    # csv's own faults are errors of the line too
+    path.write_text("a,b\n" + "x" * 200_000 + ",1\n")
+    with pytest.raises(StreamError, match=rf"^{re.escape(str(path))}:2: field larger than field limit"):
+        read_table(path, ("a",), error=StreamError)
+
+
+@pytest.mark.parametrize("value", ["1_000", "\u0661", "abc", ""])
+def test_read_table_numbers_follow_the_session_csv_rule(tmp_path, value):
+    path = tmp_path / "t.csv"
+    path.write_text(f"a,b\n1,{value}\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: '{value}' in b is not a number$"):
+        read_table(path, ("a", "b"))[1][0].number("b")
 
 
 # --- segmentation -------------------------------------------------------------
