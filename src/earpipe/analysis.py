@@ -47,10 +47,7 @@ def read_scores(path, default_participant: str = "P01") -> dict:
     for row in rows:
         if raw_items:
             items = [tuple(row.number(c) for c in columns) for columns in (TLX_COLUMNS, FLOW_COLUMNS)]
-            try:
-                tlx, flow = aggregate_survey(SurveyResponse(*items))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{row.line}: {exc}") from None
+            tlx, flow = aggregate_survey(row.build(SurveyResponse, *items))
         else:
             tlx, flow = row.number("tlx_total"), row.number("flow_mean")
         participant = row.get("participant", default_participant)
@@ -122,16 +119,10 @@ def band_score_models(rows: list[BandPowerRow], scores: dict, exclude: tuple = (
 def band_condition_contrasts(rows: list[BandPowerRow]) -> dict:
     """Per band: omnibus F plus Bonferroni-adjusted pairwise paired t-tests
     across conditions (all conditions, rest included)."""
-    pooled_rows: dict[tuple, list] = {}
-    for r in rows:
-        pooled_rows.setdefault((r.participant, r.condition, r.band), []).append(r.power_db)
+    pooled = pool_channels(rows)
     out: dict = {}
     for band in _band_names(rows):
-        cells = {
-            (p, c): vals
-            for (p, c, b), vals in pooled_rows.items()
-            if b == band
-        }
+        cells = {(p, c): value for (p, c, b), value in pooled.items() if b == band}
         try:
             out[band] = {"status": "ok", **pairwise_contrasts(cells).to_dict()}
         except ValueError as exc:

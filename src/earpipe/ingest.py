@@ -507,6 +507,14 @@ class TableRow(dict):
             raise self.error(f"{self.path}:{self.line}: {text!r} in {column} is not a number")
         return float(text)
 
+    def build(self, make, *args):
+        """make(*args); a ValueError it raises becomes the table's error,
+        named by this row's file and line."""
+        try:
+            return make(*args)
+        except ValueError as exc:
+            raise self.error(f"{self.path}:{self.line}: {exc}") from None
+
 
 def read_table(path, required, header_rule: str | None = None, error=ValueError):
     """The header and the TableRows of a small CSV table, split by the csv
@@ -530,7 +538,8 @@ def read_table(path, required, header_rule: str | None = None, error=ValueError)
 
 def load_events_csv(path) -> list[Event]:
     _, rows = read_table(path, ("condition", "start_s", "end_s"))
-    return [Event(row["condition"], row.number("start_s"), row.number("end_s")) for row in rows]
+    return [row.build(Event, row["condition"], row.number("start_s"), row.number("end_s"))
+            for row in rows]
 
 
 @dataclass

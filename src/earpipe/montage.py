@@ -159,7 +159,7 @@ def load_montage_csv(path) -> MontageMap:
     ground = None
     excluded = set()
     for row in read_table(path, ("label", "role", "channel"), error=MontageError)[1]:
-        lab = ElectrodeLabel.parse(row["label"])
+        lab = row.build(ElectrodeLabel.parse, row["label"])
         role = row["role"].lower()
         if role == "record":
             channel = row.number("channel")

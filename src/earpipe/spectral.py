@@ -8,6 +8,7 @@ segments, so that sum(psd) * df approximates the signal variance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -105,8 +106,9 @@ def welch_psd_recording(
     Segments hop by seg - overlap samples; each is mean-detrended,
     Hamming-windowed and transformed; squared magnitudes are averaged
     across segments, scaled by 1/(rate * sum(w^2)) and one-sided-doubled
-    except at DC and Nyquist. The kept segments are transformed in
-    chunks of a sliding-window view of the samples.
+    except at DC and Nyquist. A rate at which rate * sum(w^2) overflows
+    is refused before any segment is transformed. The kept segments are
+    transformed in chunks of a sliding-window view of the samples.
 
     exclude_spans lists [start_s, end_s) intervals (in the recording's
     own timebase, t0 = 0) whose overlapping segments are skipped, e.g.
@@ -127,6 +129,9 @@ def welch_psd_recording(
         raise ValueError("every segment overlaps an excluded span; nothing to average")
 
     w = np.hamming(seg)
+    norm = float(rec.rate) * float(np.sum(w * w))
+    if not math.isfinite(norm):
+        raise ValueError(f"rate {rec.rate} Hz overflows the Welch density scale")
     windows = np.lib.stride_tricks.sliding_window_view(rec.data, seg, axis=1)
     per_chunk = max(1, WELCH_CHUNK_ELEMS // max(1, rec.n_channels * seg))
     acc = np.zeros((rec.n_channels, seg // 2 + 1))
@@ -136,7 +141,7 @@ def welch_psd_recording(
         d *= w
         spect = np.fft.rfft(d, axis=2)
         acc += (spect.real**2 + spect.imag**2).sum(axis=1)
-    acc *= 1.0 / (rec.rate * np.sum(w * w)) / len(keep)
+    acc *= 1.0 / norm / len(keep)
     acc[:, 1:] *= 2.0
     if seg % 2 == 0:
         acc[:, -1] *= 0.5

@@ -188,19 +188,59 @@ class RegressionFit:
         }
 
 
+def _t_test(estimate: float, se: float, df: int) -> tuple[float, float]:
+    """t and two-sided p of estimate / se. With no spread (se = 0, or a NaN
+    se from non-finite data) a zero estimate gives t = 0, p = 1 and any
+    other gives t = +-inf, p = 0."""
+    if se > 0:
+        t = estimate / se
+    else:
+        t = 0.0 if estimate == 0 else math.copysign(math.inf, estimate)
+    return t, t_p_two_sided(t, df)
+
+
+def _checked_xy(x, y, min_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float arrays: 1-D, of equal length, at least min_n long."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("x and y must be equal-length 1-D arrays")
+    if len(x) < min_n:
+        raise ValueError(f"need at least {min_n} points, got {len(x)}")
+    return x, y
+
+
+def _fit_summary(model, names, coef, se, y, resid, extras) -> RegressionFit:
+    """The RegressionFit of a least-squares fit: each coefficient's t and p
+    on the residual df, r^2 (1 when y is constant) and the residual SE."""
+    n = len(y)
+    df = n - len(coef)
+    rss = float(resid @ resid)
+    sst = float(np.sum((y - y.mean()) ** 2))
+    tests = [_t_test(c, s, df) for c, s in zip(coef, se)]
+    return RegressionFit(
+        model=model,
+        names=names,
+        coef=np.asarray(coef, dtype=float),
+        se=np.asarray(se, dtype=float),
+        t_stat=np.array([t for t, _ in tests]),
+        p_values=np.array([p for _, p in tests]),
+        r_squared=1.0 - rss / sst if sst > 0 else 1.0,
+        df_resid=df,
+        resid_se=math.sqrt(rss / df),
+        n=n,
+        extras=extras,
+    )
+
+
 def fit_linear(x, y) -> RegressionFit:
     """Ordinary least squares y = a + b*x with t-based p-values.
 
     extras carries (x_mean, sxx) so mean_prediction_se can build the
     1-SE band of the fitted mean response.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be equal-length 1-D arrays")
+    x, y = _checked_xy(x, y, 3)
     n = len(x)
-    if n < 3:
-        raise ValueError(f"need at least 3 points, got {n}")
     xm = x.mean()
     sxx = float(np.sum((x - xm) ** 2))
     if sxx == 0:
@@ -208,34 +248,10 @@ def fit_linear(x, y) -> RegressionFit:
     slope = float(np.sum((x - xm) * (y - y.mean())) / sxx)
     intercept = float(y.mean() - slope * xm)
     resid = y - (intercept + slope * x)
-    df = n - 2
-    s2 = float(resid @ resid) / df
-    s = math.sqrt(s2)
-    se_slope = math.sqrt(s2 / sxx)
-    se_int = math.sqrt(s2 * (1.0 / n + xm * xm / sxx))
-    sst = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(resid @ resid) / sst if sst > 0 else 1.0
-
-    def _t(c: float, se_c: float) -> float:
-        if se_c > 0:
-            return c / se_c
-        return 0.0 if c == 0 else math.copysign(math.inf, c)
-
-    t_int = _t(intercept, se_int)
-    t_slope = _t(slope, se_slope)
-    return RegressionFit(
-        model="linear",
-        names=("intercept", "slope"),
-        coef=np.array([intercept, slope]),
-        se=np.array([se_int, se_slope]),
-        t_stat=np.array([t_int, t_slope]),
-        p_values=np.array([t_p_two_sided(t_int, df), t_p_two_sided(t_slope, df)]),
-        r_squared=r2,
-        df_resid=df,
-        resid_se=s,
-        n=n,
-        extras={"x_mean": xm, "sxx": sxx},
-    )
+    s2 = float(resid @ resid) / (n - 2)
+    se = [math.sqrt(s2 * (1.0 / n + xm * xm / sxx)), math.sqrt(s2 / sxx)]
+    return _fit_summary("linear", ("intercept", "slope"), [intercept, slope], se, y, resid,
+                        {"x_mean": xm, "sxx": sxx})
 
 
 def mean_prediction_se(fit: RegressionFit, x0) -> np.ndarray:
@@ -265,55 +281,22 @@ def orthogonal_poly_basis(x: np.ndarray) -> tuple[np.ndarray, dict]:
     return np.stack([p0, p1, p2], axis=1), {"x_mean": float(x.mean()), "c0": c0, "c1": c1}
 
 
-def fit_quadratic_orthogonal(x, y, degree: int = 2) -> RegressionFit:
-    """Least squares on the orthogonal polynomial basis.
+def fit_quadratic_orthogonal(x, y) -> RegressionFit:
+    """Least squares on the orthogonal polynomial basis of degree 2.
 
-    Because the regressors are orthogonal, the linear coefficient and
-    its test are unchanged by including or dropping the quadratic term,
-    and degree=1 reproduces fit_linear's slope exactly.
+    Because the regressors are orthogonal, the linear coefficient is
+    fit_linear's slope exactly.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be equal-length 1-D arrays")
-    if degree not in (1, 2):
-        raise ValueError(f"degree must be 1 or 2, got {degree}")
-    n = len(x)
-    k = degree + 1
-    if n < k + 1:
-        raise ValueError(f"need at least {k + 1} points, got {n}")
+    x, y = _checked_xy(x, y, 4)
     basis, gs = orthogonal_poly_basis(x)
-    basis = basis[:, :k]
     ss = np.einsum("ij,ij->j", basis, basis)
     if np.any(ss <= 0):
         raise ValueError("degenerate design: collinear basis")
     coef = (basis.T @ y) / ss
-    fitted = basis @ coef
-    resid = y - fitted
-    df = n - k
-    s2 = float(resid @ resid) / df
-    se = np.sqrt(s2 / ss)
-    safe_se = np.where(se > 0, se, 1.0)
-    t_stat = np.where(
-        se > 0, coef / safe_se, np.where(coef == 0, 0.0, np.copysign(np.inf, coef))
-    )
-    p = np.array([t_p_two_sided(float(t), df) for t in t_stat])
-    sst = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(resid @ resid) / sst if sst > 0 else 1.0
-    names = ("intercept", "linear", "quadratic")[:k]
-    return RegressionFit(
-        model=f"orthogonal-poly-{degree}",
-        names=names,
-        coef=coef,
-        se=se,
-        t_stat=t_stat,
-        p_values=p,
-        r_squared=r2,
-        df_resid=df,
-        resid_se=math.sqrt(s2),
-        n=n,
-        extras=gs,
-    )
+    resid = y - basis @ coef
+    s2 = float(resid @ resid) / (len(x) - 3)
+    return _fit_summary("orthogonal-poly-2", ("intercept", "linear", "quadratic"), coef,
+                        np.sqrt(s2 / ss), y, resid, gs)
 
 
 # --- condition contrasts ----------------------------------------------------
@@ -352,18 +335,6 @@ class ContrastTable:
                 for (a, b, n, d, t, p, padj) in self.rows
             ],
         }
-
-
-def _paired_t(diffs: np.ndarray) -> tuple[float, float]:
-    n = len(diffs)
-    mean = float(diffs.mean())
-    sd = float(diffs.std(ddof=1)) if n > 1 else 0.0
-    if sd == 0:
-        if mean == 0:
-            return 0.0, 1.0
-        return math.copysign(math.inf, mean), 0.0
-    t = mean / (sd / math.sqrt(n))
-    return t, t_p_two_sided(t, n - 1)
 
 
 def pairwise_contrasts(cells: dict) -> ContrastTable:
@@ -412,25 +383,26 @@ def pairwise_contrasts(cells: dict) -> ContrastTable:
     f = float(ms_cond / ms_resid) if ms_resid > 0 else (0.0 if ms_cond == 0 else math.inf)
     p_omnibus = f_p_value(f, df1, df2)
 
-    m = len(conditions) * (len(conditions) - 1) // 2
     rows = []
     for i, a in enumerate(conditions):
         for b in conditions[i + 1 :]:
-            both = [p for p in participants if (p, a) in agg and (p, b) in agg]
-            if len(both) < 2:
-                rows.append((a, b, len(both), math.nan, math.nan, math.nan, math.nan))
+            diffs = np.array([agg[(p, a)] - agg[(p, b)] for p in participants
+                              if (p, a) in agg and (p, b) in agg])
+            n = len(diffs)
+            if n < 2:
+                rows.append((a, b, n, math.nan, math.nan, math.nan))
                 continue
-            diffs = np.array([agg[(p, a)] - agg[(p, b)] for p in both])
-            t, p_raw = _paired_t(diffs)
-            rows.append((a, b, len(both), float(diffs.mean()), t, p_raw,
-                         min(1.0, m * p_raw)))
+            mean = float(diffs.mean())
+            se = float(diffs.std(ddof=1)) / math.sqrt(n)
+            rows.append((a, b, n, mean, *_t_test(mean, se, n - 1)))
+    adjusted = bonferroni([row[5] for row in rows])
     return ContrastTable(
         conditions=tuple(conditions),
         omnibus_f=f,
         omnibus_p=p_omnibus,
         df1=df1,
         df2=df2,
-        rows=rows,
+        rows=[(*row, float(p)) for row, p in zip(rows, adjusted)],
         balanced=balanced,
     )
 

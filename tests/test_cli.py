@@ -726,9 +726,13 @@ def contract_inputs(tmp_path_factory):
         pytest.param("bands --session {session} --events {root}/out_of_span.csv --out {root}/b.csv",
                      3, "event all [0.0, 1e+300) outside the recorded span [0.0, 2.048)",
                      id="events-out-of-span"),
-        # a 1e308 Hz rate overflows Welch's density scale; the bands fail first
+        # a 1e308 Hz rate overflows Welch's density scale: the default bands
+        # fail first, and a band that holds bins meets the rate check
         pytest.param("bands --session {root}/huge_rate.csv --out {root}/b.csv", 2,
                      "band theta contains no frequency bins", id="session-huge-rate"),
+        pytest.param("bands --session {root}/huge_rate.csv --bands x:0:1e306 --out {root}/b.csv",
+                     3, "rate 1e+308 Hz overflows the Welch density scale",
+                     id="session-huge-rate-band"),
     ],
 )
 def test_bad_flag_or_path_exits_with_one_json_object(capsys, contract_inputs, argv, code, fragment):
@@ -889,8 +893,18 @@ _TABLES = {
 }
 
 
-@pytest.mark.parametrize("fault", ["none", "short", "long", "number"])
-@pytest.mark.parametrize("table", list(_TABLES))
+# table -> (column, field, message) of a row that the table reader takes
+# and the table's loader refuses
+_VALUE_FAULTS = {
+    "events": ("start_s", "1e9", "event eyes_closed: end 24.0 before start 1000000000.0"),
+    "montage": ("label", "X2", "cannot parse electrode label 'X2'"),
+}
+
+
+@pytest.mark.parametrize("table, fault", [
+    *((table, fault) for table in _TABLES for fault in ("none", "short", "long", "number")),
+    *((table, "value") for table in _VALUE_FAULTS),
+])
 def test_every_table_reader_names_the_bad_line(fuzz_inputs, tmp_path, capsys, table, fault):
     # spaces around the header's names, a blank line, then the last row with its fault
     name, command, column = _TABLES[table]
@@ -899,6 +913,8 @@ def test_every_table_reader_names_the_bad_line(fuzz_inputs, tmp_path, capsys, ta
     last = dict(zip(columns, rows[-1].split(",")))
     if fault == "number":
         last[column] = "1_000"
+    elif fault == "value":
+        column, last[column], problem = _VALUE_FAULTS[table]
     cells = list(last.values())
     if fault == "short":
         cells.pop()
@@ -914,7 +930,9 @@ def test_every_table_reader_names_the_bad_line(fuzz_inputs, tmp_path, capsys, ta
     if fault == "none":
         assert code == 0 and last_json(out)["command"] == argv[0]
         return
-    problem = (f"'1_000' in {column} is not a number" if fault == "number"
-               else f"{len(cells)} fields, header has {len(columns)}")
+    if fault == "number":
+        problem = f"'1_000' in {column} is not a number"
+    elif fault != "value":
+        problem = f"{len(cells)} fields, header has {len(columns)}"
     assert code == 3 and "Traceback" not in err
     assert json.loads(err) == {"error": "data", "message": f"{path}:{len(rows) + 2}: {problem}"}

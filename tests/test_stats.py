@@ -160,13 +160,12 @@ def test_quadratic_nesting_exact():
     rng = np.random.default_rng(5)
     x = rng.normal(size=25)
     y = 0.5 + 0.8 * x - 0.3 * x**2 + rng.normal(scale=0.4, size=25)
-    lin = fit_quadratic_orthogonal(x, y, degree=1)
-    quad = fit_quadratic_orthogonal(x, y, degree=2)
-    # orthogonality: the linear coefficient is identical in both models
-    assert lin.coef[1] == pytest.approx(quad.coef[1], rel=1e-12)
+    quad = fit_quadratic_orthogonal(x, y)
     ols = fit_linear(x, y)
-    assert lin.coef[1] == pytest.approx(ols.coef[1], rel=1e-12)
-    assert quad.r_squared >= lin.r_squared
+    # orthogonality: adding the quadratic term leaves the slope unchanged
+    assert quad.names[1] == "linear"
+    assert quad.coef[1] == pytest.approx(ols.coef[1], rel=1e-12)
+    assert quad.r_squared >= ols.r_squared
 
 
 def test_quadratic_matches_normal_equations():
