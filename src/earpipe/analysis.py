@@ -49,7 +49,7 @@ def read_scores(path, default_participant: str = "P01") -> dict:
             items = [tuple(row.number(c) for c in columns) for columns in (TLX_COLUMNS, FLOW_COLUMNS)]
             tlx, flow = aggregate_survey(row.build(SurveyResponse, *items))
         else:
-            tlx, flow = row.number("tlx_total"), row.number("flow_mean")
+            tlx, flow = (row.number(c, finite=True) for c in ("tlx_total", "flow_mean"))
         participant = row.get("participant", default_participant)
         sums.setdefault((participant, row["condition"]), []).append((tlx, flow))
     return {

@@ -224,26 +224,13 @@ def detect_beats(x: np.ndarray, rate: float) -> tuple[BeatSeries, float]:
     signal. Returns the beats and their rhythm score: the fraction of R-R
     intervals within 300-1500 ms times (1 - their coefficient of
     variation). The rhythm score alone does not tell noise from a heart;
-    the skewness gate of ecg_component_score or extract_ecg does. Raises
+    the skewness gate of extract_ecg or `earpipe ecg` does. Raises
     ValueError for a signal the detector cannot take (too short, rate
     too low).
     """
     sign = -1.0 if epoch_skewness(x, rate) < 0 else 1.0
     beats = pan_tompkins(sign * np.asarray(x, dtype=float), rate)
     return beats, _rhythm_score(beats)
-
-
-def ecg_component_score(src: np.ndarray, rate: float) -> float:
-    """Heartbeat-likeness of one signal: the rhythm score of detect_beats
-    if |epoch_skewness| reaches ECG_SKEW_THRESHOLD, else 0; also 0 for a
-    signal the detector cannot take. Independent of the signal's sign.
-    """
-    if abs(epoch_skewness(src, rate)) < ECG_SKEW_THRESHOLD:
-        return 0.0
-    try:
-        return detect_beats(src, rate)[1]
-    except ValueError:
-        return 0.0
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ class BeatSeries:
     """Detected beat times in seconds, strictly increasing."""
 
     beat_times: np.ndarray
-    rate: float
 
     def __post_init__(self):
         object.__setattr__(self, "beat_times", np.asarray(self.beat_times, dtype=float))
@@ -119,12 +118,12 @@ def pan_tompkins(x: np.ndarray, rate: float) -> BeatSeries:
     mwi = np.convolve(sq, np.ones(w) / w, mode="same")
 
     if not np.any(mwi > 0):
-        return BeatSeries(beat_times=np.empty(0), rate=rate)
+        return BeatSeries(beat_times=np.empty(0))
 
     refractory = int(round(REFRACTORY_S * rate))
     peaks = _fiducial_peaks(mwi, refractory)
     if len(peaks) == 0:
-        return BeatSeries(beat_times=np.empty(0), rate=rate)
+        return BeatSeries(beat_times=np.empty(0))
     # scale-proportional start: largest early fiducial as signal level,
     # median early fiducial as noise level
     lead = int(round(2.0 * rate))
@@ -144,9 +143,19 @@ def pan_tompkins(x: np.ndarray, rate: float) -> BeatSeries:
                 rr_hist.pop(0)
         qrs.append(idx)
 
+    def search_back(upto: int, thr: float) -> int | None:
+        """When a beat is overdue at sample upto (more than SEARCHBACK_FACTOR
+        mean R-R after the last one), the largest peak reaching half of thr
+        from one refractory period after the last beat up to upto; else None."""
+        if not rr_hist or upto - qrs[-1] <= SEARCHBACK_FACTOR * float(np.mean(rr_hist)):
+            return None
+        lo = qrs[-1] + refractory
+        cands = [c for c in peaks if lo <= c <= upto and mwi[c] >= 0.5 * thr]
+        return max(cands, key=lambda c: mwi[c]) if cands else None
+
     k = 0
     while k < len(peaks):
-        p = int(peaks[k])
+        p = peaks[k]
         if qrs and p - qrs[-1] < refractory:
             k += 1
             continue
@@ -156,45 +165,29 @@ def pan_tompkins(x: np.ndarray, rate: float) -> BeatSeries:
             k += 1
             continue
         npki = 0.125 * mwi[p] + 0.875 * npki
-        if qrs and rr_hist:
-            rr_avg = float(np.mean(rr_hist))
-            if p - qrs[-1] > SEARCHBACK_FACTOR * rr_avg:
-                lo = qrs[-1] + refractory
-                cands = [
-                    int(c) for c in peaks if lo <= c <= p and c not in qrs and mwi[c] >= 0.5 * thr
-                ]
-                if cands:
-                    best = max(cands, key=lambda c: mwi[c])
-                    accept(best, 0.25)
-                    if best != p:
-                        continue  # revisit p against the updated state
+        best = search_back(p, thr)
+        if best is not None:
+            accept(best, 0.25)
+            if best != p:
+                continue  # revisit p against the updated state
         k += 1
 
     # tail search-back: a final beat may sit below threshold with no
     # later peak to trigger the usual check
-    if qrs and rr_hist:
-        rr_avg = float(np.mean(rr_hist))
-        thr = npki + 0.25 * (spki - npki)
-        if n - qrs[-1] > SEARCHBACK_FACTOR * rr_avg:
-            lo = qrs[-1] + refractory
-            cands = [int(c) for c in peaks if c >= lo and c not in qrs and mwi[c] >= 0.5 * thr]
-            if cands:
-                accept(max(cands, key=lambda c: mwi[c]), 0.25)
-                qrs.sort()
+    best = search_back(n, npki + 0.25 * (spki - npki))
+    if best is not None:
+        qrs.append(best)
 
-    # refine each detection to the bandpassed local maximum nearby
+    # refine each detection to the bandpassed local maximum nearby; a beat
+    # moves by less than half the refractory period, so the order holds
     half = int(round(REFINE_S * rate))
     refined: list[int] = []
     for p in qrs:
         lo = max(0, p - half)
-        hi = min(n, p + half + 1)
-        refined.append(lo + int(np.argmax(bp[lo:hi])))
-    refined.sort()
-    dedup: list[int] = []
-    for idx in refined:
-        if not dedup or idx - dedup[-1] >= refractory:
-            dedup.append(idx)
-    return BeatSeries(beat_times=np.array(dedup, dtype=float) / rate, rate=rate)
+        idx = lo + int(np.argmax(bp[lo : min(n, p + half + 1)]))
+        if not refined or idx - refined[-1] >= refractory:
+            refined.append(idx)
+    return BeatSeries(beat_times=np.array(refined, dtype=float) / rate)
 
 
 def rr_periods(beats: BeatSeries) -> RrSeries:
@@ -212,7 +205,6 @@ MAD_SCALE = 1.4826
 
 @dataclass(frozen=True)
 class RrCleanResult:
-    kept: RrSeries
     kept_mask: np.ndarray
 
     @property
@@ -245,10 +237,7 @@ def rr_outlier_filter(rr: RrSeries) -> RrCleanResult:
     mad = MAD_SCALE * float(np.median(np.abs(dev - np.median(dev))))
     if mad > 0:
         keep &= np.abs(dev) <= 3.0 * mad
-    return RrCleanResult(
-        kept=RrSeries(intervals_ms=x[keep], anchored_at_s=rr.anchored_at_s[keep]),
-        kept_mask=keep,
-    )
+    return RrCleanResult(kept_mask=keep)
 
 
 @dataclass(frozen=True)
@@ -256,13 +245,16 @@ class BeatMatch:
     pairs: tuple  # (ref_index, alt_index) pairs
     unmatched_ref: int
     unmatched_alt: int
-    tolerance_s: float
 
 
 def match_beats(ref: BeatSeries, alt: BeatSeries, tolerance_s: float = 0.15) -> BeatMatch:
     """Pair beats between two series by greedy nearest neighbour in time.
 
-    Each beat joins at most one pair and paired times differ by at most
+    Each step looks at the current beat of either series. They pair when
+    each is the other's nearest and they lie within the tolerance.
+    Otherwise the series whose next beat lies strictly nearer than the
+    other's next beat drops its current beat; on a tie the earlier
+    current beat is dropped. Each beat joins at most one pair and paired times differ by at most
     the tolerance. Swapping the two series swaps the unmatched counts
     and mirrors the same pairs.
     """
@@ -277,34 +269,19 @@ def match_beats(ref: BeatSeries, alt: BeatSeries, tolerance_s: float = 0.15) -> 
         d = abs(r[i] - a[j])
         d_next_r = abs(r[i + 1] - a[j]) if i + 1 < len(r) else np.inf
         d_next_a = abs(r[i] - a[j + 1]) if j + 1 < len(a) else np.inf
-        if d <= min(d_next_r, d_next_a):
-            if d <= tolerance_s:
-                pairs.append((i, j))
-                i += 1
-                j += 1
-            elif r[i] <= a[j]:
-                un_r += 1
-                i += 1
-            else:
-                un_a += 1
-                j += 1
-        elif d_next_a < d_next_r:
+        if d <= min(d_next_r, d_next_a) and d <= tolerance_s:
+            pairs.append((i, j))
+            i += 1
+            j += 1
+        elif d_next_a < d_next_r or (d_next_a == d_next_r and a[j] < r[i]):
             un_a += 1
             j += 1
-        elif d_next_r < d_next_a:
-            un_r += 1
-            i += 1
-        elif r[i] <= a[j]:
-            un_r += 1
-            i += 1
         else:
-            un_a += 1
-            j += 1
+            un_r += 1
+            i += 1
     un_r += len(r) - i
     un_a += len(a) - j
-    return BeatMatch(
-        pairs=tuple(pairs), unmatched_ref=un_r, unmatched_alt=un_a, tolerance_s=tolerance_s
-    )
+    return BeatMatch(pairs=tuple(pairs), unmatched_ref=un_r, unmatched_alt=un_a)
 
 
 def paired_rr(match: BeatMatch, ref: BeatSeries, alt: BeatSeries) -> tuple[np.ndarray, np.ndarray]:

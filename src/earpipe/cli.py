@@ -120,21 +120,25 @@ def cmd_parse(args) -> int:
 
 def cmd_synth(args) -> int:
     kind, spec = _read_synth_spec(args.spec, args.seed)
+    if kind == "ecg":
+        try:
+            rec, beats = gen_ecg(spec)
+        except ValueError as exc:  # jitter can plant two beats inside one refractory period
+            raise ConfigError(f"ecg: planted {exc}; lower bpm or rr_jitter_ms") from None
+        truth = {"kind": kind, "beat_times_s": beats.beat_times, "bpm": spec.bpm}
+    else:
+        rec = berger_session(spec) if kind == "berger" else gen_eeg(spec)
+        truth = {"kind": kind, **rec.meta.get("truth", {})}
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if kind == "ecg":
-        rec, beats = gen_ecg(spec)
         truth_rows = []
         if len(beats) >= 2:
             rr = rr_periods(beats)
             truth_rows = [(t, ms, "ok") for t, ms in zip(rr.anchored_at_s, rr.intervals_ms)]
         write_rr_csv(truth_rows, out / "rr_truth.csv")
-        truth = {"kind": kind, "beat_times_s": beats.beat_times, "bpm": spec.bpm}
-    else:
-        rec = berger_session(spec) if kind == "berger" else gen_eeg(spec)
-        truth = {"kind": kind, **rec.meta.get("truth", {})}
     save_session_csv(rec, out / "session.csv")
-    events = rec.events or [Event("all", 0.0, rec.duration_s)]
+    events = rec.events or [Event("all", *rec.span)]
     save_events_csv(events, out / "events.csv")
     _json_dump(truth, out / "truth.json")
     _emit(
@@ -179,7 +183,7 @@ def cmd_bands(args) -> int:
     if args.events:
         events = load_input("events file", load_events_csv, args.events)
     else:
-        events = [Event("all", 0.0, rec.duration_s)]
+        events = [Event("all", *rec.span)]
     try:
         segments = cut_segments(rec, events)
         for ev in events:  # run flags an event outside the span; bands refuses it

@@ -175,13 +175,18 @@ class Recording:
         for ev in self.events:
             self.check_span(ev)
 
+    @property
+    def span(self) -> tuple[float, float]:
+        """The recorded time span [t0, t0 + n_samples / rate) in seconds."""
+        return self.t0, self.t0 + self.n_samples / self.rate
+
     def check_span(self, ev: Event) -> None:
         """A ValueError naming ev and the recorded span when ev runs outside it."""
-        span_end = self.t0 + self.data.shape[1] / self.rate
-        if ev.start_s < self.t0 - 1e-9 or ev.end_s > span_end + 1e-9:
+        lo, hi = self.span
+        if ev.start_s < lo - 1e-9 or ev.end_s > hi + 1e-9:
             raise ValueError(
                 f"event {ev.condition} [{ev.start_s}, {ev.end_s}) outside the "
-                f"recorded span [{self.t0}, {span_end})"
+                f"recorded span [{lo}, {hi})"
             )
 
     @property
@@ -500,11 +505,14 @@ class TableRow(dict):
         super().__init__(zip(header, (f.strip() for f in fields)))
         self.path, self.line, self.error = path, line, error
 
-    def number(self, column: str) -> float:
-        """The column's field as a float, by the session CSV's rule."""
+    def number(self, column: str, finite: bool = False) -> float:
+        """The column's field as a float, by the session CSV's rule; with
+        finite, nan and inf are refused too."""
         text = self[column]
         if not _reads_as_float(text):
             raise self.error(f"{self.path}:{self.line}: {text!r} in {column} is not a number")
+        if finite and not math.isfinite(float(text)):
+            raise self.error(f"{self.path}:{self.line}: {text!r} in {column} is not finite")
         return float(text)
 
     def build(self, make, *args):
@@ -558,8 +566,7 @@ def cut_segments(rec: Recording, events: list[Event] | None = None) -> list[Segm
     if events is None:
         events = rec.events
     out: list[Segment] = []
-    span_lo = rec.t0
-    span_hi = rec.t0 + rec.n_samples / rec.rate
+    span_lo, span_hi = rec.span
     for ev in events:
         # bounds every sample offset below; also refuses a NaN or infinite time
         if not math.isfinite((abs(ev.start_s - rec.t0) + abs(ev.end_s - rec.t0)) * rec.rate):

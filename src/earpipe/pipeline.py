@@ -572,7 +572,10 @@ def compute_run(cfg: PipelineConfig) -> RunResult:
             raise DataError("no reference R-R series configured")
         if not picked:
             raise DataError("no ECG component detected")
-        alt = BeatSeries(np.concatenate([t0 + beats.beat_times for t0, beats in picked]), rate)
+        try:
+            alt = BeatSeries(np.sort(np.concatenate([t0 + b.beat_times for t0, b in picked])))
+        except ValueError as exc:
+            raise DataError(f"the ECG segments overlap in session time: {exc}") from None
         ba = {"status": "ok", **rr_agreement(ref_beats, alt, cfg.match_tolerance_s)}
     except DataError as exc:
         ba = {"status": "not_computed", "reason": str(exc)}
@@ -642,8 +645,7 @@ def load_rr_beats(path) -> BeatSeries:
         raise DataError(f"{path}: no intervals")
     last_t, last_rr = intervals[-1]
     beats = [t for t, _ in intervals] + [last_t + last_rr / 1000.0]
-    # the source rate is not recorded in rr.csv and nothing downstream needs it
-    return BeatSeries(beat_times=np.array(beats), rate=0.0)
+    return BeatSeries(beat_times=np.array(beats))
 
 
 def _run_regressions(cfg: PipelineConfig, band_rows, scores) -> dict:

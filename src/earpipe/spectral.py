@@ -266,6 +266,7 @@ def write_band_table(rows: list[BandPowerRow], path) -> None:
 def read_band_table(path) -> list[BandPowerRow]:
     _, rows = read_table(path, ("participant", "condition", "channel", "band", "power_db"))
     return [
-        BandPowerRow(r["participant"], r["condition"], r["channel"], r["band"], r.number("power_db"))
+        BandPowerRow(r["participant"], r["condition"], r["channel"], r["band"],
+                     r.number("power_db", finite=True))
         for r in rows
     ]

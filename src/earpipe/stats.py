@@ -285,13 +285,17 @@ def fit_quadratic_orthogonal(x, y) -> RegressionFit:
     """Least squares on the orthogonal polynomial basis of degree 2.
 
     Because the regressors are orthogonal, the linear coefficient is
-    fit_linear's slope exactly.
+    fit_linear's slope exactly. A ValueError when x takes fewer than
+    three distinct values.
     """
     x, y = _checked_xy(x, y, 4)
     basis, gs = orthogonal_poly_basis(x)
     ss = np.einsum("ij,ij->j", basis, basis)
-    if np.any(ss <= 0):
-        raise ValueError("degenerate design: collinear basis")
+    # x with two distinct values leaves the quadratic column zero up to
+    # round-off, a norm about 1e-16 of the linear column's squared norm;
+    # at 1e-9 of it or below the quadratic term is not identified
+    if math.sqrt(ss[2]) <= 1e-9 * ss[1]:
+        raise ValueError("x takes two distinct values; the quadratic term is not identified")
     coef = (basis.T @ y) / ss
     resid = y - basis @ coef
     s2 = float(resid @ resid) / (len(x) - 3)

@@ -154,7 +154,7 @@ def gen_ecg(spec: EcgSynthSpec) -> tuple[Recording, BeatSeries]:
         data=x[None, :],
         meta={"truth": {"bpm": spec.bpm, "beats": beats.tolist(), "seed": spec.seed}},
     )
-    return rec, BeatSeries(beat_times=beats, rate=spec.rate)
+    return rec, BeatSeries(beat_times=beats)
 
 
 def mix_sources(sources, mixing=None, seed: int | None = None) -> Recording:

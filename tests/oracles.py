@@ -28,6 +28,14 @@ from earpipe.artifact import (
     _whiten,
     epoch_skewness,
 )
+from earpipe.cardiac import (
+    INTEGRATION_S,
+    REFINE_S,
+    REFRACTORY_S,
+    SEARCHBACK_FACTOR,
+    _bandpass_qrs,
+    _fiducial_peaks,
+)
 from earpipe.filters import (
     FirFilter,
     _line_design_matrix,
@@ -246,6 +254,146 @@ def skew_units_loop(
         sign = -1.0 if epoch_skewness(epochs[0::2].ravel(), rate) < 0 else 1.0
         held_out = sign * epoch_skewness(epochs[1::2].ravel(), rate)
         yield SkewUnit(index=index, source=sign * source, held_out_skew=held_out, n_iter=it)
+
+
+# The QRS detector and the beat matcher as they stood before the
+# detector's two search-backs became one helper and the matcher's six
+# branches became three. The code is copied unchanged except that the
+# detector returns its beat times plus how often each search-back
+# accepted a beat, and the matcher returns (pairs, unmatched_ref,
+# unmatched_alt); the tests hold the package to the same beats and pairs.
+
+
+def pan_tompkins_loop(x: np.ndarray, rate: float) -> tuple[np.ndarray, dict]:
+    """cardiac.pan_tompkins on a signal it takes (1-D, 5 s or more, at
+    100 Hz or more): (beat times, {"loop": n, "tail": m} search-back hits)."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    fired = {"loop": 0, "tail": 0}
+
+    bp = _bandpass_qrs(x, rate)
+    der_kernel = np.array([1.0, 2.0, 0.0, -2.0, -1.0]) * (rate / 8.0)
+    der = np.convolve(bp, der_kernel, mode="same")
+    sq = der * der
+    w = max(1, int(round(INTEGRATION_S * rate)))
+    mwi = np.convolve(sq, np.ones(w) / w, mode="same")
+
+    if not np.any(mwi > 0):
+        return np.empty(0), fired
+
+    refractory = int(round(REFRACTORY_S * rate))
+    peaks = _fiducial_peaks(mwi, refractory)
+    if len(peaks) == 0:
+        return np.empty(0), fired
+    # scale-proportional start: largest early fiducial as signal level,
+    # median early fiducial as noise level
+    lead = int(round(2.0 * rate))
+    early = [float(mwi[p]) for p in peaks if p < lead] or [float(mwi[peaks[0]])]
+    spki = 0.5 * max(early)
+    npki = 0.5 * float(np.median(early))
+
+    qrs: list[int] = []
+    rr_hist: list[float] = []
+
+    def accept(idx: int, gain: float):
+        nonlocal spki
+        spki = gain * mwi[idx] + (1.0 - gain) * spki
+        if qrs:
+            rr_hist.append(float(idx - qrs[-1]))
+            if len(rr_hist) > 8:
+                rr_hist.pop(0)
+        qrs.append(idx)
+
+    k = 0
+    while k < len(peaks):
+        p = int(peaks[k])
+        if qrs and p - qrs[-1] < refractory:
+            k += 1
+            continue
+        thr = npki + 0.25 * (spki - npki)
+        if mwi[p] >= thr:
+            accept(p, 0.125)
+            k += 1
+            continue
+        npki = 0.125 * mwi[p] + 0.875 * npki
+        if qrs and rr_hist:
+            rr_avg = float(np.mean(rr_hist))
+            if p - qrs[-1] > SEARCHBACK_FACTOR * rr_avg:
+                lo = qrs[-1] + refractory
+                cands = [
+                    int(c) for c in peaks if lo <= c <= p and c not in qrs and mwi[c] >= 0.5 * thr
+                ]
+                if cands:
+                    best = max(cands, key=lambda c: mwi[c])
+                    accept(best, 0.25)
+                    fired["loop"] += 1
+                    if best != p:
+                        continue  # revisit p against the updated state
+        k += 1
+
+    # tail search-back: a final beat may sit below threshold with no
+    # later peak to trigger the usual check
+    if qrs and rr_hist:
+        rr_avg = float(np.mean(rr_hist))
+        thr = npki + 0.25 * (spki - npki)
+        if n - qrs[-1] > SEARCHBACK_FACTOR * rr_avg:
+            lo = qrs[-1] + refractory
+            cands = [int(c) for c in peaks if c >= lo and c not in qrs and mwi[c] >= 0.5 * thr]
+            if cands:
+                accept(max(cands, key=lambda c: mwi[c]), 0.25)
+                fired["tail"] += 1
+                qrs.sort()
+
+    # refine each detection to the bandpassed local maximum nearby
+    half = int(round(REFINE_S * rate))
+    refined: list[int] = []
+    for p in qrs:
+        lo = max(0, p - half)
+        hi = min(n, p + half + 1)
+        refined.append(lo + int(np.argmax(bp[lo:hi])))
+    refined.sort()
+    dedup: list[int] = []
+    for idx in refined:
+        if not dedup or idx - dedup[-1] >= refractory:
+            dedup.append(idx)
+    return np.array(dedup, dtype=float) / rate, fired
+
+
+def match_beats_loop(r: np.ndarray, a: np.ndarray, tolerance_s: float) -> tuple[tuple, int, int]:
+    """cardiac.match_beats on two beat-time arrays: (pairs, unmatched_ref, unmatched_alt)."""
+    i = j = 0
+    pairs: list[tuple[int, int]] = []
+    un_r = un_a = 0
+    while i < len(r) and j < len(a):
+        d = abs(r[i] - a[j])
+        d_next_r = abs(r[i + 1] - a[j]) if i + 1 < len(r) else np.inf
+        d_next_a = abs(r[i] - a[j + 1]) if j + 1 < len(a) else np.inf
+        if d <= min(d_next_r, d_next_a):
+            if d <= tolerance_s:
+                pairs.append((i, j))
+                i += 1
+                j += 1
+            elif r[i] <= a[j]:
+                un_r += 1
+                i += 1
+            else:
+                un_a += 1
+                j += 1
+        elif d_next_a < d_next_r:
+            un_a += 1
+            j += 1
+        elif d_next_r < d_next_a:
+            un_r += 1
+            i += 1
+        elif r[i] <= a[j]:
+            un_r += 1
+            i += 1
+        else:
+            un_a += 1
+            j += 1
+    un_r += len(r) - i
+    un_a += len(a) - j
+    return tuple(pairs), un_r, un_a
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from earpipe.cli import main
-from earpipe.ingest import Event, cut_segments, encode_stream, load_session_csv
+from earpipe.ingest import (
+    Event,
+    Recording,
+    cut_segments,
+    encode_stream,
+    load_session_csv,
+    save_events_csv,
+    save_session_csv,
+)
 from earpipe.montage import builtin_montage_path
+from earpipe.pipeline import rr_rows, write_rr_csv
 from earpipe.spectral import band_power, read_band_table, to_db, welch_psd_recording
+
+from test_acceptance import ecg_eeg_mixture
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +125,9 @@ def test_synth_unknown_kind(tmp_path, capsys):
         ("berger", "[berger]\nalpha_band = 8:70\n", "alpha band"),
         ("berger", "[ecg]\nbpm = 72\n", "[ecg]"),
         ("ecg", "[ecg]\nr_width_ms = 0\n", "r_width_ms must be positive, got 0.0"),
+        # an accepted rate whose jittered beats fall inside one refractory period
+        ("ecg", "[ecg]\nbpm = 220\nduration_s = 120\n",
+         "ecg: planted beats closer than the refractory period"),
     ],
 )
 def test_synth_bad_spec_names_the_key(tmp_path, capsys, kind, section, fragment):
@@ -401,7 +415,69 @@ def test_version_flag():
     assert exc.value.code == 0
 
 
+def test_run_with_overlapping_ecg_segments_leaves_agreement_not_computed(tmp_path, capsys):
+    rec, truth = ecg_eeg_mixture(125.0)
+    save_session_csv(rec, tmp_path / "session.csv")
+    write_rr_csv(rr_rows(truth), tmp_path / "rr.csv")
+    runs = {"overlap": [Event("rest1", 0.0, 30.0), Event("task1", 30.0, 60.0),
+                        Event("all", 0.0, 60.0)],
+            "in_order": [Event("rest1", 0.0, 30.0), Event("task1", 30.0, 60.0)],
+            "reversed": [Event("task1", 30.0, 60.0), Event("rest1", 0.0, 30.0)]}
+    reports = {}
+    for name, events in runs.items():
+        save_events_csv(events, tmp_path / f"{name}.csv")
+        cfg = write_spec(tmp_path / f"{name}.ini", f"""
+[input]
+session = {tmp_path / 'session.csv'}
+events = {tmp_path / f'{name}.csv'}
+reference_rr = {tmp_path / 'rr.csv'}
+
+[output]
+dir = {tmp_path / name}
+
+[stages]
+rereference = off
+""")
+        code, _, err = run_cli(capsys, "run", "--config", cfg)
+        assert code == 0 and "Traceback" not in err, name
+        qc = json.loads((tmp_path / name / "qc.json").read_text())
+        assert all(seg["ecg_component"] is not None for seg in qc["segments"]), name
+        assert len(list((tmp_path / name).iterdir())) == 7
+        reports[name] = (tmp_path / name / "bland_altman.json").read_text()
+    overlap = json.loads(reports["overlap"])
+    assert overlap["status"] == "not_computed" and "overlap" in overlap["reason"]
+    # the segments' beats are put in session time order, whatever the event order
+    assert json.loads(reports["in_order"])["status"] == "ok"
+    assert reports["reversed"] == reports["in_order"]
+
+
 # ----------------------------------------------------------------- bands
+
+
+def test_bands_default_event_covers_the_recorded_span(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    late = Recording(rate=125.0, labels=["a", "b"], data=rng.normal(size=(2, 5000)), t0=10.0)
+    save_session_csv(late, tmp_path / "late.csv")
+    # a capture that lost packet 1 starts at its second frame, t0 = 8 ms
+    blob = encode_stream(rng.integers(-1000, 1000, size=(1000, 16)))
+    (tmp_path / "lost.bin").write_bytes(blob[:33] + blob[66:])
+    code, _, err = run_cli(capsys, "parse", "--raw", str(tmp_path / "lost.bin"),
+                           "--out-dir", str(tmp_path / "p"))
+    assert code == 0, err
+    assert load_session_csv(tmp_path / "p" / "session.csv").t0 == 0.008
+    for session, frames in ((tmp_path / "late.csv", 5000), (tmp_path / "p" / "session.csv", 999)):
+        out = tmp_path / f"{session.stem}_bands.csv"
+        code, _, err = run_cli(capsys, "bands", "--session", str(session), "--out", str(out))
+        assert code == 0, err
+        rows = read_band_table(out)
+        assert rows and {r.condition for r in rows} == {"all"}
+        rec = load_session_csv(session)
+        assert rec.n_samples == frames
+        want = band_power(to_db(welch_psd_recording(rec)))
+        got = {(r.channel, r.band): r.power_db for r in rows}
+        for band, values in want.items():
+            for label, value in zip(rec.labels, values):
+                assert got[(label, band)] == pytest.approx(value, abs=1e-6)
 
 
 def test_bands_subcommand(tmp_path, capsys):
@@ -898,6 +974,8 @@ _TABLES = {
 _VALUE_FAULTS = {
     "events": ("start_s", "1e9", "event eyes_closed: end 24.0 before start 1000000000.0"),
     "montage": ("label", "X2", "cannot parse electrode label 'X2'"),
+    "scores": ("tlx_total", "nan", "'nan' in tlx_total is not finite"),
+    "bands": ("power_db", "nan", "'nan' in power_db is not finite"),
 }
 
 

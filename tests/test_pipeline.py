@@ -524,7 +524,7 @@ def test_pooled_bands_weight_each_segment_psd_by_its_windows(tmp_path, monkeypat
 
 
 def test_load_rr_beats_round_trip(tmp_path):
-    beats = BeatSeries(beat_times=np.array([1.0, 2.0, 3.02, 3.98, 5.01]), rate=250.0)
+    beats = BeatSeries(beat_times=np.array([1.0, 2.0, 3.02, 3.98, 5.01]))
     rr = rr_periods(beats)
     path = tmp_path / "rr.csv"
     with open(path, "w") as fh:

@@ -168,6 +168,20 @@ def test_quadratic_nesting_exact():
     assert quad.r_squared >= ols.r_squared
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_quadratic_refused_when_x_takes_two_values(scale):
+    # two conditions per participant: every within-participant z score is
+    # +-1/sqrt(2), and (x - mean)^2 is constant up to round-off
+    participants = [f"P{i}" for i in range(5) for _ in range(2)]
+    rng = np.random.default_rng(8)
+    x = scale * z_standardize(rng.normal(size=10), participants)
+    with pytest.raises(ValueError, match="x takes two distinct values"):
+        fit_quadratic_orthogonal(x, rng.normal(size=10))
+    # a third value makes the term identifiable again
+    x[0] = 0.0
+    assert math.isfinite(fit_quadratic_orthogonal(x, rng.normal(size=10)).coef[2])
+
+
 def test_quadratic_matches_normal_equations():
     rng = np.random.default_rng(6)
     x = rng.normal(size=30)
