@@ -16,8 +16,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .analysis import analyze_tables, read_scores
 from .artifact import ECG_SKEW_THRESHOLD, SKEW_EPOCH_S, detect_beats, epoch_skewness
@@ -51,6 +49,7 @@ from .pipeline import (
 from .spectral import (
     BandPowerRow,
     DEFAULT_BANDS,
+    check_bands,
     check_welch_window,
     parse_band_spec,
     welch_psd_recording,
@@ -172,12 +171,7 @@ def cmd_bands(args) -> int:
         raise ConfigError(f"--segment, --overlap: {exc}") from None
     try:
         bands = parse_band_spec(args.bands) if args.bands else DEFAULT_BANDS
-        # checked against the Welch bins before Welch runs, as run's plan
-        # does; a window longer than the session is left to Welch
-        if args.segment <= rec.n_samples:
-            freqs = np.fft.rfftfreq(args.segment, d=1.0 / rec.rate)
-            for band in bands:
-                band.bins(freqs, rec.rate)
+        check_bands(bands, args.segment, rec.rate, rec.n_samples)
     except ValueError as exc:
         raise ConfigError(f"--bands: {exc}") from None
     if args.events:
@@ -307,7 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--config", default=None, help="pipeline INI config (used by run)")
-    parser.add_argument("--seed", type=int, default=None, help="override the configured seed")
+    parser.add_argument(
+        "--seed", type=int, default=None, help="override a synth spec's seed (run: a deprecated no-op)"
+    )
     parser.add_argument(
         "--line-freq",
         type=float,

@@ -136,9 +136,7 @@ def apply_zero_phase_array(x: np.ndarray, fir: FirFilter) -> np.ndarray:
 
 
 def apply_zero_phase(rec: Recording, fir: FirFilter) -> Recording:
-    out = rec.with_data(apply_zero_phase_array(rec.data, fir))
-    out.meta["edge_samples"] = max(out.meta.get("edge_samples", 0), fir.group_delay)
-    return out
+    return rec.with_data(apply_zero_phase_array(rec.data, fir))
 
 
 def baseline_correct(rec: Recording) -> Recording:

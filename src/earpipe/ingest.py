@@ -582,12 +582,7 @@ def cut_segments(rec: Recording, events: list[Event] | None = None) -> list[Segm
         actual = i1 - i0
         if actual == 0:
             flags.append("empty-segment")
-        seg_rec = Recording(
-            rate=rec.rate,
-            labels=list(rec.labels),
-            data=rec.data[:, i0:i1].copy(),
-            meta={"condition": ev.condition},
-        )
+        seg_rec = Recording(rate=rec.rate, labels=list(rec.labels), data=rec.data[:, i0:i1].copy())
         t_first = rec.t0 + i0 / rec.rate if actual else ev.start_s
         t_last = rec.t0 + (i1 - 1) / rec.rate if actual else ev.start_s
         out.append(

@@ -85,10 +85,11 @@ class MontageMap:
         raise MontageError(f"no electrode mapped to channel {channel}")
 
 
-def _build(excluded_pair: tuple[str, str]) -> MontageMap:
+def default_montage() -> MontageMap:
+    """Default map: ground L6, reference R6, exclude L3/R3."""
     ground = ElectrodeLabel.parse("L6")
     reference = ElectrodeLabel.parse("R6")
-    excluded = frozenset(ElectrodeLabel.parse(t) for t in excluded_pair)
+    excluded = frozenset(ElectrodeLabel.parse(t) for t in ("L3", "R3"))
     taken = {ground, reference} | excluded
     mapping: dict[ElectrodeLabel, int] = {}
     ch = 1
@@ -100,16 +101,6 @@ def _build(excluded_pair: tuple[str, str]) -> MontageMap:
             mapping[lab] = ch
             ch += 1
     return MontageMap(channel_of=mapping, reference=reference, ground=ground, excluded=excluded)
-
-
-def default_montage() -> MontageMap:
-    """Default map: ground L6, reference R6, exclude L3/R3."""
-    return _build(("L3", "R3"))
-
-
-def below_ear_montage() -> MontageMap:
-    """Alternate map excluding the below-ear positions L8/R8 instead."""
-    return _build(("L8", "R8"))
 
 
 def validate(m: MontageMap) -> list[str]:

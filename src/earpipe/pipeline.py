@@ -61,12 +61,12 @@ from .spectral import (
     BandPowerRow,
     DEFAULT_BANDS,
     PsdEstimate,
+    band_power,
+    check_bands,
     check_welch_length,
     check_welch_window,
     parse_band_spec,
     qc_report,
-    to_db,
-    band_power,
     welch_psd_recording,
     write_band_table,
 )
@@ -338,12 +338,7 @@ def plan_stages(cfg: PipelineConfig, rec: Recording, monmap) -> StagePlan:
             )
             continue
         firs.append(_try(problems, cutoff, design_fir, spec, rate))
-    # a Welch window longer than the session fails on every segment before
-    # a band is read, and its bins would take memory in proportion to it
-    if cfg.psd_segment <= rec.n_samples:
-        welch_freqs = np.fft.rfftfreq(cfg.psd_segment, d=1.0 / rate)
-        for band in cfg.bands:
-            _try(problems, "bands", band.bins, welch_freqs, rate)
+    _try(problems, "bands", check_bands, cfg.bands, cfg.psd_segment, rate, rec.n_samples)
     if problems:
         raise ConfigError("; ".join(problems))
     if rows and max(rows) > rec.n_channels:
@@ -430,7 +425,7 @@ def process_segment(
         psd = welch_psd_recording(
             asr_out, seg=cfg.psd_segment, overlap=cfg.psd_overlap, exclude_spans=exclude
         )
-        qc = qc_report(asr_out, psd, line_freq_hz=cfg.line_freq_hz).to_dict()
+        qc = qc_report(asr_out, psd, line_freq_hz=cfg.line_freq_hz)
     except ValueError as exc:
         raise DataError(f"segment {seg_index} ({condition}): {exc}") from None
     return SegmentResult(condition=condition, flagged=flagged, qc=qc, ecg=pick, psd=psd)
@@ -490,7 +485,7 @@ def condition_band_rows(participant: str, psds: list, bands, pooled=False) -> li
         psd = replace(group[0], power=np.average([p.power for p in group], axis=0, weights=weights))
         rows.extend(
             BandPowerRow(participant, cond, label, name, float(values[ch]))
-            for name, values in band_power(to_db(psd), bands).items()
+            for name, values in band_power(psd, bands).items()
             for ch, label in enumerate(psd.labels)
         )
     return rows
@@ -637,15 +632,21 @@ def rr_agreement(ref: BeatSeries, alt: BeatSeries, tolerance_s: float) -> dict:
 
 
 def load_rr_beats(path) -> BeatSeries:
-    """Rebuild a beat series from an rr.csv file (anchors plus final beat)."""
+    """Rebuild a beat series from an rr.csv file (anchors plus final beat).
+    A time or interval that is not a finite number, or a beat that does not
+    follow the one before it by the refractory period, is a DataError
+    naming its row's line."""
     rows = read_table(path, ("beat_time_s", "rr_ms"), "expected header beat_time_s,rr_ms[,flag]",
                       DataError)[1]
-    intervals = [(row.number("beat_time_s"), row.number("rr_ms")) for row in rows]
-    if not intervals:
+    if not rows:
         raise DataError(f"{path}: no intervals")
-    last_t, last_rr = intervals[-1]
-    beats = [t for t, _ in intervals] + [last_t + last_rr / 1000.0]
-    return BeatSeries(beat_times=np.array(beats))
+    beats: list[float] = []
+    for row in rows:
+        t, rr_ms = row.number("beat_time_s", finite=True), row.number("rr_ms", finite=True)
+        row.build(BeatSeries, beats[-1:] + [t])
+        beats.append(t)
+    # the last row's interval places the final beat
+    return rows[-1].build(BeatSeries, beats + [t + rr_ms / 1000.0])
 
 
 def _run_regressions(cfg: PipelineConfig, band_rows, scores) -> dict:

@@ -52,11 +52,9 @@ DEFAULT_BANDS = (
 @dataclass
 class PsdEstimate:
     freqs: np.ndarray
-    power: np.ndarray  # (channels, bins)
+    power: np.ndarray  # linear density, (channels, bins)
     rate: float
-    segment_length: int
     window_count: int
-    scale: str = "linear"  # "linear" (density) or "db"
     labels: list[str] = field(default_factory=list)
 
     def __post_init__(self):
@@ -149,30 +147,36 @@ def welch_psd_recording(
         freqs=np.fft.rfftfreq(seg, d=1.0 / rec.rate),
         power=acc,
         rate=rec.rate,
-        segment_length=seg,
         window_count=len(keep),
         labels=list(rec.labels),
     )
 
 
-def to_db(psd: PsdEstimate) -> PsdEstimate:
-    """10*log10 of the power density, floored at -150 dB."""
-    if psd.scale == "db":
-        raise ValueError("estimate is already in dB")
-    power = 10.0 * np.log10(np.maximum(psd.power, DB_EPS))
-    return replace(psd, power=np.maximum(power, DB_FLOOR), scale="db")
-
-
 def band_power(psd: PsdEstimate, bands=DEFAULT_BANDS) -> dict:
-    """Median dB power per band, per channel.
+    """Median dB power per band, per channel, of a linear estimate.
 
-    Bounds are inclusive of bin centers, so the gaps between canonical
-    bands (7-8 Hz, 12-13 Hz) stay unassigned. Requires a dB-scaled
-    estimate.
+    Each bin's density is taken as 10*log10, floored at -150 dB, before
+    the median. Bounds are inclusive of bin centers, so the gaps between
+    canonical bands (7-8 Hz, 12-13 Hz) stay unassigned.
     """
-    if psd.scale != "db":
-        raise ValueError("band_power expects a dB-scaled estimate; call to_db first")
-    return {b.name: np.median(psd.power[:, b.bins(psd.freqs, psd.rate)], axis=1) for b in bands}
+    out = {}
+    for b in bands:
+        power = psd.power[:, b.bins(psd.freqs, psd.rate)]
+        db = np.maximum(10.0 * np.log10(np.maximum(power, DB_EPS)), DB_FLOOR)
+        out[b.name] = np.median(db, axis=1)
+    return out
+
+
+def check_bands(bands, seg: int, rate: float, n_samples: int) -> None:
+    """Check every band's bins rule against the Welch bins of seg-sample
+    windows at rate, before Welch runs. A window longer than the n_samples
+    of the session is left to the length check: it fails there anyway,
+    and its bins would take memory in proportion to it."""
+    if seg > n_samples:
+        return
+    freqs = np.fft.rfftfreq(seg, d=1.0 / rate)
+    for band in bands:
+        band.bins(freqs, rate)
 
 
 def parse_band_spec(text: str) -> tuple[BandDefinition, ...]:
@@ -186,41 +190,14 @@ def parse_band_spec(text: str) -> tuple[BandDefinition, ...]:
     return tuple(bands)
 
 
-@dataclass
-class QcReport:
-    labels: list[str]
-    rms_uv: np.ndarray
-    amplitude_typical: np.ndarray  # bool per channel
-    hf_ratio: np.ndarray
-    line_ratio: np.ndarray
-    line_freq_hz: float
-
-    def to_dict(self) -> dict:
-        return {
-            "line_freq_hz": self.line_freq_hz,
-            "channels": [
-                {
-                    "label": self.labels[i],
-                    "rms_uv": float(self.rms_uv[i]),
-                    "amplitude_typical": bool(self.amplitude_typical[i]),
-                    "hf_ratio": float(self.hf_ratio[i]),
-                    "line_ratio": float(self.line_ratio[i]),
-                }
-                for i in range(len(self.labels))
-            ],
-        }
-
-
-def qc_report(rec: Recording, psd: PsdEstimate, line_freq_hz: float = 50.0) -> QcReport:
-    """Per-channel data-quality summary.
+def qc_report(rec: Recording, psd: PsdEstimate, line_freq_hz: float = 50.0) -> dict:
+    """Per-channel data-quality summary, as qc.json holds it.
 
     RMS amplitudes between 1 and 20 microvolts count as typical for
     around-the-ear recordings. The high-frequency ratio is the linear
     power mass in 31-62 Hz over the total; the line ratio is the mass
     within +/-1 Hz of the line frequency over the total.
     """
-    if psd.scale != "linear":
-        raise ValueError("qc_report expects a linear-scale estimate")
     if psd.power.shape[0] != rec.n_channels:
         raise ValueError("PSD channel count does not match the recording")
     rms = np.sqrt(np.mean(rec.data**2, axis=1))
@@ -230,14 +207,20 @@ def qc_report(rec: Recording, psd: PsdEstimate, line_freq_hz: float = 50.0) -> Q
     line_mask = np.abs(psd.freqs - line_freq_hz) <= 1.0
     hf = psd.power[:, hf_mask].sum(axis=1) / total
     line = psd.power[:, line_mask].sum(axis=1) / total
-    return QcReport(
-        labels=list(rec.labels),
-        rms_uv=rms,
-        amplitude_typical=(rms >= 1.0) & (rms <= 20.0),
-        hf_ratio=hf,
-        line_ratio=line,
-        line_freq_hz=line_freq_hz,
-    )
+    typical = (rms >= 1.0) & (rms <= 20.0)
+    return {
+        "line_freq_hz": line_freq_hz,
+        "channels": [
+            {
+                "label": label,
+                "rms_uv": float(rms[i]),
+                "amplitude_typical": bool(typical[i]),
+                "hf_ratio": float(hf[i]),
+                "line_ratio": float(line[i]),
+            }
+            for i, label in enumerate(rec.labels)
+        ],
+    }
 
 
 @dataclass(frozen=True)

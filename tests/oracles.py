@@ -650,7 +650,6 @@ def welch_psd_loop(
         freqs=np.fft.rfftfreq(seg, d=1.0 / rec.rate),
         power=acc,
         rate=rec.rate,
-        segment_length=seg,
         window_count=len(keep),
         labels=list(rec.labels),
     )

@@ -4,7 +4,7 @@ import json
 import shutil
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,8 +21,8 @@ from earpipe.ingest import (
     save_session_csv,
 )
 from earpipe.montage import builtin_montage_path
-from earpipe.pipeline import rr_rows, write_rr_csv
-from earpipe.spectral import band_power, read_band_table, to_db, welch_psd_recording
+from earpipe.pipeline import StageToggles, rr_rows, write_rr_csv
+from earpipe.spectral import band_power, read_band_table, welch_psd_recording
 
 from test_acceptance import ecg_eeg_mixture
 
@@ -473,11 +473,30 @@ def test_bands_default_event_covers_the_recorded_span(tmp_path, capsys):
         assert rows and {r.condition for r in rows} == {"all"}
         rec = load_session_csv(session)
         assert rec.n_samples == frames
-        want = band_power(to_db(welch_psd_recording(rec)))
+        want = band_power(welch_psd_recording(rec))
         got = {(r.channel, r.band): r.power_db for r in rows}
         for band, values in want.items():
             for label, value in zip(rec.labels, values):
                 assert got[(label, band)] == pytest.approx(value, abs=1e-6)
+
+
+def test_run_with_every_stage_off_and_bands_write_the_same_table(tmp_path, capsys):
+    # 8 channels on purpose: run relabels a session with the montage's 16
+    # channels to electrode names, and bands keeps the session's labels
+    spec = write_spec(tmp_path / "s.ini", "[synth]\nkind = berger\nseed = 3\n\n"
+                      "[berger]\nsegment_s = 30\nn_channels = 8\n")
+    run_cli(capsys, "synth", "--spec", spec, "--out-dir", str(tmp_path / "d"))
+    session, events = tmp_path / "d" / "session.csv", tmp_path / "d" / "events.csv"
+    stages = "".join(f"{f.name} = off\n" for f in fields(StageToggles))
+    (tmp_path / "run.ini").write_text(
+        f"[input]\nsession = {session}\nevents = {events}\n\n[stages]\n{stages}\n"
+        f"[output]\ndir = {tmp_path / 'run'}\n")
+    code, _, err = run_cli(capsys, "run", "--config", str(tmp_path / "run.ini"))
+    assert code == 0, err
+    code, _, err = run_cli(capsys, "bands", "--session", str(session), "--events", str(events),
+                           "--out", str(tmp_path / "bands.csv"))
+    assert code == 0, err
+    assert (tmp_path / "run" / "bands.csv").read_bytes() == (tmp_path / "bands.csv").read_bytes()
 
 
 def test_bands_subcommand(tmp_path, capsys):
@@ -514,7 +533,7 @@ def test_bands_averages_a_repeated_condition_like_run(tmp_path, capsys):
     psds = [welch_psd_recording(seg.recording) for seg in cut_segments(
         session, [Event("rest", 0.0, 4.0), Event("rest", 4.0, 10.0)])]
     mean = replace(psds[0], power=(psds[0].power + psds[1].power) / 2)
-    want = band_power(to_db(mean))
+    want = band_power(mean)
     assert len(got) == len(want) * len(mean.labels)
     for band, values in want.items():
         for label, value in zip(mean.labels, values):
@@ -969,19 +988,25 @@ _TABLES = {
 }
 
 
-# table -> (column, field, message) of a row that the table reader takes
-# and the table's loader refuses
+# (table, fault) -> (column, field, message) of a row that the table reader
+# takes and the table's loader refuses
 _VALUE_FAULTS = {
-    "events": ("start_s", "1e9", "event eyes_closed: end 24.0 before start 1000000000.0"),
-    "montage": ("label", "X2", "cannot parse electrode label 'X2'"),
-    "scores": ("tlx_total", "nan", "'nan' in tlx_total is not finite"),
-    "bands": ("power_db", "nan", "'nan' in power_db is not finite"),
+    ("events", "value"): ("start_s", "1e9", "event eyes_closed: end 24.0 before start 1000000000.0"),
+    ("montage", "value"): ("label", "X2", "cannot parse electrode label 'X2'"),
+    ("scores", "value"): ("tlx_total", "nan", "'nan' in tlx_total is not finite"),
+    ("bands", "value"): ("power_db", "nan", "'nan' in power_db is not finite"),
+    # the rows before the last are beats 0.8 s apart, the last one at 19.7 s
+    ("rr", "nan-time"): ("beat_time_s", "nan", "'nan' in beat_time_s is not finite"),
+    ("rr", "inf-time"): ("beat_time_s", "inf", "'inf' in beat_time_s is not finite"),
+    ("rr", "nan-interval"): ("rr_ms", "nan", "'nan' in rr_ms is not finite"),
+    ("rr", "early-time"): ("beat_time_s", "19.0", "beats closer than the refractory period"),
+    ("rr", "short-interval"): ("rr_ms", "150", "beats closer than the refractory period"),
 }
 
 
 @pytest.mark.parametrize("table, fault", [
     *((table, fault) for table in _TABLES for fault in ("none", "short", "long", "number")),
-    *((table, "value") for table in _VALUE_FAULTS),
+    *_VALUE_FAULTS,
 ])
 def test_every_table_reader_names_the_bad_line(fuzz_inputs, tmp_path, capsys, table, fault):
     # spaces around the header's names, a blank line, then the last row with its fault
@@ -991,8 +1016,8 @@ def test_every_table_reader_names_the_bad_line(fuzz_inputs, tmp_path, capsys, ta
     last = dict(zip(columns, rows[-1].split(",")))
     if fault == "number":
         last[column] = "1_000"
-    elif fault == "value":
-        column, last[column], problem = _VALUE_FAULTS[table]
+    elif (table, fault) in _VALUE_FAULTS:
+        column, last[column], problem = _VALUE_FAULTS[table, fault]
     cells = list(last.values())
     if fault == "short":
         cells.pop()
@@ -1010,7 +1035,7 @@ def test_every_table_reader_names_the_bad_line(fuzz_inputs, tmp_path, capsys, ta
         return
     if fault == "number":
         problem = f"'1_000' in {column} is not a number"
-    elif fault != "value":
+    elif fault in ("short", "long"):
         problem = f"{len(cells)} fields, header has {len(columns)}"
     assert code == 3 and "Traceback" not in err
     assert json.loads(err) == {"error": "data", "message": f"{path}:{len(rows) + 2}: {problem}"}

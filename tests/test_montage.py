@@ -6,7 +6,6 @@ from earpipe.montage import (
     ElectrodeLabel,
     MontageError,
     MontageMap,
-    below_ear_montage,
     builtin_montage_path,
     default_montage,
     load_montage_csv,
@@ -56,13 +55,6 @@ def test_default_montage_skips_excluded_indices():
         m.channel("R3")
     with pytest.raises(MontageError):
         m.channel("R6")  # reference records nothing
-
-
-def test_below_ear_variant():
-    m = below_ear_montage()
-    assert {str(x) for x in m.excluded} == {"L8", "R8"}
-    assert m.channel("R3") == 3
-    assert validate(m) == []
 
 
 def test_validate_names_violations():

@@ -28,7 +28,7 @@ from earpipe.pipeline import (
     run_pipeline,
     write_reports,
 )
-from earpipe.spectral import band_power, read_band_table, to_db
+from earpipe.spectral import band_power, read_band_table
 from earpipe.synth import BergerSpec, berger_session
 
 
@@ -510,7 +510,7 @@ def test_pooled_bands_weight_each_segment_psd_by_its_windows(tmp_path, monkeypat
     counts = [p.window_count for p in psds]
     for cond, (i, j) in (("eyes_open", (0, 1)), ("eyes_closed", (2, 3))):
         power = (counts[i] * psds[i].power + counts[j] * psds[j].power) / (counts[i] + counts[j])
-        want = band_power(to_db(replace(psds[i], power=power)), cfg.bands)
+        want = band_power(replace(psds[i], power=power), cfg.bands)
         for band, values in want.items():
             for label, value in zip(psds[i].labels, values):
                 assert band_db["pooled"][(cond, label, band)] == pytest.approx(value, abs=1e-9)
