@@ -18,9 +18,13 @@ taken as a lower half, and the recording is returned directly with an
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import os
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -427,6 +431,149 @@ def _reads_as_float(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
+# The session cache keeps the parsed sample rows of each session CSV as
+# <SHA-256 of the file's bytes>.npy, so a later load of the same bytes
+# skips the parse. A change to what a parse returns for given bytes must
+# also change where entries are kept, or old entries would outlive it.
+
+# About thirty 2 x 15 min 16-channel sessions at 125 Hz (31 MB each as
+# float64), or four 2 h ones at 250 Hz (245 MB each): a study's recent
+# sessions stay parsed without the cache taking a noticeable share of a
+# home directory. Entries past it go least recently used first.
+CACHE_BUDGET_BYTES = 1 << 30
+HASH_CHUNK_BYTES = 1 << 20
+
+
+def session_cache_dir() -> Path | None:
+    """Where parsed sessions are kept: $EARPIPE_CACHE_DIR if set, else
+    $XDG_CACHE_HOME/earpipe, else ~/.cache/earpipe; None when there is
+    no home directory to put it in."""
+    if os.environ.get("EARPIPE_CACHE_DIR"):
+        return Path(os.environ["EARPIPE_CACHE_DIR"])
+    xdg = os.environ.get("XDG_CACHE_HOME", "")
+    if os.path.isabs(xdg):
+        return Path(xdg) / "earpipe"
+    try:
+        return Path.home() / ".cache" / "earpipe"
+    except RuntimeError:
+        return None
+
+
+def _file_state(path) -> tuple[int, int]:
+    st = os.stat(path)
+    return st.st_size, st.st_mtime_ns
+
+
+def _cache_entry(path) -> tuple[Path, tuple[int, int]] | None:
+    """The cache entry of the file's bytes, and the file's (size,
+    mtime_ns) from before they were hashed; None without a cache
+    directory or when the file cannot be hashed."""
+    # hashlib and tempfile are imported where they are used: only a
+    # session CSV load needs them, and importing them costs about 16 ms
+    # of start-up (hashlib also maps OpenSSL) that other commands skip
+    import hashlib
+
+    cache_dir = session_cache_dir()
+    if cache_dir is None:
+        return None
+    try:
+        state = _file_state(path)
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            while chunk := fh.read(HASH_CHUNK_BYTES):
+                digest.update(chunk)
+    except OSError:
+        return None
+    return cache_dir / f"{digest.hexdigest()}.npy", state
+
+
+def _cached_rows(entry: Path, n_columns: int) -> np.ndarray | None:
+    """The sample rows kept at entry, or None when there are none or
+    they are not a non-empty float64 (rows, n_columns) array. A hit
+    marks the entry as just used."""
+    try:
+        with open(entry, "rb") as fh:
+            arr = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError):  # EOFError: an empty file
+        return None
+    if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.ndim == 2
+            and arr.shape[1] == n_columns and len(arr)):
+        return None
+    with suppress(OSError):
+        os.utime(entry)
+    return arr
+
+
+def _store_rows(entry: Path, state: tuple[int, int], path, arr: np.ndarray) -> bool:
+    """Keep arr at entry if the session file's size and mtime are still
+    `state`, then evict past the budget; whether it was kept."""
+    import tempfile  # imported here for the reason given in _cache_entry
+
+    if arr.nbytes > CACHE_BUDGET_BYTES:
+        return False
+    try:
+        if _file_state(path) != state:
+            return False
+        entry.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=entry.parent, suffix=".tmp")  # mode 0600
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.save(fh, arr, allow_pickle=False)
+            os.replace(tmp, entry)
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except (OSError, ValueError):
+        return False
+    _evict(entry.parent, CACHE_BUDGET_BYTES)
+    return True
+
+
+def _evict(cache_dir: Path, budget: int) -> None:
+    """Delete the least recently used entries until the rest fit budget."""
+    entries = []
+    with suppress(OSError):
+        for p in cache_dir.glob("*.npy"):
+            with suppress(OSError):
+                st = p.stat()
+                entries.append((st.st_mtime_ns, st.st_size, p))
+    total = sum(size for _, size, _ in entries)
+    for _, size, p in sorted(entries):
+        if total <= budget:
+            break
+        with suppress(OSError):
+            p.unlink()
+            total -= size
+
+
+def _parse_rows(path, header: list[str], skiprows: int) -> np.ndarray:
+    """The float rows after the header, which ends on line `skiprows`.
+    numpy's reader takes the file first; only a file it refuses pays for
+    the Python-filtered read, which skips what it cannot take and names
+    the first bad row."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            return np.loadtxt(path, delimiter=",", comments=None, skiprows=skiprows, ndmin=2)
+        except ValueError:
+            pass
+        try:
+            with open(path) as fh:
+                return np.loadtxt(
+                    # np.loadtxt would read a spaces-only line or an indented
+                    # comment as a row of empty fields
+                    (line for line in itertools.islice(fh, skiprows, None)
+                     if line.lstrip()[:1] not in ("", "#")),
+                    dtype=np.float64,
+                    delimiter=",",
+                    comments="#",
+                    ndmin=2,
+                )
+        except ValueError as exc:
+            raise _bad_row_error(path, header, exc) from None
+
+
 def load_session_csv(path) -> Recording:
     """Read the session format: `#` comment lines, a `t_s,<label>,...`
     header, then one row per sample.
@@ -436,11 +583,18 @@ def load_session_csv(path) -> Recording:
     lines and CRLF endings are accepted anywhere. The sample rows are
     parsed straight into one float array, so loading needs about the
     array's size in memory, not one Python object per value.
+
+    The rows come from the session cache (`session_cache_dir`) when it
+    holds the file's bytes; a file parsed here that passes every check
+    is stored there. The rate line and the header are read from the
+    file either way, and the cached rows get the same checks. A cache
+    that cannot be read or written only costs the parse. The result's
+    meta["session_cache"] says "hit", "stored" or "not stored".
     """
     rate = None
     header: list[str] | None = None
     with open(path) as fh:
-        for line in fh:
+        for skiprows, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -451,22 +605,13 @@ def load_session_csv(path) -> Recording:
                 continue
             header = [c.strip() for c in line.split(",")]
             break
-        if header is None or header[0] != "t_s":
-            raise ValueError(f"{path}: expected a 't_s,ch...' header row")
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                arr = np.loadtxt(
-                    # np.loadtxt would read a spaces-only line or an indented
-                    # comment as a row of empty fields
-                    (line for line in fh if line.lstrip()[:1] not in ("", "#")),
-                    dtype=np.float64,
-                    delimiter=",",
-                    comments="#",
-                    ndmin=2,
-                )
-        except ValueError as exc:
-            raise _bad_row_error(path, header, exc) from None
+    if header is None or header[0] != "t_s":
+        raise ValueError(f"{path}: expected a 't_s,ch...' header row")
+    cached = _cache_entry(path)
+    arr = _cached_rows(cached[0], len(header)) if cached else None
+    status = "hit" if arr is not None else "not stored"
+    if arr is None:
+        arr = _parse_rows(path, header, skiprows)
     if not len(arr):
         raise ValueError(f"{path}: no sample rows")
     if arr.shape[1] != len(header):
@@ -485,7 +630,11 @@ def load_session_csv(path) -> Recording:
         if dt <= 0:
             raise ValueError(f"{path}: cannot infer rate from timestamps")
         rate = 1.0 / dt
-    return Recording(rate=rate, labels=header[1:], data=arr[:, 1:].T, t0=float(t[0]))
+    rec = Recording(rate=rate, labels=header[1:], data=arr[:, 1:].T, t0=float(t[0]))
+    if status != "hit" and cached and _store_rows(*cached, path, arr):
+        status = "stored"
+    rec.meta["session_cache"] = status
+    return rec
 
 
 def save_events_csv(events: list[Event], path) -> None:

@@ -504,16 +504,19 @@ class RunResult:
     rr_rows: list
     bland_altman: dict
     regression: dict
+    session_cache: str | None  # load_session_csv's meta["session_cache"]; None for raw input
 
 
 def compute_run(cfg: PipelineConfig) -> RunResult:
     """Load every input, process every segment and build the content of
-    every report but run_meta.json; writes no file."""
+    every report but run_meta.json; writes no report (loading a session
+    CSV may store a session cache entry)."""
     started = time.time()
     problems = cfg.validate()
     if problems:
         raise ConfigError("; ".join(problems))
     rec, events, monmap, stream, ref_beats, scores = _load_inputs(cfg)
+    session_cache = rec.meta.get("session_cache")
     plan = plan_stages(cfg, rec, monmap)
     if rec.n_channels == len(monmap.channel_of):
         rec = relabel_by_montage(rec, monmap)
@@ -576,7 +579,8 @@ def compute_run(cfg: PipelineConfig) -> RunResult:
         ba = {"status": "not_computed", "reason": str(exc)}
     rr = [row for t0, beats in picked for row in rr_rows(beats, t0)]
     regression = _run_regressions(cfg, band_rows, scores)
-    return RunResult(cfg, started, conditions, band_rows, qc, integrity, rr, ba, regression)
+    return RunResult(cfg, started, conditions, band_rows, qc, integrity, rr, ba, regression,
+                     session_cache)
 
 
 def write_reports(result: RunResult, out_dir) -> dict:
@@ -599,6 +603,7 @@ def write_reports(result: RunResult, out_dir) -> dict:
             "elapsed_s": round(time.time() - result.started_unix, 3),
             "finished_unix": time.time(),
             "n_segments": n_segments,
+            "session_cache": result.session_cache,
         },
         out_dir / "run_meta.json",
     )

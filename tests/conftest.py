@@ -8,6 +8,16 @@ sys.path.insert(0, str(Path(__file__).parent))
 _acceptance_results: dict[int, tuple[bool, str]] = {}
 
 
+@pytest.fixture(scope="session", autouse=True)
+def session_cache_dir(tmp_path_factory):
+    """Every test, and every earpipe process a test starts, keeps parsed
+    sessions in one temporary cache, never in the user's."""
+    with pytest.MonkeyPatch.context() as mp:
+        path = tmp_path_factory.mktemp("session_cache")
+        mp.setenv("EARPIPE_CACHE_DIR", str(path))
+        yield path
+
+
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "acceptance(num, title): end-to-end acceptance criterion"

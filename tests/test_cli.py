@@ -220,6 +220,53 @@ ica_seed = 2
     assert alpha["eyes_closed"] > alpha["eyes_open"]
 
 
+def test_run_reports_do_not_depend_on_the_session_cache(tmp_path, capsys, monkeypatch):
+    data = synth_berger(tmp_path, capsys)
+    cfg = write_spec(
+        tmp_path / "run.ini",
+        f"[input]\nsession = {data / 'session.csv'}\nevents = {data / 'events.csv'}\n\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n",
+    )
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    runs = [("no_cache", blocker, "not stored"), ("cold", tmp_path / "cache", "stored"),
+            ("warm", tmp_path / "cache", "hit")]
+    for out, cache, status in runs:
+        monkeypatch.setenv("EARPIPE_CACHE_DIR", str(cache))
+        code, _, err = run_cli(capsys, "run", "--config", cfg, "--out-dir", str(tmp_path / out))
+        assert (code, err) == (0, "")
+        meta = json.loads((tmp_path / out / "run_meta.json").read_text())
+        assert meta["session_cache"] == status
+    names = sorted(p.name for p in (tmp_path / "no_cache").iterdir())
+    assert len(names) == 7
+    for out, _, _ in runs[1:]:
+        assert sorted(p.name for p in (tmp_path / out).iterdir()) == names
+        for name in names:
+            if name != "run_meta.json":
+                assert (tmp_path / out / name).read_bytes() == (tmp_path / "no_cache" / name).read_bytes()
+    assert blocker.read_text() == ""
+
+
+def test_run_on_a_malformed_session_fails_alike_twice_and_caches_nothing(tmp_path, capsys,
+                                                                         monkeypatch):
+    data = synth_berger(tmp_path, capsys)
+    lines = (data / "session.csv").read_text().splitlines()
+    lines[100] = lines[100].rsplit(",", 1)[0]
+    (data / "session.csv").write_text("\n".join(lines) + "\n")
+    cfg = write_spec(
+        tmp_path / "run.ini",
+        f"[input]\nsession = {data / 'session.csv'}\nevents = {data / 'events.csv'}\n\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n",
+    )
+    monkeypatch.setenv("EARPIPE_CACHE_DIR", str(tmp_path / "cache"))
+    results = [run_cli(capsys, "run", "--config", cfg) for _ in range(2)]
+    assert results[0] == results[1]
+    code, _, err = results[0]
+    assert code == 3
+    assert json.loads(err)["message"].startswith(f"{data / 'session.csv'}:101: ")
+    assert not (tmp_path / "cache").exists() or not list((tmp_path / "cache").iterdir())
+
+
 @pytest.mark.parametrize("asr", ["on", "off"])
 def test_run_rejects_non_finite_sample(tmp_path, capsys, asr):
     data = synth_berger(tmp_path, capsys)

@@ -1,3 +1,5 @@
+import hashlib
+import os
 import re
 import tracemalloc
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from earpipe import ingest
 from earpipe.ingest import (
     ADC_FULL_SCALE,
     HEADER_BYTE,
@@ -26,6 +29,7 @@ from earpipe.ingest import (
     read_table,
     save_events_csv,
     save_session_csv,
+    session_cache_dir,
 )
 
 from oracles import parse_stream_loop, session_csv_text, session_rows
@@ -467,6 +471,157 @@ def test_session_csv_load_memory_is_about_the_array(tmp_path):
     array_bytes = rows * (channels + 1) * 8  # t_s column included
     assert back.n_samples == rows
     assert peak <= 3 * array_bytes
+
+
+# --- session cache ------------------------------------------------------------
+
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    """A session cache of this test's own, empty at the start."""
+    path = tmp_path / "cache"
+    monkeypatch.setenv("EARPIPE_CACHE_DIR", str(path))
+    return path
+
+
+def saved_session(path, seed=0, rows=400, rate=250.0, t0=1.5):
+    rng = np.random.default_rng(seed)
+    rec = Recording(rate=rate, labels=["a", "b", "c"], data=rng.normal(scale=40.0, size=(3, rows)),
+                    t0=t0)
+    save_session_csv(rec, path)
+    return path
+
+
+def entry_of(cache, path):
+    return cache / f"{hashlib.sha256(path.read_bytes()).hexdigest()}.npy"
+
+
+def assert_same_recording(a, b):
+    assert _bits(a.data).tolist() == _bits(b.data).tolist()
+    assert (a.labels, a.rate, a.t0) == (b.labels, b.rate, b.t0)
+
+
+def test_session_cache_hit_is_bit_identical_to_a_parse(tmp_path, cache, monkeypatch):
+    path = saved_session(tmp_path / "s.csv")
+    stored = load_session_csv(path)
+    hit = load_session_csv(path)
+    assert stored.meta == {"session_cache": "stored"}
+    assert hit.meta == {"session_cache": "hit"}
+    assert sorted(cache.iterdir()) == [entry_of(cache, path)]
+    assert cache.stat().st_mode & 0o777 == 0o700
+    assert entry_of(cache, path).stat().st_mode & 0o777 == 0o600
+
+    monkeypatch.setenv("EARPIPE_CACHE_DIR", str(tmp_path / "other"))
+    parsed = load_session_csv(path)
+    assert parsed.meta == {"session_cache": "stored"}
+    assert_same_recording(hit, parsed)
+    assert_same_recording(stored, parsed)
+
+
+def test_session_cache_sees_new_bytes_behind_the_same_size_and_mtime(tmp_path, cache):
+    path = saved_session(tmp_path / "s.csv", seed=1)
+    first = load_session_csv(path)
+    state = path.stat()
+    text = path.read_text()
+    assert ",1" in text
+    path.write_text(text.replace(",1", ",2"))
+    os.utime(path, ns=(state.st_atime_ns, state.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (state.st_size, state.st_mtime_ns)
+
+    second = load_session_csv(path)
+    assert second.meta == {"session_cache": "stored"}
+    oracle = session_rows(path)[1]
+    assert _bits(second.data).tolist() == _bits(oracle[:, 1:].T).tolist()
+    assert not np.array_equal(first.data, second.data)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "empty", "not npy", "other shape", "pickle"])
+def test_session_cache_bad_entry_is_reparsed_and_replaced(tmp_path, cache, damage):
+    path = saved_session(tmp_path / "s.csv", seed=2)
+    parsed = load_session_csv(path)
+    entry = entry_of(cache, path)
+    good = entry.read_bytes()
+    if damage == "truncated":
+        entry.write_bytes(good[: len(good) // 2])
+    elif damage == "empty":
+        entry.write_bytes(b"")
+    elif damage == "not npy":
+        entry.write_bytes(b"t_s,a,b,c\n" * 100)
+    elif damage == "other shape":
+        np.save(entry, np.zeros((5, 2)))
+    else:
+        np.save(entry, np.array([{"a": 1}], dtype=object), allow_pickle=True)
+
+    again = load_session_csv(path)
+    assert again.meta == {"session_cache": "stored"}
+    assert_same_recording(again, parsed)
+    assert entry.read_bytes() == good
+    assert load_session_csv(path).meta == {"session_cache": "hit"}
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0.008000,3.0,abc", r"s\.csv:4: 'abc' in b is not a number"),
+    ("0.008000,3.0,nan", r"non-finite value nan in b at t_s=0\.008000"),
+])
+def test_session_cache_keeps_no_entry_for_a_bad_file(tmp_path, cache, row, message):
+    path = tmp_path / "s.csv"
+    path.write_text(f"#rate=125\nt_s,a,b\n0.000000,1.0,2.0\n{row}\n")
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            load_session_csv(path)
+    assert not cache.exists() or not list(cache.iterdir())
+
+
+def test_session_cache_skips_a_file_that_changed_while_it_was_read(tmp_path, cache, monkeypatch):
+    path = saved_session(tmp_path / "s.csv", seed=4)
+    parse = ingest._parse_rows
+
+    def parse_then_touch(*args):
+        rows = parse(*args)
+        os.utime(path, ns=(0, 0))
+        return rows
+
+    monkeypatch.setattr(ingest, "_parse_rows", parse_then_touch)
+    assert load_session_csv(path).meta == {"session_cache": "not stored"}
+    assert not cache.exists() or not list(cache.iterdir())
+
+
+def test_session_cache_that_cannot_be_written_costs_only_the_parse(tmp_path, monkeypatch):
+    path = saved_session(tmp_path / "s.csv", seed=3)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("not a directory")
+    monkeypatch.setenv("EARPIPE_CACHE_DIR", str(blocker))
+    first, second = load_session_csv(path), load_session_csv(path)
+    assert first.meta == second.meta == {"session_cache": "not stored"}
+    assert_same_recording(first, second)
+    assert blocker.read_text() == "not a directory"
+
+
+def test_session_cache_evicts_the_least_recently_used_past_its_budget(tmp_path, cache, monkeypatch):
+    paths = [saved_session(tmp_path / f"s{k}.csv", seed=10 + k) for k in range(3)]
+    load_session_csv(paths[0])
+    entry_size = entry_of(cache, paths[0]).stat().st_size
+    monkeypatch.setattr(ingest, "CACHE_BUDGET_BYTES", 2 * entry_size + entry_size // 2)
+    load_session_csv(paths[1])
+    # s1 was last used after s0 (2017 against 2001); a hit on s0 makes s1 the least recently used
+    os.utime(entry_of(cache, paths[0]), ns=(10**18, 10**18))
+    os.utime(entry_of(cache, paths[1]), ns=(15 * 10**17, 15 * 10**17))
+    assert load_session_csv(paths[0]).meta == {"session_cache": "hit"}
+    assert load_session_csv(paths[2]).meta == {"session_cache": "stored"}
+    assert sorted(cache.iterdir()) == sorted([entry_of(cache, paths[0]), entry_of(cache, paths[2])])
+
+
+def test_session_cache_location(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    monkeypatch.delenv("EARPIPE_CACHE_DIR", raising=False)
+    assert session_cache_dir() == tmp_path / "home" / ".cache" / "earpipe"
+    monkeypatch.setenv("XDG_CACHE_HOME", "relative/is/ignored")
+    assert session_cache_dir() == tmp_path / "home" / ".cache" / "earpipe"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert session_cache_dir() == tmp_path / "xdg" / "earpipe"
+    monkeypatch.setenv("EARPIPE_CACHE_DIR", str(tmp_path / "mine"))
+    assert session_cache_dir() == tmp_path / "mine"
 
 
 def test_events_csv_roundtrip(tmp_path):

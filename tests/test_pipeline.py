@@ -212,7 +212,8 @@ def test_readme_run_config_lists_every_key():
 # ------------------------------------------------------------ run_pipeline
 
 
-def test_run_from_raw_stream_writes_the_stream_report(tmp_path):
+def test_run_from_raw_stream_writes_the_stream_report(tmp_path, monkeypatch):
+    monkeypatch.setenv("EARPIPE_CACHE_DIR", str(tmp_path / "cache"))
     rec = berger_inputs(tmp_path)
     (tmp_path / "stream.bin").write_bytes(encode_stream(microvolts_to_counts(rec.data.T)))
     ini = base_config(tmp_path).read_text().replace(
@@ -231,10 +232,13 @@ def test_run_from_raw_stream_writes_the_stream_report(tmp_path):
         "flags": [],
         "gaps": [],
     }
+    # the raw capture never reaches the session cache
+    assert json.loads((tmp_path / "out" / "run_meta.json").read_text())["session_cache"] is None
 
     run_pipeline(load_config(base_config(tmp_path)))  # the same session as CSV
     report = json.loads((tmp_path / "out" / "integrity.json").read_text())
     assert list(report) == ["segments"]
+    assert json.loads((tmp_path / "out" / "run_meta.json").read_text())["session_cache"] == "stored"
 
 
 def test_run_pipeline_berger(tmp_path):
