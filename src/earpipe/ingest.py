@@ -21,6 +21,8 @@ import csv
 import itertools
 import math
 import os
+import stat
+import time
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
@@ -432,9 +434,11 @@ def _reads_as_float(text: str) -> bool:
 
 
 # The session cache keeps the parsed sample rows of each session CSV as
-# <SHA-256 of the file's bytes>.npy, so a later load of the same bytes
-# skips the parse. A change to what a parse returns for given bytes must
-# also change where entries are kept, or old entries would outlive it.
+# v<CACHE_FORMAT>-<SHA-256 of the file's bytes>.npy, so a later load of
+# the same bytes skips the parse. Bump CACHE_FORMAT whenever a parse can
+# return other rows for the same bytes, so entries made by the old code
+# are never read again (they age out by eviction).
+CACHE_FORMAT = 1
 
 # About thirty 2 x 15 min 16-channel sessions at 125 Hz (31 MB each as
 # float64), or four 2 h ones at 250 Hz (245 MB each): a study's recent
@@ -442,6 +446,9 @@ def _reads_as_float(text: str) -> bool:
 # home directory. Entries past it go least recently used first.
 CACHE_BUDGET_BYTES = 1 << 30
 HASH_CHUNK_BYTES = 1 << 20
+# A store's temp file lives for the seconds a store takes; one this old
+# was left by a store that was killed, and eviction deletes it.
+STALE_TMP_NS = 3600 * 10**9
 
 
 def session_cache_dir() -> Path | None:
@@ -459,15 +466,26 @@ def session_cache_dir() -> Path | None:
         return None
 
 
+def _private_dir(path: Path) -> bool:
+    """Whether path is a directory only this user can put files in: owned
+    by them, with no group or other write bit. An entry anywhere else may
+    have been planted by someone else, so such a cache is not used."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return False
+    return stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid() and not st.st_mode & 0o022
+
+
 def _file_state(path) -> tuple[int, int]:
     st = os.stat(path)
     return st.st_size, st.st_mtime_ns
 
 
-def _cache_entry(path) -> tuple[Path, tuple[int, int]] | None:
-    """The cache entry of the file's bytes, and the file's (size,
-    mtime_ns) from before they were hashed; None without a cache
-    directory or when the file cannot be hashed."""
+def _cache_entry(path, state: tuple[int, int]) -> Path | None:
+    """The cache entry of the file's bytes; None without a cache
+    directory, when the file cannot be hashed, or when its (size,
+    mtime_ns) is no longer `state`, taken before its header was read."""
     # hashlib and tempfile are imported where they are used: only a
     # session CSV load needs them, and importing them costs about 16 ms
     # of start-up (hashlib also maps OpenSSL) that other commands skip
@@ -477,20 +495,23 @@ def _cache_entry(path) -> tuple[Path, tuple[int, int]] | None:
     if cache_dir is None:
         return None
     try:
-        state = _file_state(path)
         digest = hashlib.sha256()
         with open(path, "rb") as fh:
             while chunk := fh.read(HASH_CHUNK_BYTES):
                 digest.update(chunk)
+        if _file_state(path) != state:
+            return None
     except OSError:
         return None
-    return cache_dir / f"{digest.hexdigest()}.npy", state
+    return cache_dir / f"v{CACHE_FORMAT}-{digest.hexdigest()}.npy"
 
 
 def _cached_rows(entry: Path, n_columns: int) -> np.ndarray | None:
-    """The sample rows kept at entry, or None when there are none or
-    they are not a non-empty float64 (rows, n_columns) array. A hit
-    marks the entry as just used."""
+    """The sample rows kept at entry, or None when its directory is not
+    private, there are none, or they are not a non-empty float64 (rows,
+    n_columns) array. A hit marks the entry as just used."""
+    if not _private_dir(entry.parent):
+        return None
     try:
         with open(entry, "rb") as fh:
             arr = np.load(fh, allow_pickle=False)
@@ -506,7 +527,8 @@ def _cached_rows(entry: Path, n_columns: int) -> np.ndarray | None:
 
 def _store_rows(entry: Path, state: tuple[int, int], path, arr: np.ndarray) -> bool:
     """Keep arr at entry if the session file's size and mtime are still
-    `state`, then evict past the budget; whether it was kept."""
+    `state` and the cache directory is private, then evict past the
+    budget; whether it was kept."""
     import tempfile  # imported here for the reason given in _cache_entry
 
     if arr.nbytes > CACHE_BUDGET_BYTES:
@@ -515,6 +537,8 @@ def _store_rows(entry: Path, state: tuple[int, int], path, arr: np.ndarray) -> b
         if _file_state(path) != state:
             return False
         entry.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        if not _private_dir(entry.parent):
+            return False
         fd, tmp = tempfile.mkstemp(dir=entry.parent, suffix=".tmp")  # mode 0600
         try:
             with os.fdopen(fd, "wb") as fh:
@@ -531,13 +555,18 @@ def _store_rows(entry: Path, state: tuple[int, int], path, arr: np.ndarray) -> b
 
 
 def _evict(cache_dir: Path, budget: int) -> None:
-    """Delete the least recently used entries until the rest fit budget."""
+    """Delete stale temp files, then the least recently used entries
+    until the rest fit budget."""
     entries = []
+    stale = time.time_ns() - STALE_TMP_NS
     with suppress(OSError):
-        for p in cache_dir.glob("*.npy"):
+        for p in cache_dir.iterdir():
             with suppress(OSError):
                 st = p.stat()
-                entries.append((st.st_mtime_ns, st.st_size, p))
+                if p.suffix == ".npy":
+                    entries.append((st.st_mtime_ns, st.st_size, p))
+                elif p.suffix == ".tmp" and st.st_mtime_ns < stale:
+                    p.unlink()
     total = sum(size for _, size, _ in entries)
     for _, size, p in sorted(entries):
         if total <= budget:
@@ -588,11 +617,15 @@ def load_session_csv(path) -> Recording:
     holds the file's bytes; a file parsed here that passes every check
     is stored there. The rate line and the header are read from the
     file either way, and the cached rows get the same checks. A cache
-    that cannot be read or written only costs the parse. The result's
-    meta["session_cache"] says "hit", "stored" or "not stored".
+    that cannot be read or written, or whose directory others could
+    write to, only costs the parse. The result's meta["session_cache"]
+    says "hit", "stored" or "not stored".
     """
     rate = None
     header: list[str] | None = None
+    # taken before the header is read: a file rewritten after this point
+    # is neither looked up nor stored, whatever the lines it now skips
+    state = _file_state(path)
     with open(path) as fh:
         for skiprows, line in enumerate(fh, start=1):
             line = line.strip()
@@ -607,8 +640,8 @@ def load_session_csv(path) -> Recording:
             break
     if header is None or header[0] != "t_s":
         raise ValueError(f"{path}: expected a 't_s,ch...' header row")
-    cached = _cache_entry(path)
-    arr = _cached_rows(cached[0], len(header)) if cached else None
+    entry = _cache_entry(path, state)
+    arr = _cached_rows(entry, len(header)) if entry else None
     status = "hit" if arr is not None else "not stored"
     if arr is None:
         arr = _parse_rows(path, header, skiprows)
@@ -631,7 +664,7 @@ def load_session_csv(path) -> Recording:
             raise ValueError(f"{path}: cannot infer rate from timestamps")
         rate = 1.0 / dt
     rec = Recording(rate=rate, labels=header[1:], data=arr[:, 1:].T, t0=float(t[0]))
-    if status != "hit" and cached and _store_rows(*cached, path, arr):
+    if status != "hit" and entry and _store_rows(entry, state, path, arr):
         status = "stored"
     rec.meta["session_cache"] = status
     return rec

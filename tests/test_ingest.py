@@ -1,6 +1,7 @@
 import hashlib
 import os
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -493,7 +494,7 @@ def saved_session(path, seed=0, rows=400, rate=250.0, t0=1.5):
 
 
 def entry_of(cache, path):
-    return cache / f"{hashlib.sha256(path.read_bytes()).hexdigest()}.npy"
+    return cache / f"v{ingest.CACHE_FORMAT}-{hashlib.sha256(path.read_bytes()).hexdigest()}.npy"
 
 
 def assert_same_recording(a, b):
@@ -584,6 +585,69 @@ def test_session_cache_skips_a_file_that_changed_while_it_was_read(tmp_path, cac
     monkeypatch.setattr(ingest, "_parse_rows", parse_then_touch)
     assert load_session_csv(path).meta == {"session_cache": "not stored"}
     assert not cache.exists() or not list(cache.iterdir())
+
+
+def test_session_cache_skips_a_file_rewritten_after_its_header_was_read(tmp_path, cache,
+                                                                        monkeypatch):
+    path = saved_session(tmp_path / "s.csv", seed=5)
+    text = path.read_text()
+    shorter = text.replace("#rate=250\n", "", 1)  # one preamble line fewer
+    lookup = ingest._cache_entry
+
+    def rewrite_then_lookup(*args):
+        path.write_text(shorter)
+        os.utime(path, ns=(10**18, 10**18))
+        return lookup(*args)
+
+    monkeypatch.setattr(ingest, "_cache_entry", rewrite_then_lookup)
+    assert load_session_csv(path).meta == {"session_cache": "not stored"}
+    assert not cache.exists() or not list(cache.iterdir())
+
+    monkeypatch.setattr(ingest, "_cache_entry", lookup)
+    stored = load_session_csv(path)
+    assert stored.meta == {"session_cache": "stored"}
+    oracle = session_rows(path)[1]
+    assert _bits(stored.data).tolist() == _bits(oracle[:, 1:].T).tolist()
+
+
+def test_session_cache_in_a_directory_others_can_write_is_not_used(tmp_path, cache):
+    path = saved_session(tmp_path / "s.csv", seed=6)
+    parsed = load_session_csv(path)
+    entry = entry_of(cache, path)
+    planted = np.load(entry) + 1.0
+    np.save(entry, planted)
+    cache.chmod(0o770)
+    for _ in range(2):
+        rec = load_session_csv(path)
+        assert rec.meta == {"session_cache": "not stored"}
+        assert_same_recording(rec, parsed)
+    assert np.array_equal(np.load(entry), planted)
+
+    cache.chmod(0o700)
+    assert load_session_csv(path).meta == {"session_cache": "hit"}  # the planted rows
+    np.save(entry, planted[:, :2])
+    assert load_session_csv(path).meta == {"session_cache": "stored"}
+
+
+def test_session_cache_does_not_read_entries_of_another_format(tmp_path, cache, monkeypatch):
+    path = saved_session(tmp_path / "s.csv", seed=7)
+    load_session_csv(path)
+    old = entry_of(cache, path)
+    monkeypatch.setattr(ingest, "CACHE_FORMAT", ingest.CACHE_FORMAT + 1)
+    assert load_session_csv(path).meta == {"session_cache": "stored"}
+    assert sorted(cache.iterdir()) == sorted([old, entry_of(cache, path)])
+
+
+def test_session_cache_store_deletes_stale_temp_files(tmp_path, cache):
+    cache.mkdir(mode=0o700)
+    stale, fresh = cache / "tmpold.tmp", cache / "tmpnew.tmp"
+    stale.write_bytes(b"left by a killed store")
+    fresh.write_bytes(b"another store, still writing")
+    hours_ago = time.time_ns() - 2 * ingest.STALE_TMP_NS
+    os.utime(stale, ns=(hours_ago, hours_ago))
+    path = saved_session(tmp_path / "s.csv", seed=8)
+    assert load_session_csv(path).meta == {"session_cache": "stored"}
+    assert sorted(cache.iterdir()) == sorted([fresh, entry_of(cache, path)])
 
 
 def test_session_cache_that_cannot_be_written_costs_only_the_parse(tmp_path, monkeypatch):
