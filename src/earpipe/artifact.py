@@ -17,7 +17,6 @@ subspace with raised-cosine cross-fades.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -72,9 +71,10 @@ def _above_null(evals: np.ndarray) -> np.ndarray:
 
 def _whiten(x: np.ndarray, n_components: int | None):
     """Center (channels, samples) data and PCA-whiten it to at most
-    n_components dimensions; near-zero-variance directions are dropped
-    with a warning. Returns the channel means, the whitening (k, channels)
-    and coloring (channels, k) matrices and the whitened data (k, samples).
+    n_components dimensions; directions whose variance is rounding noise
+    are dropped by the rule asr_calibrate drops them by. Returns the
+    channel means, the whitening (k, channels) and coloring (channels, k)
+    matrices and the whitened data (k, samples).
     """
     if x.ndim != 2:
         raise ValueError("expected (channels, samples) data")
@@ -91,12 +91,7 @@ def _whiten(x: np.ndarray, n_components: int | None):
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]
     evals, evecs = evals[order], evecs[:, order]
-    usable = int(np.sum(_above_null(evals)))
-    if usable < k:
-        warnings.warn(
-            f"rank-deficient data: reducing components {k} -> {usable}", RuntimeWarning
-        )
-        k = usable
+    k = min(k, int(np.sum(_above_null(evals))))
     if k == 0:
         raise ValueError("data has no variance to decompose")
     evals, evecs = evals[:k], evecs[:, :k]
@@ -114,8 +109,9 @@ def ica_decompose(
 ) -> IcaResult:
     """Fixed-point ICA with the log-cosh contrast.
 
-    Data is centered and PCA-whitened; near-zero-variance directions are
-    dropped with a warning. The unmixing matrix is driven to a fixed
+    Data is centered and PCA-whitened; directions whose variance is
+    rounding noise are dropped, so rank-deficient data gives fewer
+    components. The unmixing matrix is driven to a fixed
     point under symmetric decorrelation until the largest change falls
     below tol or max_iter is reached. Runs are bit-reproducible for a
     given seed.
@@ -213,24 +209,6 @@ def epoch_skewness(x: np.ndarray, rate: float) -> float:
     m3 = (e * e * e).mean(axis=1)
     skew = np.divide(m3, m2**1.5, out=np.zeros(m), where=m2 > 0)
     return float(np.median(skew))
-
-
-def detect_beats(x: np.ndarray, rate: float) -> tuple[BeatSeries, float]:
-    """One QRS detector pass over one channel, on its R lobe.
-
-    pan_tompkins runs on sign * x, where sign is the sign of
-    epoch_skewness(x) (+1 for 0): the R spike is the signal's long tail,
-    and the detector refines each beat to the maximum of the bandpassed
-    signal. Returns the beats and their rhythm score: the fraction of R-R
-    intervals within 300-1500 ms times (1 - their coefficient of
-    variation). The rhythm score alone does not tell noise from a heart;
-    the skewness gate of extract_ecg or `earpipe ecg` does. Raises
-    ValueError for a signal the detector cannot take (too short, rate
-    too low).
-    """
-    sign = -1.0 if epoch_skewness(x, rate) < 0 else 1.0
-    beats = pan_tompkins(sign * np.asarray(x, dtype=float), rate)
-    return beats, _rhythm_score(beats)
 
 
 @dataclass(frozen=True)
@@ -351,20 +329,25 @@ def extract_ecg(
     """The cardiac source of a multichannel recording, or None.
 
     The pick is the first of the skew_units whose held-out skewness
-    reaches ECG_SKEW_THRESHOLD and whose one detect_beats pass over the
-    whole segment scores at least ECG_SCORE_THRESHOLD; its index is the
-    unit's place in extraction order. The gate is one-sided: the fit
-    made the unit skew positive, and a heart keeps that sign on the
-    held-out epochs where a direction fitted to noise does so only by
-    chance. Data shorter than two epochs (10 s) gets no pick.
+    reaches ECG_SKEW_THRESHOLD and whose rhythm score reaches
+    ECG_SCORE_THRESHOLD; its index is the unit's place in extraction
+    order. The gate is one-sided: the fit made the unit skew positive,
+    and a heart keeps that sign on the held-out epochs where a direction
+    fitted to noise does so only by chance. One pan_tompkins pass over
+    the whole unit, as signed, finds the beats, so the R spike is the
+    lobe it times; the rhythm score is the fraction of R-R intervals
+    within 300-1500 ms times (1 - their coefficient of variation). Data
+    shorter than two epochs (10 s), or sampled below the detector's
+    100 Hz, gets no pick.
     """
     for unit in skew_units(rec, n_components, max_iter, tol):
         if unit.held_out_skew < ECG_SKEW_THRESHOLD:
             continue
         try:
-            beats, score = detect_beats(unit.source, rec.rate)
+            beats = pan_tompkins(unit.source, rec.rate)
         except ValueError:
             continue
+        score = _rhythm_score(beats)
         if score >= ECG_SCORE_THRESHOLD:
             return EcgPick(index=unit.index, score=score, beats=beats)
     return None

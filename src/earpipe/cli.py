@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import analyze_tables, read_scores
-from .artifact import ECG_SKEW_THRESHOLD, SKEW_EPOCH_S, detect_beats, epoch_skewness
+from .artifact import extract_ecg
 from .cardiac import rr_periods
 from .ingest import (
     cut_segments,
@@ -29,6 +29,7 @@ from .ingest import (
     save_events_csv,
     save_session_csv,
     Event,
+    Recording,
 )
 from .pipeline import (
     ConfigError,
@@ -209,21 +210,18 @@ def cmd_ecg(args) -> int:
             raise ConfigError(f"channel must be a label or 1-based index, got {args.channel!r}") from None
         if not 0 <= row < rec.n_channels:
             raise ConfigError(f"channel index {args.channel} outside 1..{rec.n_channels}")
-    x = rec.data[row]
-    # the heartbeat gate of ECG component selection, before any detection;
-    # a channel shorter than one epoch is left to the detector's length check
-    skew = epoch_skewness(x, rec.rate)
-    if abs(skew) < ECG_SKEW_THRESHOLD and len(x) >= SKEW_EPOCH_S * rec.rate:
-        raise DataError(
-            f"channel {args.channel}: |epoch skewness| {abs(skew):.3f} is below the "
-            f"heartbeat gate {ECG_SKEW_THRESHOLD}; no heartbeat to detect"
-        )
+    # the channel alone, through the cardiac-source decision of `run`
+    channel = Recording(rate=rec.rate, labels=[rec.labels[row]], data=rec.data[row : row + 1])
     try:
-        beats, _ = detect_beats(x, rec.rate)
+        pick = extract_ecg(channel)
     except ValueError as exc:
-        raise DataError(str(exc)) from None
-    if len(beats) < 2:
-        raise DataError("fewer than 2 beats detected")
+        raise DataError(f"channel {args.channel}: {exc}") from None
+    if pick is None:
+        raise DataError(
+            f"channel {args.channel}: no heartbeat by the rule of stage 7, which needs at "
+            "least 10 s at 100 Hz or more, held-out skewness >= 0.5 and rhythm score >= 0.5"
+        )
+    beats = pick.beats
     rows = rr_rows(beats)
     write_rr_csv(rows, args.out)
     _emit(

@@ -86,21 +86,9 @@ class MontageMap:
 
 
 def default_montage() -> MontageMap:
-    """Default map: ground L6, reference R6, exclude L3/R3."""
-    ground = ElectrodeLabel.parse("L6")
-    reference = ElectrodeLabel.parse("R6")
-    excluded = frozenset(ElectrodeLabel.parse(t) for t in ("L3", "R3"))
-    taken = {ground, reference} | excluded
-    mapping: dict[ElectrodeLabel, int] = {}
-    ch = 1
-    for side in ("R", "L"):  # right ear first: channels 1-8, then left: 9-16
-        for i in range(1, POSITIONS_PER_SIDE + 1):
-            lab = ElectrodeLabel(side, i)
-            if lab in taken:
-                continue
-            mapping[lab] = ch
-            ch += 1
-    return MontageMap(channel_of=mapping, reference=reference, ground=ground, excluded=excluded)
+    """The built-in map of data/montage.csv: ground L6, reference R6,
+    L3/R3 excluded, right ear on channels 1-8 and left ear on 9-16."""
+    return load_montage_csv(builtin_montage_path())
 
 
 def validate(m: MontageMap) -> list[str]:

@@ -35,6 +35,7 @@ from earpipe.cardiac import (
     SEARCHBACK_FACTOR,
     _bandpass_qrs,
     _fiducial_peaks,
+    pan_tompkins,
 )
 from earpipe.filters import (
     FirFilter,
@@ -394,6 +395,19 @@ def match_beats_loop(r: np.ndarray, a: np.ndarray, tolerance_s: float) -> tuple[
     un_r += len(r) - i
     un_a += len(a) - j
     return tuple(pairs), un_r, un_a
+
+
+# The one-channel detector of `earpipe ecg` before that command took the
+# cardiac-source decision of `run`: one pan_tompkins pass on the
+# channel's R lobe, chosen by the sign of its median epoch skewness. On
+# a channel with a heart the decision must time the same beats.
+
+
+def detect_beats(x: np.ndarray, rate: float) -> np.ndarray:
+    """The beat times of one pan_tompkins pass over sign * x, where sign
+    is the sign of epoch_skewness(x) (+1 for 0)."""
+    sign = -1.0 if epoch_skewness(x, rate) < 0 else 1.0
+    return pan_tompkins(sign * np.asarray(x, dtype=float), rate).beat_times
 
 
 @dataclass(frozen=True)

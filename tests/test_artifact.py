@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,13 +15,13 @@ from earpipe.artifact import (
     CalibrationError,
     asr_calibrate,
     asr_process,
-    detect_beats,
     epoch_skewness,
     extract_ecg,
     ica_decompose,
     skew_units,
     _third_moments,
 )
+from earpipe.cardiac import pan_tompkins
 from earpipe.ingest import Recording
 from earpipe.montage import builtin_montage_path, load_montage_csv, rereference_linked_mastoid
 from earpipe.synth import EcgSynthSpec, EegSynthSpec, gen_ecg, gen_eeg
@@ -83,10 +84,11 @@ def test_ica_reconstruction_identity():
     assert np.allclose(recon, data, atol=1e-9)
 
 
-def test_ica_warns_and_reduces_on_rank_deficiency():
+def test_ica_reduces_on_rank_deficiency():
     sources = laplacian_sources(3, 4000, 25)
     data = np.vstack([sources, sources[0] + sources[1]])  # 4 channels, rank 3
-    with pytest.warns(RuntimeWarning, match="rank"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the null direction is dropped silently
         result = ica_decompose(_rec(data), seed=5)
     assert result.sources.shape[0] == 3
 
@@ -117,9 +119,9 @@ def test_extract_ecg_finds_planted_heartbeat():
     unit = list(skew_units(rec))[pick.index]
     assert unit.held_out_skew >= ECG_SKEW_THRESHOLD
     assert unit.n_iter < ECG_MAX_ITER  # a skewed source converges long before the cap
-    _, score = detect_beats(unit.source, 250.0)
-    assert score >= ECG_SCORE_THRESHOLD
-    assert pick.score == score
+    assert pick.score >= ECG_SCORE_THRESHOLD
+    # one detector pass over the unit as signed
+    assert np.array_equal(pick.beats.beat_times, pan_tompkins(unit.source, 250.0).beat_times)
 
 
 def test_extract_ecg_none_on_noise():
@@ -130,8 +132,7 @@ def test_extract_ecg_none_on_noise():
 
 def test_extract_ecg_whitens_like_ica():
     sources = laplacian_sources(3, 4000, 25)
-    with pytest.warns(RuntimeWarning, match="rank"):
-        units = list(skew_units(_rec(np.vstack([sources, sources[0] + sources[1]]))))
+    units = list(skew_units(_rec(np.vstack([sources, sources[0] + sources[1]]))))
     assert len(units) == 3
     with pytest.raises(ValueError, match="n_components 5 outside 1-4"):
         extract_ecg(_rec(laplacian_sources(4, 4000, 26)), n_components=5)
@@ -208,18 +209,19 @@ def test_detect_beats_times_the_r_wave_in_either_polarity(rate, sign):
         rec, truth = gen_ecg(spec)
         noise = np.random.default_rng(100 + seed).normal(size=rec.n_samples)
         x = rec.data[0] + 0.05 * spec.r_amplitude_uv * noise
-        beats, _ = detect_beats(sign * x, rate)
-        err = np.abs(truth.beat_times[:, None] - beats.beat_times[None, :]).min(axis=1)
+        pick = extract_ecg(_rec(sign * x[None, :], rate))
+        assert pick is not None, (seed, sign)
+        err = np.abs(truth.beat_times[:, None] - pick.beats.beat_times[None, :]).min(axis=1)
         assert np.median(err) <= 1.0 / rate, (seed, sign)
 
 
 def test_ecg_score_polarity_invariant():
     rec, _ = gen_ecg(EcgSynthSpec(rate=250.0, duration_s=60.0, seed=32, bpm=66.0))
     x = rec.data[0] / rec.data[0].std()
-    beats, score = detect_beats(x, 250.0)
-    flipped, flipped_score = detect_beats(-x, 250.0)
-    assert np.array_equal(beats.beat_times, flipped.beat_times)
-    assert score == pytest.approx(flipped_score, abs=1e-12)
+    pick = extract_ecg(_rec(x[None, :], 250.0))
+    flipped = extract_ecg(_rec(-x[None, :], 250.0))
+    assert np.array_equal(pick.beats.beat_times, flipped.beats.beat_times)
+    assert pick.score == pytest.approx(flipped.score, abs=1e-12)
 
 
 # Over 1000 seeds per kind and rate the largest |epoch_skewness| of a
@@ -242,9 +244,8 @@ def test_no_heartbeat_found_in_noise(kind):
         for seed in range(50):
             x = _noise(kind, seed, 1, rate)[0]
             skews.append(abs(epoch_skewness(x, rate)))
-            # the heartbeat gate of `earpipe ecg`, then one detector pass
-            if skews[-1] >= ECG_SKEW_THRESHOLD:
-                picks += detect_beats(x, rate)[1] >= ECG_SCORE_THRESHOLD
+            # the one-channel decision of `earpipe ecg`
+            picks += extract_ecg(_rec(x[None, :], rate)) is not None
             signals += 1
         # the extraction maximises skewness, so only its held-out skewness
         # can be held to the single-channel null

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from earpipe.cardiac import BeatSeries, pan_tompkins
 from earpipe.cli import main
 from earpipe.ingest import (
     Event,
@@ -23,7 +24,9 @@ from earpipe.ingest import (
 from earpipe.montage import builtin_montage_path
 from earpipe.pipeline import StageToggles, rr_rows, write_rr_csv
 from earpipe.spectral import band_power, read_band_table, welch_psd_recording
+from earpipe.synth import EcgSynthSpec, EegSynthSpec, gen_ecg, gen_eeg
 
+from oracles import detect_beats
 from test_acceptance import ecg_eeg_mixture
 
 
@@ -218,6 +221,23 @@ ica_seed = 2
         for cond in ("eyes_open", "eyes_closed")
     }
     assert alpha["eyes_closed"] > alpha["eyes_open"]
+
+
+def test_quick_start_run_writes_nothing_to_stderr(tmp_path, capsys):
+    # the README quick start: a 16-channel Berger session whose re-reference
+    # leaves one null direction, dropped without a word
+    spec = write_spec(tmp_path / "berger.ini", "[synth]\nkind = berger\nseed = 0\n")
+    code, _, _ = run_cli(capsys, "synth", "--spec", spec, "--out-dir", str(tmp_path / "data"))
+    assert code == 0
+    cfg = write_spec(
+        tmp_path / "run.ini",
+        f"[input]\nsession = {tmp_path / 'data' / 'session.csv'}\n"
+        f"events = {tmp_path / 'data' / 'events.csv'}\n\n[output]\ndir = {tmp_path / 'out'}\n",
+    )
+    with warnings_on_stderr():
+        code, _, err = run_cli(capsys, "run", "--config", cfg)
+    assert code == 0
+    assert err == ""
 
 
 def test_run_reports_do_not_depend_on_the_session_cache(tmp_path, capsys, monkeypatch):
@@ -685,19 +705,70 @@ def test_ecg_channel_by_index_matches_label(tmp_path, capsys):
     assert (tmp_path / "by_label.csv").read_bytes() == (tmp_path / "by_index.csv").read_bytes()
 
 
-def test_ecg_heartless_channel_exits_3(tmp_path, capsys):
-    # a Berger session has no heart; the detector alone finds ~100 "beats"
-    data = synth_berger(tmp_path, capsys, segment_s=30)
+def _ecg_refuses(tmp_path, capsys, session, channel):
+    """Run `ecg` on one channel, expecting the no-heartbeat data error."""
     rr_out = tmp_path / "rr.csv"
-    code, out, err = run_cli(capsys, "ecg", "--session", str(data / "session.csv"),
-                             "--channel", "1", "--out", str(rr_out))
+    code, out, err = run_cli(capsys, "ecg", "--session", str(session),
+                             "--channel", channel, "--out", str(rr_out))
     assert code == 3
     assert out == ""
     diag = json.loads(err)
     assert diag["error"] == "data"
-    assert diag["message"].startswith("channel 1: |epoch skewness| 0.")
-    assert "heartbeat gate 0.5" in diag["message"]
+    assert diag["message"].startswith(f"channel {channel}: no heartbeat by the rule of stage 7")
+    assert "held-out skewness >= 0.5 and rhythm score >= 0.5" in diag["message"]
     assert not rr_out.exists()
+
+
+def test_ecg_heartless_channel_exits_3(tmp_path, capsys):
+    # a Berger session has no heart; the detector alone finds ~100 "beats"
+    data = synth_berger(tmp_path, capsys, segment_s=30)
+    _ecg_refuses(tmp_path, capsys, data / "session.csv", "1")
+
+
+def test_ecg_refuses_skewed_spikes_without_a_rhythm(tmp_path, capsys):
+    # one-sided 80 uV spikes 1.6-4 s apart over 3 uV pink noise: the channel
+    # is skewed in every epoch, but its spikes keep no heart's rhythm
+    rate = 250.0
+    x = gen_eeg(EegSynthSpec(rate=rate, duration_s=60.0, seed=0, n_channels=1)).data[0]
+    rng = np.random.default_rng(0)
+    spike = 80.0 * np.array([0.25, 0.5, 1.0, 0.5, 0.25])
+    t = 1.0 + rng.uniform(1.6, 4.0)
+    while (i := int(t * rate)) + len(spike) <= len(x):
+        x[i : i + len(spike)] += spike
+        t += rng.uniform(1.6, 4.0)
+    rec = Recording(rate=rate, labels=["spikes"], data=x[None, :])
+    assert len(pan_tompkins(x, rate)) > 20  # the detector alone times every spike
+    save_session_csv(rec, tmp_path / "session.csv")
+    _ecg_refuses(tmp_path, capsys, tmp_path / "session.csv", "spikes")
+
+
+def test_ecg_refuses_a_channel_shorter_than_two_epochs(tmp_path, capsys):
+    # an 8 s ECG holds a heart, but stage 7 decides only on 10 s or more
+    spec = write_spec(tmp_path / "ecg.ini",
+                      "[synth]\nkind = ecg\nseed = 3\n\n[ecg]\nduration_s = 8\n")
+    code, _, _ = run_cli(capsys, "synth", "--spec", spec, "--out-dir", str(tmp_path / "short"))
+    assert code == 0
+    _ecg_refuses(tmp_path, capsys, tmp_path / "short" / "session.csv", "ecg")
+
+
+@pytest.mark.parametrize("rate", [125.0, 250.0])
+def test_ecg_times_the_beats_of_the_one_channel_detector(tmp_path, capsys, rate):
+    # where the heartbeat decision finds a heart, its beats are those the
+    # one-channel detector found on the channel's R lobe
+    for seed in range(2):
+        rec, _ = gen_ecg(EcgSynthSpec(rate=rate, duration_s=30.0, seed=seed))
+        noise = gen_eeg(EegSynthSpec(rate=rate, duration_s=30.0, seed=seed, n_channels=1)).data[0]
+        for name, x in (("clean", rec.data[0]), ("negated", -rec.data[0]),
+                        ("noisy", rec.data[0] + 10.0 * noise + 250.0)):
+            session, rr_out, want = (tmp_path / f"{seed}{name}.{suffix}"
+                                     for suffix in ("csv", "rr.csv", "want.csv"))
+            save_session_csv(Recording(rate=rate, labels=["ecg"], data=x[None, :]), session)
+            code, _, _ = run_cli(capsys, "ecg", "--session", str(session),
+                                 "--channel", "ecg", "--out", str(rr_out))
+            assert code == 0, (seed, name)
+            x = load_session_csv(session).data[0]  # the samples `ecg` reads
+            write_rr_csv(rr_rows(BeatSeries(detect_beats(x, rate))), want)
+            assert rr_out.read_bytes() == want.read_bytes(), (seed, name)
 
 
 def test_ecg_bad_channel(tmp_path, capsys):
@@ -813,6 +884,15 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
     sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
 
+@contextlib.contextmanager
+def warnings_on_stderr():
+    """Print every warning to stderr, as outside pytest."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _print_warning
+        yield
+
+
 @pytest.fixture(scope="module")
 def contract_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("contract")
@@ -829,6 +909,7 @@ def contract_inputs(tmp_path_factory):
     session = (root / "session.csv").read_text().splitlines()
     (root / "nan_rate.csv").write_text("\n".join(["#rate=nan", *session[1:]]) + "\n")
     (root / "huge_rate.csv").write_text("\n".join(["#rate=1e308", *session[1:]]) + "\n")
+    (root / "rate_1.csv").write_text("\n".join(["#rate=1", *session[1:14]]) + "\n")  # 12 rows
     return root
 
 
@@ -875,15 +956,15 @@ def contract_inputs(tmp_path_factory):
         pytest.param("bands --session {root}/huge_rate.csv --bands x:0:1e306 --out {root}/b.csv",
                      3, "rate 1e+308 Hz overflows the Welch density scale",
                      id="session-huge-rate-band"),
+        pytest.param("ecg --session {root}/rate_1.csv --channel 1 --out {root}/rr_1.csv", 3,
+                     "channel 1: need at least 20 samples for 1 channels, got 12",
+                     id="ecg-rate-1"),
     ],
 )
 def test_bad_flag_or_path_exits_with_one_json_object(capsys, contract_inputs, argv, code, fragment):
     paths = {"root": contract_inputs, "dir": contract_inputs / "dir",
              "rr": contract_inputs / "rr.csv", "session": contract_inputs / "session.csv"}
-    with warnings.catch_warnings():
-        # a warning is printed to stderr, as outside pytest
-        warnings.simplefilter("always")
-        warnings.showwarning = _print_warning
+    with warnings_on_stderr():
         got, out, err = run_cli(capsys, *argv.format(**paths).split())
     assert got == code and out == ""
     lines = err.strip().splitlines()
