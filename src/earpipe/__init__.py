@@ -1,17 +1,3 @@
 """Around-the-ear EEG/ECG processing toolkit."""
 
-from . import artifact, cardiac, filters, ingest, montage, spectral, stats, synth
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "artifact",
-    "cardiac",
-    "filters",
-    "ingest",
-    "montage",
-    "spectral",
-    "stats",
-    "synth",
-    "__version__",
-]

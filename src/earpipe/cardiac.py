@@ -207,10 +207,6 @@ MAD_SCALE = 1.4826
 class RrCleanResult:
     kept_mask: np.ndarray
 
-    @property
-    def dropped_count(self) -> int:
-        return int((~self.kept_mask).sum())
-
 
 def rr_outlier_filter(rr: RrSeries) -> RrCleanResult:
     """Drop physiologically implausible intervals.

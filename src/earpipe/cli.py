@@ -57,7 +57,6 @@ from .spectral import (
     write_band_table,
     read_band_table,
 )
-from .synth import BergerSpec, EcgSynthSpec, EegSynthSpec, berger_session, gen_ecg, gen_eeg
 
 
 def _emit(payload: dict) -> None:
@@ -66,7 +65,6 @@ def _emit(payload: dict) -> None:
 
 # --- synth spec parsing ------------------------------------------------------
 
-_SYNTH_KINDS = {"eeg": EegSynthSpec, "ecg": EcgSynthSpec, "berger": BergerSpec}
 # spec field -> its INI key, where they differ
 _SPEC_KEYS = {"band_components": "components", "line_noise": "line", "alpha_band_hz": "alpha_band"}
 
@@ -74,12 +72,17 @@ _SPEC_KEYS = {"band_components": "components", "line_noise": "line", "alpha_band
 def _read_synth_spec(path, seed_override: int | None):
     """[synth] kind and seed plus a section named after the kind, whose
     keys are the kind's spec fields; --seed overrides the spec's seed."""
+    # synth is imported where it is used: only `earpipe synth` needs it, and
+    # the other commands skip the 5-8 ms of start-up its import takes
+    from . import synth
+
+    spec_of = {"eeg": synth.EegSynthSpec, "ecg": synth.EcgSynthSpec, "berger": synth.BergerSpec}
     parser = read_ini(path, "spec")
     kind = parser.get("synth", "kind", fallback=None)
-    if kind not in _SYNTH_KINDS:
+    if kind not in spec_of:
         raise ConfigError(f"[synth] kind must be eeg, ecg or berger, got {kind!r}")
     parser.remove_option("synth", "kind")  # read above; it picks the kind's section
-    keys = {_SPEC_KEYS.get(f.name, f.name): f for f in fields(_SYNTH_KINDS[kind])}
+    keys = {_SPEC_KEYS.get(f.name, f.name): f for f in fields(spec_of[kind])}
     values, problems = read_sections(parser, {"synth": {"seed": keys.pop("seed")}, kind: keys})
     if problems:
         raise ConfigError("; ".join(problems))
@@ -87,7 +90,7 @@ def _read_synth_spec(path, seed_override: int | None):
     if seed is None:
         raise ConfigError("[synth] seed is required; randomized output must be reproducible")
     try:
-        return kind, _SYNTH_KINDS[kind](seed=seed, **values.get(kind, {}))
+        return kind, spec_of[kind](seed=seed, **values.get(kind, {}))
     except ValueError as exc:
         raise ConfigError(f"{kind}: {exc}") from None
 
@@ -119,6 +122,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .synth import berger_session, gen_ecg, gen_eeg  # see _read_synth_spec
     kind, spec = _read_synth_spec(args.spec, args.seed)
     if kind == "ecg":
         try:

@@ -39,6 +39,10 @@ WORDS_PER_PACKET = 8
 ADS_VREF_VOLTS = 4.5
 ADS_GAIN = 24.0
 ADC_FULL_SCALE = 2**23 - 1
+# Largest sample magnitude of a session CSV, in microvolts: 1 V, over five
+# times the 187.5 mV full scale ADS_VREF_VOLTS / ADS_GAIN. A larger value is
+# not EEG, and its square overflows the power sums of ASR, ICA and Welch.
+MAX_ABS_UV = 1e6
 
 DEFAULT_RATE = 125.0
 
@@ -202,10 +206,6 @@ class Recording:
     @property
     def n_samples(self) -> int:
         return self.data.shape[1]
-
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.rate
 
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(self.n_samples) / self.rate
@@ -651,12 +651,17 @@ def load_session_csv(path) -> Recording:
         raise _bad_row_error(
             path, header, ValueError(f"{arr.shape[1]} fields, header has {len(header)}")
         )
-    if not np.isfinite(arr).all():
-        i, col = np.argwhere(~np.isfinite(arr))[0]
-        raise ValueError(
-            f"{path}: non-finite value {arr[i, col]} in {header[col]} at t_s={arr[i, 0]:.6f}"
-        )
-    t = arr[:, 0]
+    t, samples = arr[:, 0], arr[:, 1:]
+    # min and max carry a nan through and build no array the size of the samples
+    if not (np.isfinite(t).all()
+            and -MAX_ABS_UV <= samples.min(initial=0) <= samples.max(initial=0) <= MAX_ABS_UV):
+        bad = ~np.isfinite(arr)
+        bad[:, 1:] |= np.abs(samples) > MAX_ABS_UV
+        i, col = np.argwhere(bad)[0]
+        v = arr[i, col]
+        past = f" is past the sample limit of +-{MAX_ABS_UV:g} uV (1 V)" if np.isfinite(v) else ""
+        raise ValueError(f"{path}: {'' if past else 'non-finite '}value {v} in {header[col]} "
+                         f"at t_s={arr[i, 0]:.6f}{past}")
     if rate is None:
         # fall back to the median timestamp step
         dt = np.median(np.diff(t)) if len(t) > 1 else 1.0

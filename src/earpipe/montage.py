@@ -9,11 +9,8 @@ electrodes land on amplifier channels 1-8, left-ear electrodes on 9-16.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from importlib import resources
-
-import numpy as np
 
 from .ingest import Recording, read_table
 
@@ -55,11 +52,6 @@ def _as_label(label) -> ElectrodeLabel:
     if isinstance(label, ElectrodeLabel):
         return label
     return ElectrodeLabel.parse(str(label))
-
-
-CANONICAL_LABELS = tuple(
-    ElectrodeLabel(side, i) for side in SIDES for i in range(1, POSITIONS_PER_SIDE + 1)
-)
 
 
 @dataclass(frozen=True)
@@ -115,21 +107,6 @@ def validate(m: MontageMap) -> list[str]:
             violations.append("side-assignment")
             break
     return violations
-
-
-def save_montage_csv(m: MontageMap, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "role", "channel"])
-        for lab in CANONICAL_LABELS:
-            if lab == m.ground:
-                writer.writerow([str(lab), "ground", ""])
-            elif lab == m.reference:
-                writer.writerow([str(lab), "reference", ""])
-            elif lab in m.excluded:
-                writer.writerow([str(lab), "excluded", ""])
-            else:
-                writer.writerow([str(lab), "record", m.channel_of[lab]])
 
 
 def load_montage_csv(path) -> MontageMap:

@@ -9,7 +9,7 @@ to about 1e-12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,9 +165,7 @@ class RegressionFit:
     p_values: np.ndarray
     r_squared: float
     df_resid: int
-    resid_se: float
     n: int
-    extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -210,9 +208,9 @@ def _checked_xy(x, y, min_n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _fit_summary(model, names, coef, se, y, resid, extras) -> RegressionFit:
+def _fit_summary(model, names, coef, se, y, resid) -> RegressionFit:
     """The RegressionFit of a least-squares fit: each coefficient's t and p
-    on the residual df, r^2 (1 when y is constant) and the residual SE."""
+    on the residual df and r^2 (1 when y is constant)."""
     n = len(y)
     df = n - len(coef)
     rss = float(resid @ resid)
@@ -227,18 +225,12 @@ def _fit_summary(model, names, coef, se, y, resid, extras) -> RegressionFit:
         p_values=np.array([p for _, p in tests]),
         r_squared=1.0 - rss / sst if sst > 0 else 1.0,
         df_resid=df,
-        resid_se=math.sqrt(rss / df),
         n=n,
-        extras=extras,
     )
 
 
 def fit_linear(x, y) -> RegressionFit:
-    """Ordinary least squares y = a + b*x with t-based p-values.
-
-    extras carries (x_mean, sxx) so mean_prediction_se can build the
-    1-SE band of the fitted mean response.
-    """
+    """Ordinary least squares y = a + b*x with t-based p-values."""
     x, y = _checked_xy(x, y, 3)
     n = len(x)
     xm = x.mean()
@@ -250,18 +242,7 @@ def fit_linear(x, y) -> RegressionFit:
     resid = y - (intercept + slope * x)
     s2 = float(resid @ resid) / (n - 2)
     se = [math.sqrt(s2 * (1.0 / n + xm * xm / sxx)), math.sqrt(s2 / sxx)]
-    return _fit_summary("linear", ("intercept", "slope"), [intercept, slope], se, y, resid,
-                        {"x_mean": xm, "sxx": sxx})
-
-
-def mean_prediction_se(fit: RegressionFit, x0) -> np.ndarray:
-    """Standard error of the fitted mean response at x0 (linear model)."""
-    if fit.model != "linear":
-        raise ValueError("mean_prediction_se applies to linear fits")
-    x0 = np.asarray(x0, dtype=float)
-    xm = fit.extras["x_mean"]
-    sxx = fit.extras["sxx"]
-    return fit.resid_se * np.sqrt(1.0 / fit.n + (x0 - xm) ** 2 / sxx)
+    return _fit_summary("linear", ("intercept", "slope"), [intercept, slope], se, y, resid)
 
 
 def orthogonal_poly_basis(x: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -289,7 +270,7 @@ def fit_quadratic_orthogonal(x, y) -> RegressionFit:
     three distinct values.
     """
     x, y = _checked_xy(x, y, 4)
-    basis, gs = orthogonal_poly_basis(x)
+    basis, _ = orthogonal_poly_basis(x)
     ss = np.einsum("ij,ij->j", basis, basis)
     # x with two distinct values leaves the quadratic column zero up to
     # round-off, a norm about 1e-16 of the linear column's squared norm;
@@ -300,7 +281,7 @@ def fit_quadratic_orthogonal(x, y) -> RegressionFit:
     resid = y - basis @ coef
     s2 = float(resid @ resid) / (len(x) - 3)
     return _fit_summary("orthogonal-poly-2", ("intercept", "linear", "quadratic"), coef,
-                        np.sqrt(s2 / ss), y, resid, gs)
+                        np.sqrt(s2 / ss), y, resid)
 
 
 # --- condition contrasts ----------------------------------------------------

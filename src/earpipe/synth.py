@@ -157,45 +157,6 @@ def gen_ecg(spec: EcgSynthSpec) -> tuple[Recording, BeatSeries]:
     return rec, BeatSeries(beat_times=beats)
 
 
-def mix_sources(sources, mixing=None, seed: int | None = None) -> Recording:
-    """Mix source rows into sensor channels: channels = mixing @ sources.
-
-    sources may be a list of Recordings (rows concatenated; rates must
-    agree) or a (k, n) array plus an explicit rate via a Recording. When
-    mixing is None a random full-rank square matrix is drawn from seed.
-    The true matrix is kept in meta["mixing"].
-    """
-    if isinstance(sources, (list, tuple)):
-        if not sources:
-            raise ValueError("no sources given")
-        rate = sources[0].rate
-        n = sources[0].n_samples
-        rows = []
-        for s in sources:
-            if s.rate != rate or s.n_samples != n:
-                raise ValueError("all sources must share rate and length")
-            rows.append(s.data)
-        src = np.vstack(rows)
-    else:
-        raise ValueError("sources must be a list of Recordings")
-
-    k = src.shape[0]
-    if mixing is None:
-        if seed is None:
-            raise ValueError("random mixing requires an explicit seed")
-        rng = np.random.default_rng(seed)
-        mixing = rng.standard_normal((k, k))
-    mixing = np.asarray(mixing, dtype=float)
-    if mixing.ndim != 2 or mixing.shape[1] != k:
-        raise ValueError(f"mixing must be (channels, {k}), got {mixing.shape}")
-    if np.linalg.matrix_rank(mixing) < min(mixing.shape):
-        raise ValueError("mixing matrix is singular")
-    data = mixing @ src
-    labels = [f"ch{i + 1}" for i in range(data.shape[0])]
-    return Recording(rate=rate, labels=labels, data=data,
-                     meta={"mixing": mixing.tolist()})
-
-
 @dataclass(frozen=True)
 class BergerSpec:
     """Two-segment fixture: identical pink noise, alpha scaled 3:1."""

@@ -1,15 +1,20 @@
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
 import sys
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import earpipe
+from earpipe import ingest
 from earpipe.cardiac import BeatSeries, pan_tompkins
 from earpipe.cli import main
 from earpipe.ingest import (
@@ -972,6 +977,76 @@ def test_bad_flag_or_path_exits_with_one_json_object(capsys, contract_inputs, ar
     diag = json.loads(lines[0])
     assert diag["error"] == {2: "config", 3: "data"}[code]
     assert fragment.format(**paths) in diag["message"]
+
+
+@pytest.fixture(scope="module")
+def huge_sample_session(tmp_path_factory):
+    """A 2 x 12 s Berger session (seed 3) whose ch3 holds 1e300 uV at row 500."""
+    root = tmp_path_factory.mktemp("huge_sample")
+    spec = root / "berger.ini"
+    spec.write_text("[synth]\nkind = berger\nseed = 3\n\n[berger]\nsegment_s = 12\n")
+    assert main(["synth", "--spec", str(spec), "--out-dir", str(root)]) == 0
+    lines = (root / "session.csv").read_text().splitlines(keepends=True)
+    row = lines[2 + 500].split(",")  # after the rate line and the header
+    row[3] = "1e300"
+    lines[2 + 500] = ",".join(row)
+    (root / "session.csv").write_text("".join(lines))
+    (root / "run.ini").write_text(
+        f"[input]\nsession = {root / 'session.csv'}\nevents = {root / 'events.csv'}\n")
+    return root
+
+
+@pytest.mark.parametrize(
+    "argv, cached",
+    [
+        pytest.param("run --config {root}/run.ini --out-dir {out}", False, id="run"),
+        pytest.param("bands --session {root}/session.csv --events {root}/events.csv "
+                     "--out {out}/bands.csv", False, id="bands"),
+        pytest.param("ecg --session {root}/session.csv --channel 3 --out {out}/rr.csv", False,
+                     id="ecg"),
+        pytest.param("bands --session {root}/session.csv --events {root}/events.csv "
+                     "--out {out}/bands.csv", True, id="bands-cache-hit"),
+    ],
+)
+def test_sample_past_the_limit_exits_with_one_json_object(capsys, monkeypatch, tmp_path,
+                                                          huge_sample_session, argv, cached):
+    session = huge_sample_session / "session.csv"
+    monkeypatch.setenv("EARPIPE_CACHE_DIR", str(tmp_path / "cache"))
+    if cached:
+        # the rows as a loader without the limit stored them; the load below
+        # must take them from the cache, so parsing the file again fails
+        state = ingest._file_state(session)
+        header = session.read_text().splitlines()[1].split(",")
+        rows = ingest._parse_rows(session, header, 2)
+        assert ingest._store_rows(ingest._cache_entry(session, state), state, session, rows)
+
+        def no_parse(*args):
+            raise AssertionError("the cached rows were not used")
+
+        monkeypatch.setattr(ingest, "_parse_rows", no_parse)
+    out = tmp_path / "out"
+    with warnings_on_stderr():
+        got, stdout, err = run_cli(capsys, *argv.format(root=huge_sample_session, out=out).split())
+    assert got == 3 and stdout == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0]) == {
+        "error": "data",
+        "message": f"{session}: value 1e+300 in ch3 at t_s=4.000000 is past the sample "
+                   "limit of +-1e+06 uV (1 V)",
+    }
+    assert not list(tmp_path.rglob("bands.csv")) and not list(tmp_path.rglob("rr.csv"))
+
+
+def test_import_loads_no_submodule_and_the_cli_no_synth():
+    """In a fresh interpreter, `import earpipe` loads neither numpy nor any
+    submodule, and `import earpipe.cli` leaves synth to `earpipe synth`."""
+    probe = ("import sys, earpipe; "
+             "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('earpipe.'))); "
+             "import earpipe.cli; print('earpipe.synth' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(earpipe.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.splitlines() == ["[]", "False"]
 
 
 def test_analyze_writes_null_for_a_non_finite_statistic(tmp_path, capsys):

@@ -356,7 +356,7 @@ def test_parse_stream_returns_recording():
     rec, _ = parse_stream(blob, rate=125.0)
     assert rec.data.shape == (16, 2)
     assert rec.n_samples == 2
-    assert rec.duration_s == pytest.approx(2 / 125.0)
+    assert rec.n_samples / rec.rate == pytest.approx(2 / 125.0)
 
 
 # --- CSV persistence ----------------------------------------------------------
@@ -400,6 +400,21 @@ def test_session_csv_rejects_non_finite_sample(tmp_path, bad):
     path = tmp_path / "s.csv"
     path.write_text(f"#rate=125\nt_s,ch1,ch2\n0.000000,1.0,2.0\n0.008000,3.0,{bad}\n")
     with pytest.raises(ValueError, match=r"non-finite value -?(inf|nan) in ch2 at t_s=0\.008000"):
+        load_session_csv(path)
+
+
+@pytest.mark.parametrize("value, refused", [
+    ("1000000", False), ("-1000000", False), ("1000000.5", True), ("-2e6", True), ("1e300", True),
+])
+def test_session_csv_refuses_a_sample_past_one_volt(tmp_path, value, refused):
+    path = tmp_path / "s.csv"
+    # t_s is not a sample: seconds since 1970 lie far past the limit
+    path.write_text(f"#rate=125\nt_s,ch1,ch2\n1700000000.0,1.0,2.0\n1700000000.008,3.0,{value}\n")
+    if not refused:
+        assert load_session_csv(path).data[1, 1] == float(value)
+        return
+    with pytest.raises(ValueError, match=rf"value {re.escape(str(float(value)))} in ch2 at t_s=1700000000\.008000 "
+                                         r"is past the sample limit of \+-1e\+06 uV \(1 V\)"):
         load_session_csv(path)
 
 

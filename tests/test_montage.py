@@ -11,7 +11,6 @@ from earpipe.montage import (
     load_montage_csv,
     relabel_by_montage,
     rereference_linked_mastoid,
-    save_montage_csv,
     validate,
 )
 
@@ -89,17 +88,6 @@ def test_validate_catches_bad_coverage():
         channel_of=trimmed, reference=m.reference, ground=m.ground, excluded=m.excluded
     )
     assert "channel-coverage" in " ".join(validate(broken))
-
-
-def test_montage_csv_roundtrip(tmp_path):
-    m = default_montage()
-    path = tmp_path / "m.csv"
-    save_montage_csv(m, path)
-    back = load_montage_csv(path)
-    assert back.channel_of == m.channel_of
-    assert back.reference == m.reference
-    assert back.ground == m.ground
-    assert back.excluded == m.excluded
 
 
 def test_builtin_montage_matches_default():

@@ -15,7 +15,6 @@ from earpipe.stats import (
     f_p_value,
     fit_linear,
     fit_quadratic_orthogonal,
-    mean_prediction_se,
     orthogonal_poly_basis,
     pairwise_contrasts,
     t_p_two_sided,
@@ -132,19 +131,6 @@ def test_fit_linear_matches_normal_equations():
     assert np.allclose(fit.coef, beta, atol=1e-9)
     assert np.allclose(fit.se, se, atol=1e-9)
     assert fit.r_squared == pytest.approx(r2, abs=1e-9)
-
-
-def test_mean_prediction_se_at_center():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=30)
-    y = 2.0 + x + rng.normal(scale=0.5, size=30)
-    fit = fit_linear(x, y)
-    # at the mean of x the band is resid_se / sqrt(n)
-    se0 = mean_prediction_se(fit, np.array([x.mean()]))[0]
-    assert se0 == pytest.approx(fit.resid_se / math.sqrt(len(x)), rel=1e-12)
-    # and it grows away from the center
-    far = mean_prediction_se(fit, np.array([x.mean() + 3 * x.std()]))[0]
-    assert far > se0
 
 
 def test_orthogonal_basis_inner_products():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from earpipe.ingest import Recording
 from earpipe.spectral import welch_psd
 from earpipe.synth import (
     BergerSpec,
@@ -10,7 +9,6 @@ from earpipe.synth import (
     berger_session,
     gen_ecg,
     gen_eeg,
-    mix_sources,
 )
 
 
@@ -140,66 +138,6 @@ def test_gen_ecg_bpm_bounds():
         EcgSynthSpec(bpm=230.0)
     EcgSynthSpec(bpm=30.0)
     EcgSynthSpec(bpm=220.0)
-
-
-# ------------------------------------------------------------ mix_sources
-
-
-def sine_recording(freq_hz, rate=125.0, duration_s=8.0):
-    t = np.arange(int(duration_s * rate)) / rate
-    return Recording(rate=rate, labels=["s"], data=np.sin(2 * np.pi * freq_hz * t)[None, :])
-
-
-def projected_amplitude(x, rate, freq_hz):
-    t = np.arange(len(x)) / rate
-    c = 2.0 * np.mean(x * np.cos(2 * np.pi * freq_hz * t))
-    s = 2.0 * np.mean(x * np.sin(2 * np.pi * freq_hz * t))
-    return np.hypot(c, s)
-
-
-def test_mix_identity():
-    srcs = [sine_recording(7.0), sine_recording(19.0)]
-    mixed = mix_sources(srcs, mixing=np.eye(2))
-    assert np.array_equal(mixed.data[0], srcs[0].data[0])
-    assert np.array_equal(mixed.data[1], srcs[1].data[0])
-    assert mixed.meta["mixing"] == [[1.0, 0.0], [0.0, 1.0]]
-
-
-def test_mix_rotation_splits_energy():
-    # 45 degree rotation puts each unit sine into both channels at -3 dB
-    c = np.sqrt(0.5)
-    rot = np.array([[c, -c], [c, c]])
-    mixed = mix_sources([sine_recording(7.0), sine_recording(19.0)], mixing=rot)
-    for ch in range(2):
-        for f in (7.0, 19.0):
-            amp = projected_amplitude(mixed.data[ch], mixed.rate, f)
-            assert amp == pytest.approx(c, abs=1e-9)
-            assert 20 * np.log10(amp) == pytest.approx(-3.0103, abs=1e-3)
-
-
-def test_mix_singular_rejected():
-    with pytest.raises(ValueError, match="singular"):
-        mix_sources([sine_recording(7.0), sine_recording(19.0)],
-                    mixing=[[1.0, 1.0], [2.0, 2.0]])
-
-
-def test_mix_validation():
-    with pytest.raises(ValueError):
-        mix_sources([])
-    with pytest.raises(ValueError):
-        mix_sources([sine_recording(7.0), sine_recording(9.0, rate=250.0)], mixing=np.eye(2))
-    with pytest.raises(ValueError):
-        mix_sources([sine_recording(7.0)], mixing=np.ones((2, 3)))
-    with pytest.raises(ValueError, match="seed"):
-        mix_sources([sine_recording(7.0), sine_recording(19.0)])
-
-
-def test_mix_random_seeded():
-    srcs = [sine_recording(7.0), sine_recording(19.0)]
-    a = mix_sources(srcs, seed=21)
-    b = mix_sources(srcs, seed=21)
-    assert np.array_equal(a.data, b.data)
-    assert np.linalg.matrix_rank(np.array(a.meta["mixing"])) == 2
 
 
 # --------------------------------------------------------- berger_session
