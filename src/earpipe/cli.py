@@ -5,6 +5,9 @@ malformed or inconsistent config files, an output path that cannot be
 written), 3 for data problems (missing or unreadable inputs).
 Diagnostics go to stderr as a single JSON object so callers can parse
 failures; result summaries go to stdout.
+
+`--version`, `--help` and usage errors import no numpy and no
+processing layer: each command loads its layers when it runs.
 """
 
 from __future__ import annotations
@@ -17,49 +20,17 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .analysis import analyze_tables, read_scores
-from .artifact import extract_ecg
-from .cardiac import rr_periods
-from .ingest import (
-    cut_segments,
-    load_events_csv,
-    load_session_csv,
-    parse_stream,
-    read_table,
-    save_events_csv,
-    save_session_csv,
-    Event,
-    Recording,
-)
-from .pipeline import (
-    ConfigError,
-    DataError,
-    _json_dump,
-    _jsonable,
-    condition_band_rows,
-    load_config,
-    load_input,
-    load_rr_beats,
-    read_ini,
-    read_sections,
-    rr_agreement,
-    rr_rows,
-    run_pipeline,
-    write_rr_csv,
-)
-from .spectral import (
-    BandPowerRow,
-    DEFAULT_BANDS,
-    check_bands,
-    check_welch_window,
-    parse_band_spec,
-    welch_psd_recording,
-    write_band_table,
-    read_band_table,
-)
+from .errors import ConfigError, DataError
+
+# Every function below imports the earpipe names it uses when it is
+# called, not here: importing numpy and the layers costs a fresh process
+# 0.15-0.25 s, which `--version`, `--help` and a usage error would
+# otherwise pay for nothing. A command still loads every layer it uses.
 
 
 def _emit(payload: dict) -> None:
+    from .pipeline import _jsonable
+
     print(json.dumps(_jsonable(payload), sort_keys=True, allow_nan=False))
 
 
@@ -72,9 +43,8 @@ _SPEC_KEYS = {"band_components": "components", "line_noise": "line", "alpha_band
 def _read_synth_spec(path, seed_override: int | None):
     """[synth] kind and seed plus a section named after the kind, whose
     keys are the kind's spec fields; --seed overrides the spec's seed."""
-    # synth is imported where it is used: only `earpipe synth` needs it, and
-    # the other commands skip the 5-8 ms of start-up its import takes
     from . import synth
+    from .pipeline import read_ini, read_sections
 
     spec_of = {"eeg": synth.EegSynthSpec, "ecg": synth.EcgSynthSpec, "berger": synth.BergerSpec}
     parser = read_ini(path, "spec")
@@ -99,6 +69,9 @@ def _read_synth_spec(path, seed_override: int | None):
 
 
 def cmd_parse(args) -> int:
+    from .ingest import parse_stream, save_session_csv
+    from .pipeline import _json_dump, load_input
+
     if not 0 < args.rate < math.inf:  # also refuses nan
         raise ConfigError(f"--rate must be positive and finite, got {args.rate}")
     raw = load_input("raw stream", Path.read_bytes, Path(args.raw))
@@ -122,7 +95,11 @@ def cmd_parse(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    from .synth import berger_session, gen_ecg, gen_eeg  # see _read_synth_spec
+    from .cardiac import rr_periods
+    from .ingest import Event, save_events_csv, save_session_csv
+    from .pipeline import _json_dump, write_rr_csv
+    from .synth import berger_session, gen_ecg, gen_eeg
+
     kind, spec = _read_synth_spec(args.spec, args.seed)
     if kind == "ecg":
         try:
@@ -159,6 +136,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .pipeline import load_config, run_pipeline
+
     if args.config is None:
         raise ConfigError("run needs a config: pass --config either globally or after 'run'")
     cfg = load_config(
@@ -169,6 +148,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_bands(args) -> int:
+    from .ingest import Event, cut_segments, load_events_csv, load_session_csv
+    from .pipeline import condition_band_rows, load_input
+    from .spectral import (
+        DEFAULT_BANDS,
+        check_bands,
+        check_welch_window,
+        parse_band_spec,
+        welch_psd_recording,
+        write_band_table,
+    )
+
     rec = load_input("session file", load_session_csv, args.session)
     try:
         check_welch_window(args.segment, args.overlap)
@@ -204,6 +194,10 @@ def cmd_bands(args) -> int:
 
 
 def cmd_ecg(args) -> int:
+    from .artifact import extract_ecg
+    from .ingest import Recording, load_session_csv
+    from .pipeline import load_input, rr_rows, write_rr_csv
+
     rec = load_input("session file", load_session_csv, args.session)
     if args.channel in rec.labels:
         row = rec.labels.index(args.channel)
@@ -241,6 +235,8 @@ def cmd_ecg(args) -> int:
 
 
 def cmd_agree(args) -> int:
+    from .pipeline import _json_dump, load_input, load_rr_beats, rr_agreement
+
     if not args.tolerance > 0:  # also refuses nan
         raise ConfigError(f"--tolerance must be positive, got {args.tolerance}")
     ref = load_input("R-R file", load_rr_beats, args.ref)
@@ -254,11 +250,18 @@ def cmd_agree(args) -> int:
 
 def _inline_scores(path) -> dict:
     """Scores carried as tlx_total/flow_mean columns inside a band table."""
+    from .analysis import read_scores
+    from .ingest import read_table
+
     header, _ = read_table(path, ())
     return read_scores(path) if {"tlx_total", "flow_mean"} <= set(header) else {}
 
 
 def cmd_analyze(args) -> int:
+    from .analysis import analyze_tables, read_scores
+    from .pipeline import _json_dump, load_input
+    from .spectral import BandPowerRow, read_band_table
+
     rows: list[BandPowerRow] = []
     inline: dict = {}
     for path in args.bands:

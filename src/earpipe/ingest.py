@@ -603,6 +603,18 @@ def _parse_rows(path, header: list[str], skiprows: int) -> np.ndarray:
             raise _bad_row_error(path, header, exc) from None
 
 
+def _header_rate(path, line: int, text: str) -> float:
+    """The value of a `#rate=` line, refused with its file and line
+    unless it is a positive finite number."""
+    try:
+        rate = float(text)
+    except ValueError:
+        rate = math.nan
+    if not 0 < rate < math.inf:  # also refuses nan
+        raise ValueError(f"{path}:{line}: #rate= must be a positive finite number, got {text!r}")
+    return rate
+
+
 def load_session_csv(path) -> Recording:
     """Read the session format: `#` comment lines, a `t_s,<label>,...`
     header, then one row per sample.
@@ -634,7 +646,7 @@ def load_session_csv(path) -> Recording:
             if line.startswith("#"):
                 key, _, val = line[1:].partition("=")
                 if key.strip() == "rate":
-                    rate = float(val)
+                    rate = _header_rate(path, skiprows, val.strip())
                 continue
             header = [c.strip() for c in line.split(",")]
             break

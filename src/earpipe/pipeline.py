@@ -33,6 +33,7 @@ from .artifact import (
     processing_window,
 )
 from .cardiac import BeatSeries, match_beats, paired_rr, rr_outlier_filter, rr_periods
+from .errors import ConfigError, DataError
 from .filters import (
     FirSpec,
     apply_zero_phase,
@@ -71,14 +72,6 @@ from .spectral import (
     write_band_table,
 )
 from .stats import bland_altman
-
-
-class ConfigError(ValueError):
-    """Bad configuration; the CLI maps this to exit code 2."""
-
-
-class DataError(ValueError):
-    """Missing or malformed input data; the CLI maps this to exit code 3."""
 
 
 def _as_bool(text: str) -> bool:

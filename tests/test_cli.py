@@ -913,6 +913,7 @@ def contract_inputs(tmp_path_factory):
         (root / f"{name}.csv").write_text(f"condition,start_s,end_s\n{row}\n")
     session = (root / "session.csv").read_text().splitlines()
     (root / "nan_rate.csv").write_text("\n".join(["#rate=nan", *session[1:]]) + "\n")
+    (root / "abc_rate.csv").write_text("\n".join(["#rate=abc", *session[1:]]) + "\n")
     (root / "huge_rate.csv").write_text("\n".join(["#rate=1e308", *session[1:]]) + "\n")
     (root / "rate_1.csv").write_text("\n".join(["#rate=1", *session[1:14]]) + "\n")  # 12 rows
     return root
@@ -950,7 +951,11 @@ def contract_inputs(tmp_path_factory):
         pytest.param("bands --session {session} --events {root}/huge_span.csv --out {root}/b.csv",
                      3, "cannot be counted in samples", id="events-huge-span"),
         pytest.param("bands --session {root}/nan_rate.csv --out {root}/b.csv", 3,
-                     "rate must be positive and finite, got nan", id="session-nan-rate"),
+                     "{root}/nan_rate.csv:1: #rate= must be a positive finite number, got 'nan'",
+                     id="session-nan-rate"),
+        pytest.param("bands --session {root}/abc_rate.csv --out {root}/b.csv", 3,
+                     "{root}/abc_rate.csv:1: #rate= must be a positive finite number, got 'abc'",
+                     id="session-abc-rate"),
         pytest.param("bands --session {session} --events {root}/out_of_span.csv --out {root}/b.csv",
                      3, "event all [0.0, 1e+300) outside the recorded span [0.0, 2.048)",
                      id="events-out-of-span"),
@@ -1047,6 +1052,33 @@ def test_import_loads_no_submodule_and_the_cli_no_synth():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
     assert done.stdout.splitlines() == ["[]", "False"]
+
+
+def test_version_help_and_usage_errors_load_no_numpy_and_no_layer():
+    """In a fresh interpreter, the parser's own exits import only the
+    standard library, earpipe, earpipe.cli and earpipe.errors."""
+    probe = """
+import contextlib, io, json, sys
+from earpipe.cli import main
+for argv in (["--version"], ["--help"], ["run", "--help"], ["bogus"]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    print(json.dumps([code, err.getvalue()]))
+print(json.dumps(sorted(m for m in sys.modules if m == "numpy" or m.startswith("earpipe"))))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(earpipe.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    *runs, modules = map(json.loads, done.stdout.splitlines())
+    assert [code for code, _ in runs] == [0, 0, 0, 2]
+    assert [err for _, err in runs[:3]] == ["", "", ""]
+    lines = runs[3][1].strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+    assert modules == ["earpipe", "earpipe.cli", "earpipe.errors"]
 
 
 def test_analyze_writes_null_for_a_non_finite_statistic(tmp_path, capsys):

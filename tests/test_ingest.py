@@ -418,6 +418,15 @@ def test_session_csv_refuses_a_sample_past_one_volt(tmp_path, value, refused):
         load_session_csv(path)
 
 
+@pytest.mark.parametrize("value", ["abc", "nan", "-5"])
+def test_session_csv_bad_rate_line_names_file_and_line(tmp_path, value):
+    path = tmp_path / "s.csv"
+    path.write_text(f"# recorded at home\n#rate={value}\nt_s,ch1\n0.000000,1.0\n0.008000,2.0\n")
+    with pytest.raises(ValueError) as info:
+        load_session_csv(path)
+    assert str(info.value) == f"{path}:2: #rate= must be a positive finite number, got '{value}'"
+
+
 def test_session_csv_ragged_row_reports_line(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("#rate=125\nt_s,ch1,ch2\n0.000000,1.0,2.0\n0.008000,3.0\n")
