@@ -258,10 +258,7 @@ def _third_moments(fit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def skew_units(
-    rec: Recording,
-    n_components: int | None = None,
-    max_iter: int = ECG_MAX_ITER,
-    tol: float = ICA_TOL,
+    rec: Recording, n_components: int | None = None, max_iter: int = ECG_MAX_ITER
 ) -> Iterator[SkewUnit]:
     """The most skewed directions of the whitened data, one at a time.
 
@@ -274,7 +271,7 @@ def skew_units(
     w <- mean(z (w'z)^2) - 2 mean(w'z) w, deflated against the units
     before it and normalized. It starts at the remaining whitened axis
     with the largest |epoch_skewness| on those epochs and stops once
-    |1 - |<w_new, w>|| < tol or after max_iter steps. Up to
+    |1 - |<w_new, w>|| < ICA_TOL or after max_iter steps. Up to
     ECG_MAX_UNITS units, computed as they are asked for. Deterministic:
     there is no random start.
 
@@ -303,7 +300,7 @@ def skew_units(
             w_new = _deflate(m3 @ np.outer(w, w).ravel() - 2.0 * float(w @ mu) * w, found)
             delta = abs(1.0 - abs(float(w_new @ w)))
             w = w_new
-            if delta < tol:
+            if delta < ICA_TOL:
                 break
         found = np.vstack([found, w])
         source = w @ z
@@ -321,10 +318,7 @@ class EcgPick:
 
 
 def extract_ecg(
-    rec: Recording,
-    n_components: int | None = None,
-    max_iter: int = ECG_MAX_ITER,
-    tol: float = ICA_TOL,
+    rec: Recording, n_components: int | None = None, max_iter: int = ECG_MAX_ITER
 ) -> EcgPick | None:
     """The cardiac source of a multichannel recording, or None.
 
@@ -340,7 +334,7 @@ def extract_ecg(
     shorter than two epochs (10 s), or sampled below the detector's
     100 Hz, gets no pick.
     """
-    for unit in skew_units(rec, n_components, max_iter, tol):
+    for unit in skew_units(rec, n_components, max_iter):
         if unit.held_out_skew < ECG_SKEW_THRESHOLD:
             continue
         try:

@@ -47,7 +47,6 @@ class FirSpec:
 class FirFilter:
     taps: np.ndarray
     group_delay: int
-    spec: FirSpec
 
     @property
     def n_taps(self) -> int:
@@ -81,7 +80,7 @@ def design_fir(spec: FirSpec, rate: float) -> FirFilter:
     if spec.kind == "highpass":
         taps = -taps
         taps[spec.order // 2] += 1.0
-    return FirFilter(taps=taps, group_delay=spec.order // 2, spec=spec)
+    return FirFilter(taps=taps, group_delay=spec.order // 2)
 
 
 def check_fir_length(n: int, fir: FirFilter) -> None:

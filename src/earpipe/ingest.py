@@ -615,9 +615,22 @@ def _header_rate(path, line: int, text: str) -> float:
     return rate
 
 
+def _check_channel_names(path, line: int, header: list[str]) -> None:
+    """Refuse a `t_s,...` header with no channel column, or with an empty
+    or repeated column name (`t_s` included), naming its file and line."""
+    if len(header) < 2:
+        raise ValueError(f"{path}:{line}: header has no channel column")
+    for col, name in enumerate(header[1:], start=2):
+        if not name:
+            raise ValueError(f"{path}:{line}: column {col} of the header has no name")
+        if name in header[:col - 1]:
+            raise ValueError(f"{path}:{line}: column {col} of the header repeats {name!r}")
+
+
 def load_session_csv(path) -> Recording:
     """Read the session format: `#` comment lines, a `t_s,<label>,...`
-    header, then one row per sample.
+    header, then one row per sample. The header names at least one
+    channel, and its names are non-empty and distinct.
 
     Only a `#rate=` line before the header sets the rate; without one
     it is inferred from the median timestamp step. Blank lines, comment
@@ -652,6 +665,7 @@ def load_session_csv(path) -> Recording:
             break
     if header is None or header[0] != "t_s":
         raise ValueError(f"{path}: expected a 't_s,ch...' header row")
+    _check_channel_names(path, skiprows, header)
     entry = _cache_entry(path, state)
     arr = _cached_rows(entry, len(header)) if entry else None
     status = "hit" if arr is not None else "not stored"
@@ -756,14 +770,12 @@ class Segment:
     report: IntegrityReport
 
 
-def cut_segments(rec: Recording, events: list[Event] | None = None) -> list[Segment]:
+def cut_segments(rec: Recording, events: list[Event]) -> list[Segment]:
     """Cut [start_s, end_s) windows out of a recording.
 
     Segments falling partly or fully outside the recorded span are
     returned clipped but flagged rather than silently shortened.
     """
-    if events is None:
-        events = rec.events
     out: list[Segment] = []
     span_lo, span_hi = rec.span
     for ev in events:

@@ -245,7 +245,7 @@ def fit_linear(x, y) -> RegressionFit:
     return _fit_summary("linear", ("intercept", "slope"), [intercept, slope], se, y, resid)
 
 
-def orthogonal_poly_basis(x: np.ndarray) -> tuple[np.ndarray, dict]:
+def orthogonal_poly_basis(x: np.ndarray) -> np.ndarray:
     """Constant/linear/quadratic basis, mutually orthogonal in the sample
     inner product: p0 = 1, p1 = x - mean, p2 = Gram-Schmidt of (x - mean)^2."""
     x = np.asarray(x, dtype=float)
@@ -259,7 +259,7 @@ def orthogonal_poly_basis(x: np.ndarray) -> tuple[np.ndarray, dict]:
         raise ValueError("x has zero variance")
     c1 = float(q @ p1) / p1_ss
     p2 = q - c0 - c1 * p1
-    return np.stack([p0, p1, p2], axis=1), {"x_mean": float(x.mean()), "c0": c0, "c1": c1}
+    return np.stack([p0, p1, p2], axis=1)
 
 
 def fit_quadratic_orthogonal(x, y) -> RegressionFit:
@@ -270,7 +270,7 @@ def fit_quadratic_orthogonal(x, y) -> RegressionFit:
     three distinct values.
     """
     x, y = _checked_xy(x, y, 4)
-    basis, _ = orthogonal_poly_basis(x)
+    basis = orthogonal_poly_basis(x)
     ss = np.einsum("ij,ij->j", basis, basis)
     # x with two distinct values leaves the quadratic column zero up to
     # round-off, a norm about 1e-16 of the linear column's squared norm;
@@ -325,16 +325,12 @@ class ContrastTable:
 def pairwise_contrasts(cells: dict) -> ContrastTable:
     """Condition comparisons after within-participant centering.
 
-    cells maps (participant, condition) to a value (replicates may be
-    supplied as a list and are averaged). The omnibus F compares
+    cells maps (participant, condition) to a value. The omnibus F compares
     condition means on centered data with participant degrees of freedom
     removed; each condition pair gets a paired t-test over participants
     holding both conditions, Bonferroni-adjusted as min(1, m * p).
     """
-    agg: dict[tuple, float] = {}
-    for (p, c), v in cells.items():
-        arr = np.atleast_1d(np.asarray(v, dtype=float))
-        agg[(p, c)] = float(arr.mean())
+    agg = {key: float(v) for key, v in cells.items()}
     participants = sorted({p for p, _ in agg})
     conditions = sorted({c for _, c in agg})
     if len(conditions) < 2:
@@ -392,13 +388,12 @@ def pairwise_contrasts(cells: dict) -> ContrastTable:
     )
 
 
-def bonferroni(p_values, m: int | None = None) -> np.ndarray:
-    """min(1, m * p) for each raw p-value."""
+def bonferroni(p_values) -> np.ndarray:
+    """min(1, m * p) for each of the m raw p-values."""
     p = np.asarray(p_values, dtype=float)
     if np.any((p < 0) | (p > 1)):
         raise ValueError("p-values must lie in [0, 1]")
-    m = len(p) if m is None else m
-    return np.minimum(1.0, m * p)
+    return np.minimum(1.0, len(p) * p)
 
 
 # --- agreement ---------------------------------------------------------------
@@ -412,7 +407,7 @@ class BlandAltmanReport:
     gaussian_loa_ms: float
     nonparametric_loa_ms: float
     pearson_r: float  # nan when undefined (zero variance)
-    percentile_loa_ms: tuple | None = None
+    percentile_loa_ms: tuple
 
     def to_dict(self) -> dict:
         return {
@@ -422,7 +417,7 @@ class BlandAltmanReport:
             "gaussian_loa_ms": self.gaussian_loa_ms,
             "nonparametric_loa_ms": self.nonparametric_loa_ms,
             "pearson_r": None if math.isnan(self.pearson_r) else self.pearson_r,
-            "percentile_loa_ms": list(self.percentile_loa_ms) if self.percentile_loa_ms else None,
+            "percentile_loa_ms": list(self.percentile_loa_ms),
         }
 
 

@@ -330,7 +330,7 @@ def test_regression_layer():
     assert quad["quadratic"] < 0
     assert p_quad["quadratic"] < 0.05
 
-    basis, _ = orthogonal_poly_basis(x)
+    basis = orthogonal_poly_basis(x)
     gram = basis.T @ basis
     off = gram - np.diag(np.diag(gram))
     assert np.max(np.abs(off)) < 1e-9

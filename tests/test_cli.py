@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -916,7 +917,33 @@ def contract_inputs(tmp_path_factory):
     (root / "abc_rate.csv").write_text("\n".join(["#rate=abc", *session[1:]]) + "\n")
     (root / "huge_rate.csv").write_text("\n".join(["#rate=1e308", *session[1:]]) + "\n")
     (root / "rate_1.csv").write_text("\n".join(["#rate=1", *session[1:14]]) + "\n")  # 12 rows
+    # 30 s at 125 Hz under a header the session format refuses
+    (root / "xy.csv").write_text("condition,start_s,end_s\nx,0,15\ny,15,30\n")
+    samples = np.random.default_rng(0).normal(0.0, 10.0, size=(3750, 2))
+    for name, header in BAD_HEADERS.items():
+        width = len(header.split(",")) - 1
+        rows = [",".join([f"{i / 125:.6f}", *(f"{v:.6f}" for v in samples[i, :width])])
+                for i in range(3750)]
+        (root / f"{name}.csv").write_text("\n".join(["#rate=125", header, *rows]) + "\n")
+        (root / f"{name}.ini").write_text(
+            f"[input]\nsession = {root / name}.csv\nevents = {root / 'xy.csv'}\n\n"
+            f"[stages]\nrereference = off\n\n[output]\ndir = {root / 'out'}\n")
     return root
+
+
+BAD_HEADERS = {"dup_a": "t_s,a,a", "no_channel": "t_s", "empty_name": "t_s,,b",
+               "dup_t_s": "t_s,t_s,a"}
+BAD_HEADER_MESSAGES = {
+    "dup_a": "{root}/dup_a.csv:2: column 3 of the header repeats 'a'",
+    "no_channel": "{root}/no_channel.csv:2: header has no channel column",
+    "empty_name": "{root}/empty_name.csv:2: column 2 of the header has no name",
+    "dup_t_s": "{root}/dup_t_s.csv:2: column 2 of the header repeats 't_s'",
+}
+BAD_HEADER_ARGV = {
+    "run": "run --config {root}/%s.ini",
+    "bands": "bands --session {root}/%s.csv --events {root}/xy.csv --out {root}/b.csv",
+    "ecg": "ecg --session {root}/%s.csv --channel 1 --out {root}/rr_h.csv",
+}
 
 
 @pytest.mark.parametrize(
@@ -969,6 +996,8 @@ def contract_inputs(tmp_path_factory):
         pytest.param("ecg --session {root}/rate_1.csv --channel 1 --out {root}/rr_1.csv", 3,
                      "channel 1: need at least 20 samples for 1 channels, got 12",
                      id="ecg-rate-1"),
+        *(pytest.param(argv % name, 3, BAD_HEADER_MESSAGES[name], id=f"{command}-header-{name}")
+          for command, argv in BAD_HEADER_ARGV.items() for name in BAD_HEADERS),
     ],
 )
 def test_bad_flag_or_path_exits_with_one_json_object(capsys, contract_inputs, argv, code, fragment):
@@ -1056,29 +1085,51 @@ def test_import_loads_no_submodule_and_the_cli_no_synth():
 
 def test_version_help_and_usage_errors_load_no_numpy_and_no_layer():
     """In a fresh interpreter, the parser's own exits import only the
-    standard library, earpipe, earpipe.cli and earpipe.errors."""
+    standard library, earpipe, earpipe.cli and earpipe.errors; a command
+    that argparse accepts loads earpipe.commands, and with it numpy, but
+    not synth."""
     probe = """
 import contextlib, io, json, sys
 from earpipe.cli import main
-for argv in (["--version"], ["--help"], ["run", "--help"], ["bogus"]):
+for argv in (["--version"], ["--help"], ["run", "--help"], ["bogus"], ["run"]):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    print(json.dumps([code, err.getvalue()]))
-print(json.dumps(sorted(m for m in sys.modules if m == "numpy" or m.startswith("earpipe"))))
+    modules = sorted(m for m in sys.modules if m == "numpy" or m.startswith("earpipe"))
+    print(json.dumps([code, err.getvalue(), modules]))
 """
     env = {**os.environ, "PYTHONPATH": str(Path(earpipe.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
-    *runs, modules = map(json.loads, done.stdout.splitlines())
-    assert [code for code, _ in runs] == [0, 0, 0, 2]
-    assert [err for _, err in runs[:3]] == ["", "", ""]
+    *runs, (run_code, run_err, run_modules) = map(json.loads, done.stdout.splitlines())
+    assert [code for code, _, _ in runs] == [0, 0, 0, 2]
+    assert [err for _, err, _ in runs[:3]] == ["", "", ""]
     lines = runs[3][1].strip().splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
-    assert modules == ["earpipe", "earpipe.cli", "earpipe.errors"]
+    for _, _, modules in runs:
+        assert "earpipe.commands" not in modules
+        assert modules == ["earpipe", "earpipe.cli", "earpipe.errors"]
+    # `run` without a config passes argparse and fails in its command
+    assert run_code == 2 and "run needs a config" in json.loads(run_err)["message"]
+    assert {"numpy", "earpipe.commands", "earpipe.pipeline"} <= set(run_modules)
+    assert "earpipe.synth" not in run_modules
+
+
+def test_every_command_has_its_handler():
+    """Each subcommand that the parser offers is a cmd_<name> of
+    earpipe.commands, and each cmd_<name> is offered."""
+    from earpipe import commands
+    from earpipe.cli import build_parser
+
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    handlers = {name[4:] for name, value in vars(commands).items()
+                if name.startswith("cmd_") and callable(value)}
+    assert set(sub.choices) == handlers
+    assert len(handlers) == 7
 
 
 def test_analyze_writes_null_for_a_non_finite_statistic(tmp_path, capsys):
