@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cardiac import MIN_DURATION_S, BeatSeries, pan_tompkins
+from .cardiac import MIN_DURATION_S, MIN_RATE_HZ, BeatSeries, pan_tompkins
 from .filters import blend_windows, overlap_add_windows
 from .ingest import Recording
 
@@ -182,10 +182,7 @@ def _rhythm_score(beats: BeatSeries) -> float:
         return 0.0
     rr = np.diff(beats.beat_times) * 1000.0
     frac = float(np.mean((rr >= RR_PLAUSIBLE_MS[0]) & (rr <= RR_PLAUSIBLE_MS[1])))
-    mean_rr = float(rr.mean())
-    if mean_rr <= 0:
-        return 0.0
-    cv = float(rr.std(ddof=0)) / mean_rr
+    cv = float(rr.std(ddof=0)) / float(rr.mean())  # BeatSeries keeps every interval positive
     return frac * max(0.0, 1.0 - cv)
 
 
@@ -331,16 +328,14 @@ def extract_ecg(
     the whole unit, as signed, finds the beats, so the R spike is the
     lobe it times; the rhythm score is the fraction of R-R intervals
     within 300-1500 ms times (1 - their coefficient of variation). Data
-    shorter than two epochs (10 s), or sampled below the detector's
-    100 Hz, gets no pick.
+    below MIN_RATE_HZ (never whitened) or under two epochs (10 s) gets no pick.
     """
+    if rec.rate < MIN_RATE_HZ:
+        return None
     for unit in skew_units(rec, n_components, max_iter):
         if unit.held_out_skew < ECG_SKEW_THRESHOLD:
             continue
-        try:
-            beats = pan_tompkins(unit.source, rec.rate)
-        except ValueError:
-            continue
+        beats = pan_tompkins(unit.source, rec.rate)
         score = _rhythm_score(beats)
         if score >= ECG_SCORE_THRESHOLD:
             return EcgPick(index=unit.index, score=score, beats=beats)
@@ -355,7 +350,7 @@ class AsrConfig:
     proc_win_s: float = 0.5
 
     def __post_init__(self):
-        if self.burst_k <= 0:
+        if not self.burst_k > 0:  # also refuses nan; inf repairs nothing
             raise ValueError(f"burst_k must be positive, got {self.burst_k}")
         if not 0 < self.window_criterion <= 1:
             raise ValueError(f"window_criterion must lie in (0, 1], got {self.window_criterion}")

@@ -22,6 +22,7 @@ from .filters import FirSpec, apply_zero_phase_array, design_fir
 MIN_RATE_HZ = 100.0
 MIN_DURATION_S = 5.0
 REFRACTORY_S = 0.200
+REFRACTORY_TOL_S = 1e-9  # float slack in a gap between beat times
 INTEGRATION_S = 0.150
 REFINE_S = 0.075
 SEARCHBACK_FACTOR = 1.66
@@ -39,7 +40,7 @@ class BeatSeries:
             raise ValueError("beat_times must be 1-D")
         if len(self.beat_times) > 1:
             gaps = np.diff(self.beat_times)
-            if np.any(gaps < REFRACTORY_S - 1e-9):
+            if np.any(gaps < REFRACTORY_S - REFRACTORY_TOL_S):
                 raise ValueError("beats closer than the refractory period")
 
     def __len__(self) -> int:
@@ -120,7 +121,7 @@ def pan_tompkins(x: np.ndarray, rate: float) -> BeatSeries:
     if not np.any(mwi > 0):
         return BeatSeries(beat_times=np.empty(0))
 
-    refractory = int(round(REFRACTORY_S * rate))
+    refractory = int(np.ceil((REFRACTORY_S - REFRACTORY_TOL_S) * rate))  # fewest that span it
     peaks = _fiducial_peaks(mwi, refractory)
     if len(peaks) == 0:
         return BeatSeries(beat_times=np.empty(0))

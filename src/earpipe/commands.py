@@ -14,8 +14,8 @@ from dataclasses import fields
 from pathlib import Path
 
 from .analysis import analyze_tables, read_scores
-from .artifact import extract_ecg
-from .cardiac import rr_periods
+from .artifact import ECG_SCORE_THRESHOLD, ECG_SKEW_THRESHOLD, SKEW_EPOCH_S, extract_ecg
+from .cardiac import MIN_RATE_HZ, rr_periods
 from .errors import ConfigError, DataError
 from .ingest import (
     Event, Recording, cut_segments, load_events_csv, load_session_csv, parse_stream,
@@ -193,10 +193,10 @@ def cmd_ecg(args) -> int:
     except ValueError as exc:
         raise DataError(f"channel {args.channel}: {exc}") from None
     if pick is None:
-        raise DataError(
-            f"channel {args.channel}: no heartbeat by the rule of stage 7, which needs at "
-            "least 10 s at 100 Hz or more, held-out skewness >= 0.5 and rhythm score >= 0.5"
-        )
+        raise DataError(f"channel {args.channel}: no heartbeat by the rule of stage 7, which "
+                        f"needs at least {2 * SKEW_EPOCH_S:g} s at {MIN_RATE_HZ:g} Hz or more, "
+                        f"held-out skewness >= {ECG_SKEW_THRESHOLD} and rhythm score >= "
+                        f"{ECG_SCORE_THRESHOLD}")
     beats = pick.beats
     rows = rr_rows(beats)
     write_rr_csv(rows, args.out)
@@ -213,8 +213,8 @@ def cmd_ecg(args) -> int:
 
 
 def cmd_agree(args) -> int:
-    if not args.tolerance > 0:  # also refuses nan
-        raise ConfigError(f"--tolerance must be positive, got {args.tolerance}")
+    if not 0 < args.tolerance < math.inf:  # also refuses nan
+        raise ConfigError(f"--tolerance must be positive and finite, got {args.tolerance}")
     ref = load_input("R-R file", load_rr_beats, args.ref)
     alt = load_input("R-R file", load_rr_beats, args.alt)
     payload = {**rr_agreement(ref, alt, args.tolerance), "tolerance_s": args.tolerance}

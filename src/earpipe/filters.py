@@ -39,7 +39,7 @@ class FirSpec:
             raise ValueError(f"window must be one of {FIR_WINDOWS}, got {self.window!r}")
         if self.order <= 0 or self.order % 2 != 0:
             raise ValueError(f"order must be a positive even integer, got {self.order}")
-        if self.cutoff_hz <= 0:
+        if not self.cutoff_hz > 0:  # also refuses nan
             raise ValueError(f"cutoff must be positive, got {self.cutoff_hz}")
 
 
@@ -65,7 +65,7 @@ def design_fir(spec: FirSpec, rate: float) -> FirFilter:
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
     nyq = rate / 2.0
-    if spec.cutoff_hz >= nyq:
+    if not spec.cutoff_hz < nyq:
         raise ValueError(
             f"cutoff {spec.cutoff_hz} Hz must lie below the Nyquist frequency {nyq} Hz"
         )
@@ -186,7 +186,7 @@ def check_line_noise(rate: float, f0: float, win_s: float, step_s: float, harmon
     """The parameter rules of remove_line_noise; an infinite rate skips Nyquist."""
     if harmonics < 1:
         raise ValueError(f"harmonics must be >= 1, got {harmonics}")
-    if f0 <= 0:
+    if not f0 > 0:  # also refuses nan
         raise ValueError(f"line frequency must be positive, got {f0}")
     if f0 * harmonics >= rate / 2:
         raise ValueError(f"line frequency {f0} Hz x {harmonics} harmonics >= Nyquist {rate / 2} Hz")

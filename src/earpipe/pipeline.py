@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .analysis import band_score_models, read_scores
 from .artifact import (
+    ECG_MAX_ITER,
     AsrConfig,
     EcgPick,
     asr_calibrate,
@@ -125,10 +126,9 @@ class PipelineConfig:
     asr_window_criterion: float = 0.15
     asr_calib_win_s: float = 1.0
     asr_proc_win_s: float = 0.5
-    ica_max_iter: int = 200  # per extracted unit
+    ica_max_iter: int = ECG_MAX_ITER  # per extracted unit
     ica_seed: int | None = None  # accepted, read by no stage
     ica_components: int | None = None
-    ica_input: str = "filtered"  # filtered | asr
     reref_left: str = "L5"
     reref_right: str = "R5"
     psd_segment: int = 256
@@ -136,7 +136,6 @@ class PipelineConfig:
     psd_average: str = "per_segment"  # per_segment | pooled
     bands: tuple = field(default=DEFAULT_BANDS, metadata={"parse": parse_band_spec})
 
-    detect_ecg: bool = True
     match_tolerance_s: float = 0.15
     exclude_conditions: tuple = field(
         default=("eyes_open", "eyes_closed"), metadata={"parse": _csv_tuple}
@@ -152,13 +151,14 @@ class PipelineConfig:
         if self.raw is not None and not 0 < self.rate < float("inf"):
             rule = "finite" if self.rate > 0 else "positive"
             problems.append(f"input: rate must be {rule}, got {self.rate}")
-        choices = {"ica_input": ("filtered", "asr"), "psd_average": ("per_segment", "pooled")}
-        for key, allowed in choices.items():
-            value = getattr(self, key)
-            if value not in allowed:
-                problems.append(f"pipeline: {key} must be {' or '.join(allowed)}, got {value}")
-        if not self.match_tolerance_s > 0:  # also refuses nan
-            problems.append("analysis: match_tolerance_s must be positive")
+        if self.psd_average not in ("per_segment", "pooled"):
+            problems.append(f"pipeline: psd_average must be per_segment or pooled, "
+                            f"got {self.psd_average}")
+        for key in ("ica_max_iter", "ica_components"):
+            if (value := getattr(self, key)) is not None and value < 1:
+                problems.append(f"pipeline: {key} must be at least 1, got {value}")
+        if not 0 < self.match_tolerance_s < math.inf:  # also refuses nan
+            problems.append("analysis: match_tolerance_s must be positive and finite")
         # the other rules live in the stage that uses the values: each stage's
         # object or check is tried once on them, and a problem names their keys
         for make, *keys in (
@@ -194,10 +194,10 @@ _SECTIONS = {
         "hp_cutoff_hz", "hp_order", "lp_cutoff_hz", "lp_order", "fir_window",
         "line_freq_hz", "line_harmonics", "line_win_s", "line_step_s",
         "asr_burst_k", "asr_window_criterion", "asr_calib_win_s", "asr_proc_win_s",
-        "ica_max_iter", "ica_seed", "ica_components", "ica_input",
+        "ica_max_iter", "ica_seed", "ica_components",
         "reref_left", "reref_right", "psd_segment", "psd_overlap", "psd_average", "bands",
     ),
-    "analysis": ("detect_ecg", "match_tolerance_s", "exclude_conditions"),
+    "analysis": ("match_tolerance_s", "exclude_conditions"),
 }
 _PARSE_BY_TYPE = {"str": str, "int": int, "float": float, "bool": _as_bool}
 _FIELDS = {f.name: f for f in fields(PipelineConfig) + fields(StageToggles)}
@@ -405,14 +405,8 @@ def process_segment(
             model = asr_calibrate(cleaned, plan.asr)
             asr_out, flagged = asr_process(cleaned, model, plan.asr)
 
-        # the extraction serves only the ECG pickup, so it runs only when that is wanted
-        pick = None
-        if cfg.stages.ica and cfg.detect_ecg:
-            pick = extract_ecg(
-                asr_out if cfg.ica_input == "asr" else cleaned,
-                n_components=cfg.ica_components,
-                max_iter=cfg.ica_max_iter,
-            )
+        pick = (extract_ecg(cleaned, n_components=cfg.ica_components, max_iter=cfg.ica_max_iter)
+                if cfg.stages.ica else None)
 
         exclude = [(f.start_s, f.end_s) for f in flagged]
         psd = welch_psd_recording(

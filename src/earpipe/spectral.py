@@ -8,6 +8,7 @@ segments, so that sum(psd) * df approximates the signal variance.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field, replace
 
@@ -180,12 +181,14 @@ def check_bands(bands, seg: int, rate: float, n_samples: int) -> None:
 
 
 def parse_band_spec(text: str) -> tuple[BandDefinition, ...]:
-    """Parse 'name:lo:hi,name:lo:hi,...' into band definitions."""
+    """Parse 'name:lo:hi,name:lo:hi,...' into band definitions, each name once."""
     bands = []
     for part in text.split(","):
         bits = part.strip().split(":")
         if len(bits) != 3:
             raise ValueError(f"bad band spec {part!r}; expected name:lo:hi")
+        if any(b.name == bits[0] for b in bands):
+            raise ValueError(f"band {bits[0]!r} named twice")
         bands.append(BandDefinition(bits[0], float(bits[1]), float(bits[2])))
     return tuple(bands)
 
@@ -233,7 +236,7 @@ class BandPowerRow:
 
 
 def write_band_table(rows: list[BandPowerRow], path) -> None:
-    """Write band-power rows; duplicate key tuples are rejected."""
+    """Write band-power rows as CSV (names quoted as needed); duplicate key tuples are rejected."""
     seen = set()
     for r in rows:
         key = (r.participant, r.condition, r.channel, r.band)
@@ -241,9 +244,10 @@ def write_band_table(rows: list[BandPowerRow], path) -> None:
             raise ValueError(f"duplicate band-power row for {key}")
         seen.add(key)
     with open(path, "w", newline="") as fh:
-        fh.write("participant,condition,channel,band,power_db\n")
-        for r in rows:
-            fh.write(f"{r.participant},{r.condition},{r.channel},{r.band},{r.power_db:.6f}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("participant", "condition", "channel", "band", "power_db"))
+        writer.writerows((r.participant, r.condition, r.channel, r.band, f"{r.power_db:.6f}")
+                         for r in rows)
 
 
 def read_band_table(path) -> list[BandPowerRow]:

@@ -9,6 +9,7 @@ times are returned alongside the trace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,15 @@ def parse_pairs(text: str) -> tuple:
     return tuple(parse_pair(p.strip()) for p in text.split(",") if p.strip())
 
 
+def _check_extent(rate: float, length_key: str, length_s: float, **widths) -> None:
+    """Positive finite rate, length and widths (nan fails); a length of at least one sample."""
+    for key, value in {"rate": rate, length_key: length_s, **widths}.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{key} must be {'finite' if value > 0 else 'positive'}, got {value}")
+    if round(length_s * rate) < 1:
+        raise ValueError(f"{length_key} of {length_s} s holds no sample at {rate} Hz")
+
+
 @dataclass(frozen=True)
 class EegSynthSpec:
     rate: float = 125.0
@@ -43,8 +53,7 @@ class EegSynthSpec:
     line_noise: tuple | None = field(default=None, metadata={"parse": parse_pair})
 
     def __post_init__(self):
-        if self.rate <= 0 or self.duration_s <= 0:
-            raise ValueError("rate and duration must be positive")
+        _check_extent(self.rate, "duration_s", self.duration_s)
         if self.n_channels < 1:
             raise ValueError("need at least one channel")
         if self.pink_noise_rms < 0:
@@ -113,14 +122,11 @@ class EcgSynthSpec:
     r_width_ms: float = 20.0  # Gaussian sigma of the R bump
 
     def __post_init__(self):
-        if self.rate <= 0 or self.duration_s <= 0:
-            raise ValueError("rate and duration must be positive")
+        _check_extent(self.rate, "duration_s", self.duration_s, r_width_ms=self.r_width_ms)
         if not 30.0 <= self.bpm <= 220.0:
             raise ValueError(f"bpm {self.bpm} outside a plausible 30-220 range")
         if self.r_amplitude_uv < 0 or self.rr_jitter_ms < 0:
             raise ValueError("amplitude and jitter cannot be negative")
-        if self.r_width_ms <= 0:
-            raise ValueError(f"r_width_ms must be positive, got {self.r_width_ms}")
 
 
 def gen_ecg(spec: EcgSynthSpec) -> tuple[Recording, BeatSeries]:
@@ -173,8 +179,7 @@ class BergerSpec:
     line_noise: tuple | None = field(default=None, metadata={"parse": parse_pair})
 
     def __post_init__(self):
-        if self.rate <= 0 or self.segment_s <= 0:
-            raise ValueError("rate and segment_s must be positive")
+        _check_extent(self.rate, "segment_s", self.segment_s)
         if self.n_channels < 1:
             raise ValueError("need at least one channel")
         if self.pink_noise_rms < 0:

@@ -32,6 +32,7 @@ from earpipe.cardiac import (
     INTEGRATION_S,
     REFINE_S,
     REFRACTORY_S,
+    REFRACTORY_TOL_S,
     SEARCHBACK_FACTOR,
     _bandpass_qrs,
     _fiducial_peaks,
@@ -282,7 +283,7 @@ def pan_tompkins_loop(x: np.ndarray, rate: float) -> tuple[np.ndarray, dict]:
     if not np.any(mwi > 0):
         return np.empty(0), fired
 
-    refractory = int(round(REFRACTORY_S * rate))
+    refractory = math.ceil((REFRACTORY_S - REFRACTORY_TOL_S) * rate)
     peaks = _fiducial_peaks(mwi, refractory)
     if len(peaks) == 0:
         return np.empty(0), fired

@@ -141,6 +141,14 @@ def test_extract_ecg_whitens_like_ica():
         extract_ecg(_rec(laplacian_sources(64, 1250, 27)))
 
 
+def test_extract_ecg_refuses_a_rate_below_the_detector_minimum_before_whitening(monkeypatch):
+    def must_not_whiten(*args, **kwargs):
+        raise AssertionError("whitened data the detector cannot take")
+
+    monkeypatch.setattr(artifact, "_whiten", must_not_whiten)
+    assert extract_ecg(_rec(_ecg_mixture(seed=30, rate=99.0)[0], rate=99.0)) is None
+
+
 def test_segment_shorter_than_two_epochs_gets_no_pick():
     # 2.4 s: too short to whiten 16 channels, and shorter than two epochs
     rec = _rec(laplacian_sources(16, 300, 28))

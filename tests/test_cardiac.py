@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from earpipe.cardiac import (
+    REFRACTORY_S,
     BeatSeries,
     match_beats,
     paired_rr,
@@ -227,6 +228,21 @@ def test_pan_tompkins_matches_the_two_search_back_detector():
                 fired[where] += count > 0
     # cases where each search-back accepted a beat
     assert fired["loop"] >= 10 and fired["tail"] >= 5, fired
+
+
+def test_pan_tompkins_keeps_its_beats_a_refractory_period_apart_at_101_hz():
+    # at 101 Hz, 200 ms is 20.2 samples: a 20-sample refractory period let
+    # a spike 20 samples after a beat stand as a beat of its own
+    rate = 101.0
+    for seed in range(4):
+        rec, truth = gen_ecg(EcgSynthSpec(rate=rate, duration_s=30.0, seed=seed, bpm=90.0))
+        rng = np.random.default_rng(seed)
+        x = rec.data[0] + rng.normal(scale=20.0, size=rec.n_samples)
+        for b in truth.beat_times[::3]:
+            x[int(round(b * rate)) + 20] += 600.0
+        beats = pan_tompkins(x, rate)
+        assert len(beats) > 0
+        assert np.all(np.diff(beats.beat_times) >= REFRACTORY_S), seed
 
 
 def _grid_beats(rng, n: int) -> np.ndarray:

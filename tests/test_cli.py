@@ -134,6 +134,11 @@ def test_synth_unknown_kind(tmp_path, capsys):
         ("berger", "[berger]\nalpha_band = 8:70\n", "alpha band"),
         ("berger", "[ecg]\nbpm = 72\n", "[ecg]"),
         ("ecg", "[ecg]\nr_width_ms = 0\n", "r_width_ms must be positive, got 0.0"),
+        ("eeg", "[eeg]\nrate = nan\n", "rate must be positive, got nan"),
+        ("berger", "[berger]\nsegment_s = inf\n", "segment_s must be finite, got inf"),
+        ("ecg", "[ecg]\nr_width_ms = inf\n", "r_width_ms must be finite, got inf"),
+        ("eeg", "[eeg]\nduration_s = 1e-9\n", "duration_s of 1e-09 s holds no sample at 125.0 Hz"),
+        ("ecg", "[ecg]\nduration_s = nan\n", "ecg: duration_s must be positive, got nan"),
         # an accepted rate whose jittered beats fall inside one refractory period
         ("ecg", "[ecg]\nbpm = 220\nduration_s = 120\n",
          "ecg: planted beats closer than the refractory period"),
@@ -399,7 +404,7 @@ def test_run_without_ecg_detection_needs_no_ica_seed(tmp_path, capsys):
     cfg = write_spec(
         tmp_path / "run.ini",
         f"[input]\nsession = {data / 'session.csv'}\nevents = {data / 'events.csv'}\n\n"
-        f"[output]\ndir = {tmp_path / 'out'}\n\n[analysis]\ndetect_ecg = off\n",
+        f"[output]\ndir = {tmp_path / 'out'}\n\n[stages]\nica = off\n",
     )
     code, out, _ = run_cli(capsys, "run", "--config", cfg)
     assert code == 0
@@ -453,6 +458,11 @@ def berger_20s(tmp_path_factory):
         ("line_win_s = 0.001", {2}),  # 0 samples: the stage would be skipped
         ("line_win_s = inf", {2}),
         ("asr_proc_win_s = inf", {2}),
+        ("hp_cutoff_hz = nan", {2}),
+        ("line_freq_hz = nan", {2}),
+        ("asr_burst_k = nan", {2}),
+        ("ica_max_iter = 0", {2}),
+        ("ica_components = 0", {2}),
     ],
 )
 def test_run_bad_stage_value_keeps_cli_contract(tmp_path, capsys, berger_20s, pipeline, codes):
@@ -645,7 +655,8 @@ def test_bands_segment_of_exactly_one_window(tmp_path, capsys):
     assert last_json(out)["rows"] == 4
 
 
-@pytest.mark.parametrize("spec", ["foo", "alpha:8", "alpha:x:12", "alpha:12:8"])
+@pytest.mark.parametrize("spec", ["foo", "alpha:8", "alpha:x:12", "alpha:12:8",
+                                  "alpha:8:12,alpha:1:4"])
 def test_bands_bad_spec_exits_2(tmp_path, capsys, spec):
     data = synth_berger(tmp_path, capsys)
     code, _, err = run_cli(
@@ -952,6 +963,7 @@ BAD_HEADER_ARGV = {
         pytest.param("agree --ref {rr} --alt {rr} --tolerance 0", 2, "--tolerance", id="tol-0"),
         pytest.param("agree --ref {rr} --alt {rr} --tolerance -1", 2, "--tolerance", id="tol-neg"),
         pytest.param("agree --ref {rr} --alt {rr} --tolerance nan", 2, "--tolerance", id="tol-nan"),
+        pytest.param("agree --ref {rr} --alt {rr} --tolerance inf", 2, "--tolerance", id="tol-inf"),
         pytest.param("parse --raw {root}/cap.bin --rate 0 --out-dir {root}/p", 2, "--rate",
                      id="rate-0"),
         pytest.param("parse --raw {root}/cap.bin --rate nan --out-dir {root}/p", 2, "--rate",
@@ -994,8 +1006,8 @@ BAD_HEADER_ARGV = {
                      3, "rate 1e+308 Hz overflows the Welch density scale",
                      id="session-huge-rate-band"),
         pytest.param("ecg --session {root}/rate_1.csv --channel 1 --out {root}/rr_1.csv", 3,
-                     "channel 1: need at least 20 samples for 1 channels, got 12",
-                     id="ecg-rate-1"),
+                     "channel 1: no heartbeat by the rule of stage 7, which needs at least 10 s "
+                     "at 100 Hz or more", id="ecg-rate-1"),
         *(pytest.param(argv % name, 3, BAD_HEADER_MESSAGES[name], id=f"{command}-header-{name}")
           for command, argv in BAD_HEADER_ARGV.items() for name in BAD_HEADERS),
     ],
@@ -1213,7 +1225,7 @@ _FUZZ_FILES = ("session.csv", "events.csv", "rr.csv", "montage.csv", "scores.csv
     edits=st.fixed_dictionaries({name: _FILE_EDITS for name in (*_FUZZ_FILES, "run.ini")}),
     out_kind=st.sampled_from(["fresh", "file", "under-file", "missing-parent"]),
     extra=st.sampled_from(["", "[pipeline]\npsd_average = pooled\n", "[stages]\nasr = off\n",
-                           "[pipeline]\npsd_segment = 2048\n", "[analysis]\ndetect_ecg = off\n"]),
+                           "[pipeline]\npsd_segment = 2048\n", "[stages]\nica = off\n"]),
 )
 def test_cli_contract_holds_for_mutated_inputs(fuzz_inputs, tmp_path_factory, command, edits,
                                                out_kind, extra):

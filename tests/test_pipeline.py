@@ -1,5 +1,6 @@
 import configparser
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -95,7 +96,6 @@ psd_average = pooled
 bands = Slow:1:4,Fast:20:40
 
 [analysis]
-detect_ecg = no
 match_tolerance_s = 0.2
 exclude_conditions = rest, task_a
 """,
@@ -109,7 +109,7 @@ exclude_conditions = rest, task_a
     assert cfg.hp_cutoff_hz == 0.5 and cfg.hp_order == 400
     assert cfg.line_freq_hz == 60.0 and cfg.psd_average == "pooled"
     assert [b.name for b in cfg.bands] == ["Slow", "Fast"]
-    assert cfg.detect_ecg is False and cfg.match_tolerance_s == 0.2
+    assert cfg.match_tolerance_s == 0.2
     assert cfg.exclude_conditions == ("rest", "task_a")
 
 
@@ -152,7 +152,7 @@ def test_load_config_missing_file(tmp_path):
 
 def test_ica_seed_is_optional(tmp_path):
     # the cardiac-source extraction draws no random numbers
-    for extra in ("", "[stages]\nica = off\n", "[analysis]\ndetect_ecg = off\n"):
+    for extra in ("", "[stages]\nica = off\n"):
         body = f"[input]\nsession = s.csv\nevents = e.csv\n\n{extra}"
         cfg = load_config(write_config(tmp_path / "noseed.ini", body))
         assert cfg.ica_seed is None
@@ -164,10 +164,13 @@ def test_validate_collects_pipeline_problems():
     cfg.hp_order = 3
     cfg.psd_overlap = 300
     cfg.asr_burst_k = -1.0
-    cfg.ica_input = "weird"
+    cfg.psd_average = "weird"
+    cfg.ica_max_iter = 0
+    cfg.ica_components = 0
     problems = cfg.validate()
     joined = "; ".join(problems)
-    for fragment in ("hp_order", "psd_overlap", "asr_burst_k", "ica_input"):
+    for fragment in ("hp_order", "psd_overlap", "asr_burst_k", "psd_average", "ica_max_iter",
+                     "ica_components"):
         assert fragment in joined
 
 
@@ -304,24 +307,29 @@ def test_asr_toggle_matches_infinite_threshold(tmp_path):
 
 def test_ecg_detection_off_skips_ica(tmp_path, monkeypatch):
     berger_inputs(tmp_path, segment_s=10.0)
-    cfg_no_ica = load_config(base_config(tmp_path, extra_stages="ica = off"))
-    cfg_no_ica.out_dir = str(tmp_path / "no_ica")
-    run_pipeline(cfg_no_ica)
 
     def extraction_must_not_run(*args, **kwargs):
-        raise AssertionError("the extraction ran although nothing reads its result")
+        raise AssertionError("the extraction ran although the ica stage is off")
 
     monkeypatch.setattr("earpipe.pipeline.extract_ecg", extraction_must_not_run)
-    path = base_config(tmp_path)
-    path.write_text(path.read_text() + "\n[analysis]\ndetect_ecg = off\n")
-    cfg_ecg_off = load_config(path)
-    cfg_ecg_off.out_dir = str(tmp_path / "ecg_off")
-    run_pipeline(cfg_ecg_off)
-    for name in ("bands.csv", "qc.json", "integrity.json", "rr.csv",
-                 "bland_altman.json", "regression.json"):
-        a = (tmp_path / "no_ica" / name).read_bytes()
-        b = (tmp_path / "ecg_off" / name).read_bytes()
-        assert a == b, f"{name} differs"
+    result = compute_run(load_config(base_config(tmp_path, extra_stages="ica = off")))
+    assert [s["ecg_component"] for s in result.qc["segments"]] == [None, None]
+    assert result.rr_rows == []
+
+
+@pytest.mark.parametrize("entry", ["[analysis]\ndetect_ecg = off", "[pipeline]\nica_input = asr"])
+def test_removed_cardiac_keys_are_unknown(tmp_path, entry):
+    # [stages] ica = off is the one switch of the cardiac-source stage, and
+    # it always reads the filtered segment
+    path = write_config(tmp_path / "old.ini", f"[input]\nsession = s.csv\nevents = e.csv\n\n{entry}\n")
+    section, key = entry[1:].split("]\n")
+    with pytest.raises(ConfigError, match=f"{section}: unknown key '{key.split()[0]}'"):
+        load_config(path)
+
+
+def test_validate_refuses_an_infinite_match_tolerance():
+    cfg = PipelineConfig(session="s.csv", events="e.csv", match_tolerance_s=math.inf)
+    assert cfg.validate() == ["analysis: match_tolerance_s must be positive and finite"]
 
 
 def test_band_beyond_nyquist_rejected(tmp_path):
@@ -505,8 +513,8 @@ def test_pooled_bands_weight_each_segment_psd_by_its_windows(tmp_path, monkeypat
     monkeypatch.setattr(pipeline, "welch_psd_recording", recorded_welch)
     band_db = {}
     for mode in ("per_segment", "pooled"):
-        cfg = load_config(base_config(tmp_path, extra_pipeline=f"psd_average = {mode}"),
-                          detect_ecg=False)
+        cfg = load_config(base_config(tmp_path, extra_stages="ica = off",
+                                      extra_pipeline=f"psd_average = {mode}"))
         psds.clear()
         result = compute_run(cfg)
         assert len(psds) == 4  # one Welch pass per segment, none over joined segments

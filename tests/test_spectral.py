@@ -159,11 +159,16 @@ def test_band_table_roundtrip(tmp_path):
     rows = [
         BandPowerRow("P01", "open", "R1", "alpha", -3.25),
         BandPowerRow("P01", "closed", "R1", "alpha", 5.5),
+        # names the CSV writer must quote for earpipe's own reader to split them back
+        BandPowerRow("P,1", "eyes,open", 'R"1', "alpha", 1.0),
+        BandPowerRow("P01", "two\nlines", "R1", 'say "hi", twice', -0.5),
     ]
     path = tmp_path / "bands.csv"
     write_band_table(rows, path)
     back = read_band_table(path)
     assert back == rows
+    # a plain name is written unquoted
+    assert path.read_text().splitlines()[1] == "P01,open,R1,alpha,-3.250000"
 
 
 def test_band_table_rejects_duplicates(tmp_path):
