@@ -404,7 +404,8 @@ def asr_calibrate(rec: Recording, cfg: AsrConfig = AsrConfig()) -> AsrModel:
     """
     w, count = calibration_windows(rec.n_samples, rec.rate, cfg)
     starts = np.arange(count) * w
-    rms = _window_rms(rec.data, np.eye(rec.n_channels), starts, w)  # (channels, windows)
+    chunks = rec.data[:, : count * w].reshape(rec.n_channels, count, w)
+    rms = np.sqrt(np.einsum("cwt,cwt->cw", chunks, chunks) / w)  # (channels, windows)
     mu = rms.mean(axis=1, keepdims=True)
     sd = rms.std(axis=1, ddof=0, keepdims=True)
     sd = np.where(sd > 0, sd, 1.0)
@@ -417,7 +418,6 @@ def asr_calibrate(rec: Recording, cfg: AsrConfig = AsrConfig()) -> AsrModel:
             f"{CALIB_Z_BOUNDS[1]}]); need {MIN_CALIB_WINDOWS}"
         )
     # the one copy of the clean windows, freed before their components are formed
-    chunks = rec.data[:, : count * w].reshape(rec.n_channels, count, w)
     xc = chunks.compress(clean, axis=1).reshape(rec.n_channels, -1)
     cov = (xc @ xc.T) / xc.shape[1]
     del xc

@@ -18,7 +18,7 @@ from .artifact import ECG_SCORE_THRESHOLD, ECG_SKEW_THRESHOLD, SKEW_EPOCH_S, ext
 from .cardiac import MIN_RATE_HZ, rr_periods
 from .errors import ConfigError, DataError
 from .ingest import (
-    Event, Recording, cut_segments, load_events_csv, load_session_csv, parse_stream,
+    Event, Recording, check_name, cut_segments, load_events_csv, load_session_csv, parse_stream,
     read_table, save_events_csv, save_session_csv,
 )
 from .pipeline import (
@@ -141,6 +141,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_bands(args) -> int:
+    try:
+        check_name("--participant", args.participant)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     rec = load_input("session file", load_session_csv, args.session)
     try:
         check_welch_window(args.segment, args.overlap)

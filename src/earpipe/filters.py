@@ -5,11 +5,13 @@ pass: the linear convolution is computed against the zero-padded signal
 and shifted back by the group delay (order/2), so a symmetric kernel
 introduces no net lag. The convolution runs by block FFT overlap-add
 over all channels at once; the result is the same zero-padded,
-zero-phase output a direct convolution gives, to rounding. Mains
-interference is removed by sliding-window least-squares fits of
+zero-phase output a direct convolution gives, to rounding; a high-pass
+and a low-pass are cascaded into one kernel and applied in one pass.
+Mains interference is removed by sliding-window least-squares fits of
 sine/cosine pairs at the line frequency rather than by a notch, which
 leaves the neighbouring spectrum untouched; every window shares one
-projector onto the regressors' span.
+projector onto the regressors' span, and the windows are fitted a hop
+block at a time.
 """
 
 from __future__ import annotations
@@ -134,6 +136,14 @@ def apply_zero_phase_array(x: np.ndarray, fir: FirFilter) -> np.ndarray:
     return out[0] if single else out
 
 
+def cascade(first: FirFilter, second: FirFilter) -> FirFilter:
+    """One kernel for first then second: their taps' convolution, delayed by
+    both group delays. Away from the edges it filters as the two passes do;
+    the two passes differ in their edge samples, because the second pads
+    the first's output, cut back to the input's length, with zeros again."""
+    return FirFilter(np.convolve(first.taps, second.taps), first.group_delay + second.group_delay)
+
+
 def apply_zero_phase(rec: Recording, fir: FirFilter) -> Recording:
     return rec.with_data(apply_zero_phase_array(rec.data, fir))
 
@@ -211,6 +221,55 @@ def _line_basis(w_len: int, rate: float, f0: float, harmonics: int) -> np.ndarra
     return u[:, sv > np.finfo(float).eps * max(design.shape) * sv[0]]
 
 
+# floats of the segment, and of the coefficient stack, that one step of
+# _hop_block_fits works on (512 kB); the memory it takes stays about the
+# segment's whatever the hop
+LINE_BLOCK_ELEMS = 1 << 16
+
+
+def _hop_block_fits(x: np.ndarray, u: np.ndarray, taper: np.ndarray, hop: int):
+    """The overlap-added, taper-weighted fits of the windows at k * hop that
+    lie on whole hop blocks, their taper sum, and how many windows they are.
+
+    U, zero-padded to J whole hops, is cut into J pieces: window k's
+    coefficients are the sum over j of hop block k + j against piece j,
+    and hop block b of the blend is the sum over j of window b - j's
+    coefficients against the taper-weighted piece j.
+    """
+    rows, n = x.shape
+    w_len, rank = u.shape
+    n_pieces = -(-w_len // hop)
+    blocks = n // hop
+    count = max(0, blocks - n_pieces + 1)
+    est, wsum = np.zeros_like(x), np.zeros(n)
+    if not count:
+        return est, wsum, 0
+    pad = ((0, n_pieces * hop - w_len), (0, 0))
+    lead = n_pieces - 1
+    # coef[:, lead + k] holds window k's coefficients, with lead zero rows on either side
+    coef = np.zeros((rows, lead + blocks, rank))
+    xb = x[:, : blocks * hop].reshape(rows, blocks, hop)
+    pieces = np.pad(u, pad).reshape(n_pieces, hop, rank)
+    step = max(1, LINE_BLOCK_ELEMS // (rows * hop))
+    for k0 in range(0, count, step):
+        part = coef[:, lead + k0 : lead + min(k0 + step, count)]
+        for j, piece in enumerate(pieces):
+            part += xb[:, k0 + j : k0 + j + part.shape[1]] @ piece
+    # block b takes windows b - lead .. b, coef rows b .. b + lead, so it
+    # meets the tapered pieces in reverse order
+    stack = np.lib.stride_tricks.sliding_window_view(coef, n_pieces, axis=1)
+    down = np.pad(taper[:, None] * u, pad).reshape(n_pieces, hop, rank)[::-1]
+    down = down.transpose(2, 0, 1).reshape(rank * n_pieces, hop)
+    eb = est[:, : blocks * hop].reshape(rows, blocks, hop)
+    step = max(1, LINE_BLOCK_ELEMS // (rows * rank * n_pieces))
+    for b0 in range(0, blocks, step):
+        eb[:, b0 : b0 + step] = stack[:, b0 : b0 + step].reshape(rows, -1, rank * n_pieces) @ down
+    wb = wsum[: blocks * hop].reshape(blocks, hop)
+    for j, piece in enumerate(np.pad(taper, pad[0]).reshape(n_pieces, hop)):
+        wb[j : j + count] += piece
+    return est, wsum, count
+
+
 def remove_line_noise(
     rec: Recording,
     f0: float = 50.0,
@@ -228,17 +287,27 @@ def remove_line_noise(
 
     A shift in time rotates each sin/cos pair into itself, so every
     window's regressors span the same columns: one SVD of the first
-    window's design gives the projector U U' that fits them all.
+    window's design gives the projector U U' that fits them all. The
+    windows on whole hop blocks are fitted together (_hop_block_fits);
+    the rest, at most two, one at a time.
     """
     check_line_noise(rec.rate, f0, win_s, step_s, harmonics)
     n = rec.n_samples
     if n == 0:
         raise ValueError("cannot filter an empty recording")
+    x = rec.data
     w_len = min(int(round(win_s * rec.rate)), n)
     u = _line_basis(w_len, rec.rate, f0, harmonics)
     if w_len == n:
-        return rec.with_data(rec.data - (rec.data @ u) @ u.T)
+        return rec.with_data(x - (x @ u) @ u.T)
 
-    starts, taper = overlap_add_windows(n, w_len, max(1, int(round(step_s * rec.rate))))
-    fits = ((s, (rec.data[:, s : s + w_len] @ u) @ u.T) for s in starts)
-    return rec.with_data(rec.data - blend_windows(rec.data.shape, starts, taper, fits))
+    hop = max(1, int(round(step_s * rec.rate)))
+    starts, taper = overlap_add_windows(n, w_len, hop)
+    est, wsum, fitted = _hop_block_fits(x, u, taper, hop)
+    # the last window, moved to end at n, and one that reaches past the last whole block
+    tapered = (taper[:, None] * u).T
+    for s in starts[fitted:]:
+        est[:, s : s + w_len] += (x[:, s : s + w_len] @ u) @ tapered
+        wsum[s : s + w_len] += taper
+    est /= np.maximum(wsum, np.finfo(float).tiny)
+    return rec.with_data(np.subtract(x, est, out=est))

@@ -21,6 +21,7 @@ import csv
 import itertools
 import math
 import os
+import re
 import stat
 import time
 import warnings
@@ -147,6 +148,17 @@ class IntegrityReport:
         return out
 
 
+_CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
+
+
+def check_name(what: str, name: str) -> None:
+    """Refuse a participant, condition, channel or band name that holds a
+    control character: a lone carriage return, for one, is not quoted by
+    the csv module and would split a bands.csv row."""
+    if _CONTROL.search(name):
+        raise ValueError(f"{what} {name!r} holds a control character")
+
+
 @dataclass(frozen=True)
 class Event:
     condition: str
@@ -154,6 +166,7 @@ class Event:
     end_s: float
 
     def __post_init__(self):
+        check_name("condition", self.condition)
         if self.end_s < self.start_s:
             raise ValueError(f"event {self.condition}: end {self.end_s} before start {self.start_s}")
 
@@ -617,7 +630,8 @@ def _header_rate(path, line: int, text: str) -> float:
 
 def _check_channel_names(path, line: int, header: list[str]) -> None:
     """Refuse a `t_s,...` header with no channel column, or with an empty
-    or repeated column name (`t_s` included), naming its file and line."""
+    or repeated column name (`t_s` included) or one that holds a control
+    character, naming its file and line."""
     if len(header) < 2:
         raise ValueError(f"{path}:{line}: header has no channel column")
     for col, name in enumerate(header[1:], start=2):
@@ -625,6 +639,7 @@ def _check_channel_names(path, line: int, header: list[str]) -> None:
             raise ValueError(f"{path}:{line}: column {col} of the header has no name")
         if name in header[:col - 1]:
             raise ValueError(f"{path}:{line}: column {col} of the header repeats {name!r}")
+        check_name(f"{path}:{line}: column {col} of the header", name)
 
 
 def load_session_csv(path) -> Recording:
@@ -770,6 +785,19 @@ class Segment:
     report: IntegrityReport
 
 
+# columns per run of _copy_columns: a run of a loaded session's rows stays in cache
+CUT_BLOCK = 4096
+
+
+def _copy_columns(data: np.ndarray, i0: int, i1: int) -> np.ndarray:
+    """data[:, i0:i1] as a new row-major array, copied CUT_BLOCK columns at a
+    time; a loaded session's data is the transpose of its (samples, columns) table."""
+    out = np.empty((data.shape[0], i1 - i0), dtype=data.dtype)
+    for s in range(0, i1 - i0, CUT_BLOCK):
+        out[:, s : s + CUT_BLOCK] = data[:, i0 + s : min(i0 + s + CUT_BLOCK, i1)]
+    return out
+
+
 def cut_segments(rec: Recording, events: list[Event]) -> list[Segment]:
     """Cut [start_s, end_s) windows out of a recording.
 
@@ -793,7 +821,8 @@ def cut_segments(rec: Recording, events: list[Event]) -> list[Segment]:
         actual = i1 - i0
         if actual == 0:
             flags.append("empty-segment")
-        seg_rec = Recording(rate=rec.rate, labels=list(rec.labels), data=rec.data[:, i0:i1].copy())
+        data = _copy_columns(rec.data, i0, i1)
+        seg_rec = Recording(rate=rec.rate, labels=list(rec.labels), data=data)
         t_first = rec.t0 + i0 / rec.rate if actual else ev.start_s
         t_last = rec.t0 + (i1 - 1) / rec.rate if actual else ev.start_s
         out.append(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .ingest import Recording, read_table
+from .ingest import Recording, check_name, read_table
 
 SIDES = ("L", "R")
 POSITIONS_PER_SIDE = 10
@@ -115,6 +115,7 @@ def load_montage_csv(path) -> MontageMap:
     ground = None
     excluded = set()
     for row in read_table(path, ("label", "role", "channel"), error=MontageError)[1]:
+        row.build(check_name, "label", row["label"])
         lab = row.build(ElectrodeLabel.parse, row["label"])
         role = row["role"].lower()
         if role == "record":

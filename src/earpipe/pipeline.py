@@ -15,8 +15,9 @@ import configparser
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +37,11 @@ from .artifact import (
 from .cardiac import BeatSeries, match_beats, paired_rr, rr_outlier_filter, rr_periods
 from .errors import ConfigError, DataError
 from .filters import (
+    FirFilter,
     FirSpec,
     apply_zero_phase,
     baseline_correct,
+    cascade,
     check_fir_length,
     check_line_noise,
     design_fir,
@@ -46,6 +49,7 @@ from .filters import (
 )
 from .ingest import (
     Recording,
+    check_name,
     cut_segments,
     load_events_csv,
     load_session_csv,
@@ -148,6 +152,10 @@ class PipelineConfig:
             problems.append("input: exactly one of 'session' or 'raw' must be set")
         if self.events is None:
             problems.append("input: 'events' file is required")
+        try:
+            check_name("participant", self.participant)
+        except ValueError as exc:
+            problems.append(f"input: {exc}")
         if self.raw is not None and not 0 < self.rate < float("inf"):
             rule = "finite" if self.rate > 0 else "positive"
             problems.append(f"input: rate must be {rule}, got {self.rate}")
@@ -300,7 +308,7 @@ def _load_inputs(cfg: PipelineConfig):
 class StagePlan:
     """Stage objects built once per run from the config and the session's rate."""
 
-    firs: tuple  # the FirFilters of the high-pass then the low-pass, those that are on
+    fir: FirFilter | None  # the high-pass, the low-pass, or both cascaded into one kernel
     asr: AsrConfig | None
 
 
@@ -342,39 +350,67 @@ def plan_stages(cfg: PipelineConfig, rec: Recording, monmap) -> StagePlan:
     asr = AsrConfig(
         cfg.asr_burst_k, cfg.asr_window_criterion, cfg.asr_calib_win_s, cfg.asr_proc_win_s
     )
-    return StagePlan(tuple(firs), asr if cfg.stages.asr else None)
+    # with both filters on, the segment is filtered once, by their cascade
+    fir = reduce(cascade, firs) if firs else None
+    return StagePlan(fir, asr if cfg.stages.asr else None)
 
 
-def clean_segment(rec: Recording, cfg: PipelineConfig, monmap, plan: StagePlan) -> Recording:
+# the stages whose seconds run_meta.json reports as stage_s
+STAGES = ("load_inputs", "cut", "baseline", "rereference", "line", "fir", "asr", "ecg", "welch",
+          "qc", "write_reports")
+
+
+class StageClock:
+    """Seconds spent in each stage, summed over its calls: `with clock("fir"): ...`."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(STAGES, 0.0)
+
+    @contextmanager
+    def __call__(self, stage: str):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[stage] += time.perf_counter() - start
+
+
+def clean_segment(
+    rec: Recording, cfg: PipelineConfig, monmap, plan: StagePlan, clock: StageClock
+) -> Recording:
     """Apply the linear cleaning chain to one segment."""
     out = rec
     if cfg.stages.baseline:
-        out = baseline_correct(out)
+        with clock("baseline"):
+            out = baseline_correct(out)
     if cfg.stages.rereference:
-        out = rereference_linked_mastoid(out, monmap, cfg.reref_left, cfg.reref_right)
+        with clock("rereference"):
+            out = rereference_linked_mastoid(out, monmap, cfg.reref_left, cfg.reref_right)
     if cfg.stages.line:
-        out = remove_line_noise(
-            out,
-            f0=cfg.line_freq_hz,
-            win_s=cfg.line_win_s,
-            step_s=cfg.line_step_s,
-            harmonics=cfg.line_harmonics,
-        )
-    for fir in plan.firs:
-        out = apply_zero_phase(out, fir)
+        with clock("line"):
+            out = remove_line_noise(
+                out,
+                f0=cfg.line_freq_hz,
+                win_s=cfg.line_win_s,
+                step_s=cfg.line_step_s,
+                harmonics=cfg.line_harmonics,
+            )
+    if plan.fir is not None:
+        with clock("fir"):
+            out = apply_zero_phase(out, plan.fir)
     return out
 
 
 def preflight_segments(segments, cfg: PipelineConfig, plan: StagePlan) -> None:
-    """Check every segment's length against the planned FIR kernels, the
+    """Check every segment's length against the planned FIR kernel, the
     ASR calibration minimum and processing window, and the Welch window
     before any segment is processed; the first failure is the DataError
     process_segment would raise."""
     for i, seg in enumerate(segments):
         n = seg.recording.n_samples
         try:
-            for fir in plan.firs:
-                check_fir_length(n, fir)
+            if plan.fir is not None:
+                check_fir_length(n, plan.fir)
             if plan.asr is not None:
                 calibration_windows(n, seg.recording.rate, plan.asr)
                 processing_window(n, seg.recording.rate, plan.asr)
@@ -393,26 +429,34 @@ class SegmentResult:
 
 
 def process_segment(
-    seg_rec: Recording, condition: str, cfg: PipelineConfig, monmap, plan: StagePlan, seg_index: int
+    seg_rec: Recording, condition: str, cfg: PipelineConfig, monmap, plan: StagePlan,
+    seg_index: int, clock: StageClock,
 ):
-    """Run every stage on one segment; a stage failure is a DataError naming it."""
+    """Run every stage on one segment, adding each stage's time to clock;
+    a stage failure is a DataError naming it."""
     try:
-        cleaned = clean_segment(seg_rec, cfg, monmap, plan)
+        cleaned = clean_segment(seg_rec, cfg, monmap, plan, clock)
 
         flagged = []
         asr_out = cleaned
         if plan.asr is not None:
-            model = asr_calibrate(cleaned, plan.asr)
-            asr_out, flagged = asr_process(cleaned, model, plan.asr)
+            with clock("asr"):
+                model = asr_calibrate(cleaned, plan.asr)
+                asr_out, flagged = asr_process(cleaned, model, plan.asr)
 
-        pick = (extract_ecg(cleaned, n_components=cfg.ica_components, max_iter=cfg.ica_max_iter)
-                if cfg.stages.ica else None)
+        pick = None
+        if cfg.stages.ica:
+            with clock("ecg"):
+                pick = extract_ecg(cleaned, n_components=cfg.ica_components,
+                                   max_iter=cfg.ica_max_iter)
 
         exclude = [(f.start_s, f.end_s) for f in flagged]
-        psd = welch_psd_recording(
-            asr_out, seg=cfg.psd_segment, overlap=cfg.psd_overlap, exclude_spans=exclude
-        )
-        qc = qc_report(asr_out, psd, line_freq_hz=cfg.line_freq_hz)
+        with clock("welch"):
+            psd = welch_psd_recording(
+                asr_out, seg=cfg.psd_segment, overlap=cfg.psd_overlap, exclude_spans=exclude
+            )
+        with clock("qc"):
+            qc = qc_report(asr_out, psd, line_freq_hz=cfg.line_freq_hz)
     except ValueError as exc:
         raise DataError(f"segment {seg_index} ({condition}): {exc}") from None
     return SegmentResult(condition=condition, flagged=flagged, qc=qc, ecg=pick, psd=psd)
@@ -492,6 +536,7 @@ class RunResult:
     bland_altman: dict
     regression: dict
     session_cache: str | None  # load_session_csv's meta["session_cache"]; None for raw input
+    stage_s: dict  # StageClock.seconds of the run; write_reports adds its own
 
 
 def compute_run(cfg: PipelineConfig) -> RunResult:
@@ -502,14 +547,17 @@ def compute_run(cfg: PipelineConfig) -> RunResult:
     problems = cfg.validate()
     if problems:
         raise ConfigError("; ".join(problems))
-    rec, events, monmap, stream, ref_beats, scores = _load_inputs(cfg)
+    clock = StageClock()
+    with clock("load_inputs"):
+        rec, events, monmap, stream, ref_beats, scores = _load_inputs(cfg)
     session_cache = rec.meta.get("session_cache")
     plan = plan_stages(cfg, rec, monmap)
     if rec.n_channels == len(monmap.channel_of):
         rec = relabel_by_montage(rec, monmap)
 
     try:
-        segments = cut_segments(rec, events)
+        with clock("cut"):
+            segments = cut_segments(rec, events)
     except ValueError as exc:
         raise DataError(str(exc)) from None
     # the segments hold copies of their samples; drop the whole session
@@ -523,7 +571,7 @@ def compute_run(cfg: PipelineConfig) -> RunResult:
     preflight_segments(segments, cfg, plan)
 
     seg_results = [
-        process_segment(seg.recording, seg.condition, cfg, monmap, plan, i)
+        process_segment(seg.recording, seg.condition, cfg, monmap, plan, i, clock)
         for i, seg in enumerate(segments)
     ]
 
@@ -567,7 +615,7 @@ def compute_run(cfg: PipelineConfig) -> RunResult:
     rr = [row for t0, beats in picked for row in rr_rows(beats, t0)]
     regression = _run_regressions(cfg, band_rows, scores)
     return RunResult(cfg, started, conditions, band_rows, qc, integrity, rr, ba, regression,
-                     session_cache)
+                     session_cache, clock.seconds)
 
 
 def write_reports(result: RunResult, out_dir) -> dict:
@@ -575,12 +623,14 @@ def write_reports(result: RunResult, out_dir) -> dict:
     the run summary."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    start = time.perf_counter()
     write_band_table(result.band_rows, out_dir / "bands.csv")
     _json_dump(result.qc, out_dir / "qc.json")
     _json_dump(result.integrity, out_dir / "integrity.json")
     write_rr_csv(result.rr_rows, out_dir / "rr.csv")
     _json_dump(result.bland_altman, out_dir / "bland_altman.json")
     _json_dump(result.regression, out_dir / "regression.json")
+    stage_s = {**result.stage_s, "write_reports": time.perf_counter() - start}
     n_segments = len(result.integrity["segments"])
     _json_dump(
         {
@@ -591,6 +641,7 @@ def write_reports(result: RunResult, out_dir) -> dict:
             "finished_unix": time.time(),
             "n_segments": n_segments,
             "session_cache": result.session_cache,
+            "stage_s": {stage: round(s, 3) for stage, s in stage_s.items()},
         },
         out_dir / "run_meta.json",
     )

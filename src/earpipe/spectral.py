@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ingest import Recording, read_table
+from .ingest import Recording, check_name, read_table
 
 DB_EPS = 1e-15
 DB_FLOOR = -150.0
@@ -27,6 +27,7 @@ class BandDefinition:
     hi_hz: float
 
     def __post_init__(self):
+        check_name("band", self.name)
         if self.lo_hz < 0 or self.hi_hz <= self.lo_hz:
             raise ValueError(f"band {self.name}: bad bounds [{self.lo_hz}, {self.hi_hz}]")
 

@@ -40,6 +40,18 @@ def _check_extent(rate: float, length_key: str, length_s: float, **widths) -> No
         raise ValueError(f"{length_key} of {length_s} s holds no sample at {rate} Hz")
 
 
+def _check_amounts(**values) -> None:
+    """Finite, non-negative amplitudes, noise levels and jitter (nan fails)."""
+    for key, value in values.items():
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{key} must be finite and non-negative, got {value}")
+
+
+def _line_amounts(line_noise) -> dict:
+    """The frequency and amplitude of a (freq_hz, amplitude_uv) line, named for _check_amounts."""
+    return {} if line_noise is None else dict(zip(("line frequency", "line amplitude"), line_noise))
+
+
 @dataclass(frozen=True)
 class EegSynthSpec:
     rate: float = 125.0
@@ -56,13 +68,11 @@ class EegSynthSpec:
         _check_extent(self.rate, "duration_s", self.duration_s)
         if self.n_channels < 1:
             raise ValueError("need at least one channel")
-        if self.pink_noise_rms < 0:
-            raise ValueError("noise RMS cannot be negative")
+        _check_amounts(pink_noise_rms=self.pink_noise_rms, **_line_amounts(self.line_noise))
         for f, a in self.band_components:
             if not 0 < f < self.rate / 2:
                 raise ValueError(f"component at {f} Hz outside (0, Nyquist)")
-            if a < 0:
-                raise ValueError("component amplitude cannot be negative")
+            _check_amounts(**{"components amplitude": a})
 
 
 def _pink_noise(n: int, rng: np.random.Generator, rms: float) -> np.ndarray:
@@ -125,8 +135,7 @@ class EcgSynthSpec:
         _check_extent(self.rate, "duration_s", self.duration_s, r_width_ms=self.r_width_ms)
         if not 30.0 <= self.bpm <= 220.0:
             raise ValueError(f"bpm {self.bpm} outside a plausible 30-220 range")
-        if self.r_amplitude_uv < 0 or self.rr_jitter_ms < 0:
-            raise ValueError("amplitude and jitter cannot be negative")
+        _check_amounts(r_amplitude_uv=self.r_amplitude_uv, rr_jitter_ms=self.rr_jitter_ms)
 
 
 def gen_ecg(spec: EcgSynthSpec) -> tuple[Recording, BeatSeries]:
@@ -182,8 +191,10 @@ class BergerSpec:
         _check_extent(self.rate, "segment_s", self.segment_s)
         if self.n_channels < 1:
             raise ValueError("need at least one channel")
-        if self.pink_noise_rms < 0:
-            raise ValueError("noise RMS cannot be negative")
+        _check_amounts(pink_noise_rms=self.pink_noise_rms, alpha_open_uv=self.alpha_open_uv,
+                       **_line_amounts(self.line_noise))
+        if not 0 < self.alpha_ratio < math.inf:
+            raise ValueError(f"alpha_ratio must be positive and finite, got {self.alpha_ratio}")
         if self.psd_segment < 1:
             raise ValueError(f"psd_segment must be positive, got {self.psd_segment}")
         lo, hi = self.alpha_band_hz

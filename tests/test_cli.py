@@ -142,6 +142,27 @@ def test_synth_unknown_kind(tmp_path, capsys):
         # an accepted rate whose jittered beats fall inside one refractory period
         ("ecg", "[ecg]\nbpm = 220\nduration_s = 120\n",
          "ecg: planted beats closer than the refractory period"),
+        # amplitudes, noise levels and jitter are finite and non-negative
+        ("eeg", "[eeg]\nduration_s = 2\npink_noise_rms = nan\n",
+         "eeg: pink_noise_rms must be finite and non-negative, got nan"),
+        ("eeg", "[eeg]\nduration_s = 2\ncomponents = 10:inf\n",
+         "eeg: components amplitude must be finite and non-negative, got inf"),
+        ("eeg", "[eeg]\nduration_s = 2\nline = 50:nan\n",
+         "eeg: line amplitude must be finite and non-negative, got nan"),
+        ("ecg", "[ecg]\nr_amplitude_uv = inf\n",
+         "ecg: r_amplitude_uv must be finite and non-negative, got inf"),
+        ("ecg", "[ecg]\nrr_jitter_ms = nan\n",
+         "ecg: rr_jitter_ms must be finite and non-negative, got nan"),
+        ("berger", "[berger]\npink_noise_rms = -1\n",
+         "berger: pink_noise_rms must be finite and non-negative, got -1.0"),
+        ("berger", "[berger]\nalpha_open_uv = inf\n",
+         "berger: alpha_open_uv must be finite and non-negative, got inf"),
+        ("berger", "[berger]\nline = nan:1\n",
+         "berger: line frequency must be finite and non-negative, got nan"),
+        ("berger", "[berger]\nalpha_ratio = 0\n",
+         "berger: alpha_ratio must be positive and finite, got 0.0"),
+        ("berger", "[berger]\nalpha_ratio = nan\n",
+         "berger: alpha_ratio must be positive and finite, got nan"),
     ],
 )
 def test_synth_bad_spec_names_the_key(tmp_path, capsys, kind, section, fragment):
@@ -319,6 +340,60 @@ def test_run_rejects_non_finite_sample(tmp_path, capsys, asr):
     assert f"in {header[3]} at t_s={row[0]}" in diag["message"]
 
 
+# a name with a control character (a lone carriage return is one the csv
+# module leaves unquoted) is refused where it enters, with that input's exit code
+@pytest.mark.parametrize(
+    "entry, code, message",
+    [
+        ("events", 3, "events.csv:3: condition 'eyes\\rshut' holds a control character"),
+        ("participant", 2, "input: participant 'P\\x1b1' holds a control character"),
+        ("montage", 3, "montage.csv:6: label 'L\\t5' holds a control character"),
+        ("header", 3, "session.csv:2: column 3 of the header 'c\\th2' holds a control character"),
+        ("bands", 2, "pipeline: bad value for bands: band 'al\\x1bpha' holds a control character"),
+        ("--bands", 2, "--bands: band 'al\\rpha' holds a control character"),
+        ("--participant", 2, "--participant 'P\\r1' holds a control character"),
+    ],
+)
+def test_name_with_a_control_character_is_refused_where_it_enters(tmp_path, capsys, entry, code,
+                                                                  message):
+    data = synth_berger(tmp_path, capsys)
+    session, events = data / "session.csv", data / "events.csv"
+    if entry == "events":
+        events.write_text('condition,start_s,end_s\n"eyes\rshut",0,10\n')
+    elif entry == "header":
+        session.write_text(session.read_text().replace(",ch2,", ",c\th2,", 1))
+    montage = builtin_montage_path()
+    if entry == "montage":
+        montage = tmp_path / "montage.csv"
+        montage.write_text(builtin_montage_path().read_text().replace("L5", "L\t5", 1))
+    if entry.startswith("--"):
+        flag = {"--bands": ["--bands", "al\rpha:8:12"], "--participant": ["--participant", "P\r1"]}
+        argv = ["bands", "--session", str(session), "--out", str(tmp_path / "out"), *flag[entry]]
+    else:
+        participant = "P\x1b1" if entry == "participant" else "P1"
+        bands = "al\x1bpha:8:12" if entry == "bands" else "alpha:8:12"
+        body = (f"[input]\nsession = {session}\nevents = {events}\nmontage = {montage}\n"
+                f"participant = {participant}\n\n[output]\ndir = {tmp_path / 'out'}\n\n"
+                f"[pipeline]\nbands = {bands}\n")
+        argv = ["run", "--config", write_spec(tmp_path / "run.ini", body)]
+    got, _, err = run_cli(capsys, *argv)
+    assert got == code
+    assert json.loads(err)["message"].endswith(message)
+    assert not (tmp_path / "out").exists()
+
+
+def test_plain_names_keep_their_bytes(tmp_path, capsys):
+    data = synth_berger(tmp_path, capsys)
+    (data / "events.csv").write_text("condition,start_s,end_s\n\"Augen zu, ö\",0,10\n")
+    cfg = write_spec(tmp_path / "run.ini",
+                     f"[input]\nsession = {data / 'session.csv'}\nevents = {data / 'events.csv'}\n"
+                     f"participant = P 1\n\n[output]\ndir = {tmp_path / 'out'}\n\n"
+                     "[stages]\nica = off\n")
+    assert run_cli(capsys, "run", "--config", cfg)[0] == 0
+    rows = read_band_table(tmp_path / "out" / "bands.csv")
+    assert {(r.participant, r.condition) for r in rows} == {("P 1", "Augen zu, ö")}
+
+
 def test_run_checks_every_segment_length_before_any_segment(tmp_path, capsys, monkeypatch):
     data = synth_berger(tmp_path, capsys, segment_s=30)
     (data / "events.csv").write_text(
@@ -334,8 +409,8 @@ def test_run_checks_every_segment_length_before_any_segment(tmp_path, capsys, mo
     code, _, err = run_cli(capsys, "run", "--config", cfg)
     assert code == 3
     assert json.loads(err)["message"] == (
-        "segment 1 (eyes_closed): segment length 250 too short for a 501-tap filter; "
-        "need more than 501 samples"
+        "segment 1 (eyes_closed): segment length 250 too short for a 601-tap filter; "
+        "need more than 601 samples"
     )
     assert calls == []
 

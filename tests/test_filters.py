@@ -9,6 +9,7 @@ from earpipe.filters import (
     apply_zero_phase,
     apply_zero_phase_array,
     baseline_correct,
+    cascade,
     check_line_noise,
     design_fir,
     remove_line_noise,
@@ -177,6 +178,22 @@ def test_zero_phase_matches_direct_convolution(order, kind, cutoff, extra, chann
     assert np.max(np.abs(y - apply_zero_phase_loop(x, fir))) <= 1e-12 * np.max(np.abs(x))
 
 
+def test_cascade_filters_as_the_two_passes_away_from_the_edges():
+    hp = design_fir(FirSpec("highpass", 1.0, 500, "hann"), RATE)
+    lp = design_fir(FirSpec("lowpass", 45.0, 100, "hann"), RATE)
+    band = cascade(hp, lp)
+    assert np.array_equal(band.taps, np.convolve(hp.taps, lp.taps))
+    assert (band.n_taps, band.group_delay) == (601, 300)
+    x = np.random.default_rng(3).normal(scale=30.0, size=(4, 3 * FIR_BLOCK + 11)) + 5.0
+    one = apply_zero_phase_array(x, band)
+    two = apply_zero_phase_loop(apply_zero_phase_loop(x, hp), lp)
+    # the second pass pads the first's cut output with zeros, so only the
+    # low-pass's half-width at each edge differs
+    inner = np.abs(one - two)[:, lp.group_delay : -lp.group_delay]
+    assert np.max(inner) <= 1e-12 * np.max(np.abs(x))
+    assert np.max(np.abs(one - two)[:, : lp.group_delay]) > 1e-6
+
+
 def test_zero_phase_peak_memory_is_the_output():
     x = np.random.default_rng(8).normal(size=(16, 225_000))
     fir = design_fir(FirSpec("highpass", 1.0, 500, "hann"), RATE)
@@ -204,6 +221,10 @@ def test_zero_phase_peak_memory_is_the_output():
     ],
 )
 def test_line_removal_matches_per_window_lstsq(rate, f0, harmonics, win_s, duration_s):
+    assert_line_removal_matches_loop(rate, f0, harmonics, win_s, 1.0, duration_s)
+
+
+def assert_line_removal_matches_loop(rate, f0, harmonics, win_s, step_s, duration_s):
     rng = np.random.default_rng(harmonics)
     n = int(duration_s * rate)
     t = np.arange(n) / rate
@@ -211,10 +232,33 @@ def test_line_removal_matches_per_window_lstsq(rate, f0, harmonics, win_s, durat
     for h in range(1, harmonics + 1):
         phase = rng.uniform(0, 6, size=(4, 1))
         data += rng.uniform(1, 20, size=(4, 1)) * np.sin(2 * np.pi * h * f0 * t + phase)
-    rec = Recording(rate=rate, labels=list("abcd"), data=data)
-    got = remove_line_noise(rec, f0=f0, win_s=win_s, harmonics=harmonics).data
-    want = remove_line_noise_loop(rec, f0=f0, win_s=win_s, harmonics=harmonics).data
+    rec = Recording(rate=rate, labels=list("abcd"), data=data.copy())
+    kw = dict(f0=f0, win_s=win_s, step_s=step_s, harmonics=harmonics)
+    got = remove_line_noise(rec, **kw).data
+    want = remove_line_noise_loop(rec, **kw).data
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(data))
+    assert np.array_equal(rec.data, data)
+
+
+# the hop-block fit at other hops: 0.3 s and 3 s steps, windows that are no
+# whole number of hops (3.3 s, 4 s at a 3 s hop, 2 s at a 3 s hop, which
+# leaves gaps), 100.5 Hz, and no segment a whole number of hops long
+@pytest.mark.parametrize(
+    "rate, f0, harmonics, win_s, step_s, duration_s",
+    [
+        (125.0, 50.0, 1, 4.0, 0.3, 30.3),
+        (125.0, 50.0, 1, 4.0, 3.0, 30.3),
+        (125.0, 20.0, 2, 3.3, 1.0, 30.3),
+        (125.0, 50.0, 1, 3.3, 0.3, 20.0),
+        (250.0, 50.0, 2, 3.3, 0.3, 20.01),
+        (100.5, 40.0, 1, 3.3, 0.7, 25.0),
+        (125.0, 50.0, 1, 2.0, 3.0, 30.3),
+    ],
+)
+def test_line_removal_matches_per_window_lstsq_at_any_hop(rate, f0, harmonics, win_s, step_s,
+                                                          duration_s):
+    assert int(duration_s * rate) % round(step_s * rate) != 0
+    assert_line_removal_matches_loop(rate, f0, harmonics, win_s, step_s, duration_s)
 
 
 @pytest.mark.parametrize(

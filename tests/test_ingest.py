@@ -814,6 +814,18 @@ def test_cut_half_open_boundary():
     assert b.recording.data[0, 0] == rec.data[0, 125]
 
 
+@pytest.mark.parametrize("length", [0, 1, 4095, 4096, 4097, 112_500])
+def test_cut_copies_the_plain_slice_of_a_loaded_session(length):
+    # a loaded session's samples are the transpose of its (samples, t_s + channels) table
+    table = np.random.default_rng(length).normal(size=(112_510, 17))
+    rec = Recording(rate=1.0, labels=[f"ch{i + 1}" for i in range(16)], data=table[:, 1:].T)
+    seg = cut_segments(rec, [Event("x", 3.0, 3.0 + length)])[0].recording
+    want = rec.data[:, 3 : 3 + length]
+    assert seg.data.shape == want.shape and seg.data.dtype == want.dtype
+    assert np.array_equal(seg.data, want)
+    assert seg.data.flags.c_contiguous and not np.shares_memory(seg.data, table)
+
+
 def test_segment_sample_budget():
     rec = _recording(30.0)
     events = [Event("a", 0.0, 12.0), Event("b", 12.0, 29.0)]

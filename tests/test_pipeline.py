@@ -10,7 +10,7 @@ import pytest
 
 from earpipe import pipeline
 from earpipe.cardiac import BeatSeries, rr_periods
-from earpipe.filters import design_fir
+from earpipe.filters import FirSpec, apply_zero_phase, design_fir
 from earpipe.ingest import (
     Event,
     encode_stream,
@@ -22,13 +22,16 @@ from earpipe.pipeline import (
     ConfigError,
     DataError,
     _SECTIONS,
+    STAGES,
     PipelineConfig,
     compute_run,
     load_config,
     load_rr_beats,
+    plan_stages,
     run_pipeline,
     write_reports,
 )
+from earpipe.montage import builtin_montage_path, load_montage_csv
 from earpipe.spectral import band_power, read_band_table
 from earpipe.synth import BergerSpec, berger_session
 
@@ -358,6 +361,43 @@ def test_stage_objects_built_once_per_run(tmp_path, monkeypatch):
     result = run_pipeline(load_config(base_config(tmp_path)))
     assert result["n_segments"] == 2
     assert [spec.kind for spec, _ in designed] == ["highpass", "lowpass"]
+
+
+@pytest.mark.parametrize("stages", ["", "highpass = off", "lowpass = off",
+                                    "highpass = off\nlowpass = off"])
+def test_plan_cascades_the_filters_that_are_on_into_one_kernel(tmp_path, stages):
+    rec = berger_inputs(tmp_path, segment_s=10.0)
+    cfg = load_config(base_config(tmp_path, extra_stages=stages))
+    plan = plan_stages(cfg, rec, load_montage_csv(builtin_montage_path()))
+    firs = [design_fir(FirSpec(kind, cutoff, order), rec.rate)
+            for on, kind, cutoff, order in ((cfg.stages.highpass, "highpass", 1.0, 500),
+                                            (cfg.stages.lowpass, "lowpass", 45.0, 100)) if on]
+    if not firs:
+        assert plan.fir is None
+        return
+    assert np.array_equal(plan.fir.taps, firs[0].taps if len(firs) == 1
+                          else np.convolve(firs[0].taps, firs[1].taps))
+    assert plan.fir.group_delay == sum(fir.group_delay for fir in firs)
+
+
+def test_clean_segment_filters_once(tmp_path, monkeypatch):
+    berger_inputs(tmp_path, segment_s=10.0)
+    taps = []
+    monkeypatch.setattr("earpipe.pipeline.apply_zero_phase",
+                        lambda rec, fir: taps.append(fir.n_taps) or apply_zero_phase(rec, fir))
+    run_pipeline(load_config(base_config(tmp_path, extra_stages="ica = off")))
+    assert taps == [601, 601]
+
+
+def test_run_meta_gives_each_stage_its_seconds(tmp_path):
+    berger_inputs(tmp_path, segment_s=10.0)
+    run_pipeline(load_config(base_config(tmp_path, extra_stages="ica = off")))
+    meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+    stage_s = meta["stage_s"]
+    assert sorted(stage_s) == sorted(STAGES)
+    assert all(isinstance(s, float) and s >= 0 for s in stage_s.values())
+    assert sum(stage_s.values()) <= meta["elapsed_s"] + 0.01
+    assert stage_s["ecg"] == 0.0  # a stage that is off takes no time
 
 
 def test_filter_longer_than_the_session_is_refused_before_design(tmp_path):
