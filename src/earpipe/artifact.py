@@ -254,21 +254,19 @@ def _third_moments(fit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m3.reshape(k, k * k) / n, fit.mean(axis=1)
 
 
-def skew_units(
-    rec: Recording, n_components: int | None = None, max_iter: int = ECG_MAX_ITER
-) -> Iterator[SkewUnit]:
+def skew_units(rec: Recording) -> Iterator[SkewUnit]:
     """The most skewed directions of the whitened data, one at a time.
 
     The data is split into consecutive SKEW_EPOCH_S epochs; a trailing
     part epoch is dropped, and data shorter than two epochs yields no
     unit and is not whitened. Otherwise it is PCA-whitened as for
-    ica_decompose (same rank reduction and n_components errors). Each
+    ica_decompose, keeping every direction above the null floor. Each
     unit is fitted on the even epochs alone by the one-unit fixed point
     with the skewness contrast g(u) = u^2 (Hyvarinen 1999):
     w <- mean(z (w'z)^2) - 2 mean(w'z) w, deflated against the units
     before it and normalized. It starts at the remaining whitened axis
     with the largest |epoch_skewness| on those epochs and stops once
-    |1 - |<w_new, w>|| < ICA_TOL or after max_iter steps. Up to
+    |1 - |<w_new, w>|| < ICA_TOL or after ECG_MAX_ITER steps. Up to
     ECG_MAX_UNITS units, computed as they are asked for. Deterministic:
     there is no random start.
 
@@ -276,14 +274,14 @@ def skew_units(
     twice with w, so the tensor is built once, in one pass over the fit
     epochs, and each step is a (k, k^2) matrix-vector product: a tensor
     power iteration (Anandkumar et al. 2014). A unit that runs to the
-    max_iter cap costs microseconds per step, not passes over the data.
+    ECG_MAX_ITER cap costs microseconds per step, not passes over the data.
     """
     rate = rec.rate
     width = int(round(SKEW_EPOCH_S * rate))
     m = rec.n_samples // width if width > 0 else 0
     if m < 2:
         return
-    *_, z = _whiten(rec.data, n_components)
+    *_, z = _whiten(rec.data, None)
     k = z.shape[0]
     fit = z[:, : m * width].reshape(k, m, width)[:, 0::2].reshape(k, -1)
     starts = np.argsort([-abs(epoch_skewness(row, rate)) for row in fit], kind="stable")
@@ -293,7 +291,7 @@ def skew_units(
     for index in range(min(ECG_MAX_UNITS, k)):
         w = _deflate(np.eye(k)[starts[index]], found)
         it = 0
-        for it in range(1, max_iter + 1):
+        for it in range(1, ECG_MAX_ITER + 1):
             w_new = _deflate(m3 @ np.outer(w, w).ravel() - 2.0 * float(w @ mu) * w, found)
             delta = abs(1.0 - abs(float(w_new @ w)))
             w = w_new
@@ -314,9 +312,7 @@ class EcgPick:
     beats: BeatSeries
 
 
-def extract_ecg(
-    rec: Recording, n_components: int | None = None, max_iter: int = ECG_MAX_ITER
-) -> EcgPick | None:
+def extract_ecg(rec: Recording) -> EcgPick | None:
     """The cardiac source of a multichannel recording, or None.
 
     The pick is the first of the skew_units whose held-out skewness
@@ -332,7 +328,7 @@ def extract_ecg(
     """
     if rec.rate < MIN_RATE_HZ:
         return None
-    for unit in skew_units(rec, n_components, max_iter):
+    for unit in skew_units(rec):
         if unit.held_out_skew < ECG_SKEW_THRESHOLD:
             continue
         beats = pan_tompkins(unit.source, rec.rate)

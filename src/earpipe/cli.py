@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--config", default=None, help="pipeline INI config (used by run)")
     parser.add_argument(
-        "--seed", type=int, default=None, help="override a synth spec's seed (run: a deprecated no-op)"
+        "--seed", type=int, default=None, help="override a synth spec's seed (run ignores it)"
     )
     parser.add_argument(
         "--line-freq",

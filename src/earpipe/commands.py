@@ -133,9 +133,7 @@ def cmd_synth(args) -> int:
 def cmd_run(args) -> int:
     if args.config is None:
         raise ConfigError("run needs a config: pass --config either globally or after 'run'")
-    cfg = load_config(
-        args.config, out_dir=args.out_dir, ica_seed=args.seed, line_freq_hz=args.line_freq
-    )
+    cfg = load_config(args.config, out_dir=args.out_dir, line_freq_hz=args.line_freq)
     _emit({"command": "run", **run_pipeline(cfg)})
     return 0
 

@@ -298,9 +298,6 @@ def remove_line_noise(
     x = rec.data
     w_len = min(int(round(win_s * rec.rate)), n)
     u = _line_basis(w_len, rec.rate, f0, harmonics)
-    if w_len == n:
-        return rec.with_data(x - (x @ u) @ u.T)
-
     hop = max(1, int(round(step_s * rec.rate)))
     starts, taper = overlap_add_windows(n, w_len, hop)
     est, wsum, fitted = _hop_block_fits(x, u, taper, hop)

@@ -40,6 +40,7 @@ WORDS_PER_PACKET = 8
 ADS_VREF_VOLTS = 4.5
 ADS_GAIN = 24.0
 ADC_FULL_SCALE = 2**23 - 1
+UV_PER_COUNT = ADS_VREF_VOLTS / (ADS_GAIN * ADC_FULL_SCALE) * 1e6
 # Largest sample magnitude of a session CSV, in microvolts: 1 V, over five
 # times the 187.5 mV full scale ADS_VREF_VOLTS / ADS_GAIN. A larger value is
 # not EEG, and its square overflows the power sums of ASR, ICA and Welch.
@@ -65,24 +66,18 @@ def encode_word(count: int) -> bytes:
     return int(count).to_bytes(3, "big", signed=True)
 
 
-def counts_to_microvolts(counts, vref: float = ADS_VREF_VOLTS, gain: float = ADS_GAIN):
+def counts_to_microvolts(counts):
     """Convert raw ADC counts to microvolts.
 
-    One count corresponds to vref / (gain * (2**23 - 1)) volts. Accepts
+    One count corresponds to UV_PER_COUNT microvolts. Accepts
     scalars or arrays; the conversion is exactly linear.
     """
-    if gain <= 0:
-        raise ValueError(f"gain must be positive, got {gain}")
-    if vref <= 0:
-        raise ValueError(f"vref must be positive, got {vref}")
-    scale = vref / (gain * ADC_FULL_SCALE) * 1e6
-    return counts * scale
+    return counts * UV_PER_COUNT
 
 
-def microvolts_to_counts(uv, vref: float = ADS_VREF_VOLTS, gain: float = ADS_GAIN):
+def microvolts_to_counts(uv):
     """Inverse of counts_to_microvolts, rounded to the nearest integer count."""
-    scale = vref / (gain * ADC_FULL_SCALE) * 1e6
-    return np.rint(np.asarray(uv, dtype=float) / scale).astype(np.int64)
+    return np.rint(np.asarray(uv, dtype=float) / UV_PER_COUNT).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -294,12 +289,7 @@ def _decode_words(word_bytes: np.ndarray) -> np.ndarray:
     return w
 
 
-def parse_stream(
-    data: bytes,
-    rate: float = DEFAULT_RATE,
-    vref: float = ADS_VREF_VOLTS,
-    gain: float = ADS_GAIN,
-) -> tuple[Recording, IntegrityReport]:
+def parse_stream(data: bytes, rate: float = DEFAULT_RATE) -> tuple[Recording, IntegrityReport]:
     """Parse a raw byte stream into a 16-channel recording.
 
     Total over arbitrary input: malformed bytes are skipped to the next
@@ -318,7 +308,6 @@ def parse_stream(
     """
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
-    scale = counts_to_microvolts(1.0, vref=vref, gain=gain)
     buf = bytes(data)
     runs, resyncs = _packet_runs(buf)
 
@@ -347,7 +336,7 @@ def parse_stream(
     counts = _decode_words(halves)
     del halves
     samples = np.empty((2 * WORDS_PER_PACKET, len(frame)))
-    np.multiply(counts.T, scale, out=samples)
+    np.multiply(counts.T, UV_PER_COUNT, out=samples)
 
     missing = np.diff(frame, prepend=-1) - 1
     gaps = tuple((int(i), int(missing[i])) for i in np.flatnonzero(missing))

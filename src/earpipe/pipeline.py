@@ -25,9 +25,7 @@ import numpy as np
 from . import __version__
 from .analysis import band_score_models, read_scores
 from .artifact import (
-    ECG_MAX_ITER,
     AsrConfig,
-    EcgPick,
     asr_calibrate,
     asr_process,
     calibration_windows,
@@ -66,7 +64,6 @@ from .montage import (
 from .spectral import (
     BandPowerRow,
     DEFAULT_BANDS,
-    PsdEstimate,
     band_power,
     check_bands,
     check_welch_length,
@@ -130,9 +127,7 @@ class PipelineConfig:
     asr_window_criterion: float = 0.15
     asr_calib_win_s: float = 1.0
     asr_proc_win_s: float = 0.5
-    ica_max_iter: int = ECG_MAX_ITER  # per extracted unit
     ica_seed: int | None = None  # accepted, read by no stage
-    ica_components: int | None = None
     reref_left: str = "L5"
     reref_right: str = "R5"
     psd_segment: int = 256
@@ -162,9 +157,6 @@ class PipelineConfig:
         if self.psd_average not in ("per_segment", "pooled"):
             problems.append(f"pipeline: psd_average must be per_segment or pooled, "
                             f"got {self.psd_average}")
-        for key in ("ica_max_iter", "ica_components"):
-            if (value := getattr(self, key)) is not None and value < 1:
-                problems.append(f"pipeline: {key} must be at least 1, got {value}")
         if not 0 < self.match_tolerance_s < math.inf:  # also refuses nan
             problems.append("analysis: match_tolerance_s must be positive and finite")
         # the other rules live in the stage that uses the values: each stage's
@@ -202,7 +194,7 @@ _SECTIONS = {
         "hp_cutoff_hz", "hp_order", "lp_cutoff_hz", "lp_order", "fir_window",
         "line_freq_hz", "line_harmonics", "line_win_s", "line_step_s",
         "asr_burst_k", "asr_window_criterion", "asr_calib_win_s", "asr_proc_win_s",
-        "ica_max_iter", "ica_seed", "ica_components",
+        "ica_seed",
         "reref_left", "reref_right", "psd_segment", "psd_overlap", "psd_average", "bands",
     ),
     "analysis": ("match_tolerance_s", "exclude_conditions"),
@@ -419,21 +411,14 @@ def preflight_segments(segments, cfg: PipelineConfig, plan: StagePlan) -> None:
             raise DataError(f"segment {i} ({seg.condition}): {exc}") from None
 
 
-@dataclass
-class SegmentResult:
-    condition: str
-    flagged: list
-    qc: dict
-    ecg: EcgPick | None
-    psd: PsdEstimate  # linear, flagged windows excluded
-
-
 def process_segment(
     seg_rec: Recording, condition: str, cfg: PipelineConfig, monmap, plan: StagePlan,
     seg_index: int, clock: StageClock,
 ):
-    """Run every stage on one segment, adding each stage's time to clock;
-    a stage failure is a DataError naming it."""
+    """Run every stage on one segment, adding each stage's time to clock.
+    Returns the segment's qc.json entry, its linear PSD (flagged windows
+    excluded) and its ECG pick or None; a stage failure is a DataError
+    naming it."""
     try:
         cleaned = clean_segment(seg_rec, cfg, monmap, plan, clock)
 
@@ -447,8 +432,7 @@ def process_segment(
         pick = None
         if cfg.stages.ica:
             with clock("ecg"):
-                pick = extract_ecg(cleaned, n_components=cfg.ica_components,
-                                   max_iter=cfg.ica_max_iter)
+                pick = extract_ecg(cleaned)
 
         exclude = [(f.start_s, f.end_s) for f in flagged]
         with clock("welch"):
@@ -459,7 +443,14 @@ def process_segment(
             qc = qc_report(asr_out, psd, line_freq_hz=cfg.line_freq_hz)
     except ValueError as exc:
         raise DataError(f"segment {seg_index} ({condition}): {exc}") from None
-    return SegmentResult(condition=condition, flagged=flagged, qc=qc, ecg=pick, psd=psd)
+    entry = {
+        "condition": condition,
+        "qc": qc,
+        "asr_flagged_windows": [asdict(f) for f in flagged],
+        "ecg_component": pick.index if pick else None,
+        "ecg_score": pick.score if pick else None,
+    }
+    return entry, psd, pick
 
 
 def _jsonable(obj):
@@ -570,36 +561,24 @@ def compute_run(cfg: PipelineConfig) -> RunResult:
             raise DataError(f"event {seg.condition} yields an empty segment")
     preflight_segments(segments, cfg, plan)
 
-    seg_results = [
-        process_segment(seg.recording, seg.condition, cfg, monmap, plan, i, clock)
-        for i, seg in enumerate(segments)
-    ]
+    entries, psds, picked = [], [], []
+    for i, seg in enumerate(segments):
+        entry, psd, pick = process_segment(
+            seg.recording, seg.condition, cfg, monmap, plan, i, clock
+        )
+        entries.append(entry)
+        psds.append((seg.condition, psd))
+        if pick:
+            picked.append((seg.report.first_t, pick.beats))
 
     conditions = list(dict.fromkeys(s.condition for s in segments))
-    band_rows = condition_band_rows(cfg.participant, [(r.condition, r.psd) for r in seg_results],
-                                    cfg.bands, pooled=cfg.psd_average == "pooled")
-
-    qc = {
-        "participant": cfg.participant,
-        "rate": rate,
-        "segments": [
-            {
-                "condition": r.condition,
-                "qc": r.qc,
-                "asr_flagged_windows": [asdict(f) for f in r.flagged],
-                "ecg_component": r.ecg.index if r.ecg else None,
-                "ecg_score": r.ecg.score if r.ecg else None,
-            }
-            for r in seg_results
-        ],
-    }
+    band_rows = condition_band_rows(cfg.participant, psds, cfg.bands,
+                                    pooled=cfg.psd_average == "pooled")
+    qc = {"participant": cfg.participant, "rate": rate, "segments": entries}
     integrity = {"segments": [{"condition": s.condition, **s.report.to_dict()} for s in segments]}
     if stream is not None:
         integrity["stream"] = stream.to_dict()
 
-    picked = [
-        (seg.report.first_t, res.ecg.beats) for seg, res in zip(segments, seg_results) if res.ecg
-    ]
     try:
         if ref_beats is None:
             raise DataError("no reference R-R series configured")

@@ -46,8 +46,6 @@ from earpipe.filters import (
     overlap_add_windows,
 )
 from earpipe.ingest import (
-    ADS_GAIN,
-    ADS_VREF_VOLTS,
     DEFAULT_RATE,
     FOOTER_HI,
     FOOTER_LO,
@@ -223,15 +221,10 @@ def fixed_point_ica(x: np.ndarray, seed: int, max_iter: int, tol: float):
 # converges must take the same steps to the same direction.
 
 
-def skew_units_loop(
-    rec: Recording,
-    n_components: int | None = None,
-    max_iter: int = ECG_MAX_ITER,
-    tol: float = ICA_TOL,
-) -> Iterator[SkewUnit]:
+def skew_units_loop(rec: Recording) -> Iterator[SkewUnit]:
     """artifact.skew_units with a per-sample fixed-point step."""
     rate = rec.rate
-    *_, z = _whiten(rec.data, n_components)
+    *_, z = _whiten(rec.data, None)
     k, n = z.shape
     width = int(round(SKEW_EPOCH_S * rate))
     m = n // width if width > 0 else 0
@@ -243,12 +236,12 @@ def skew_units_loop(
     for index in range(min(ECG_MAX_UNITS, k)):
         w = _deflate(np.eye(k)[starts[index]], found)
         it = 0
-        for it in range(1, max_iter + 1):
+        for it in range(1, ECG_MAX_ITER + 1):
             y = w @ fit
             w_new = _deflate((fit @ (y * y)) / len(y) - 2.0 * y.mean() * w, found)
             delta = abs(1.0 - abs(float(w_new @ w)))
             w = w_new
-            if delta < tol:
+            if delta < ICA_TOL:
                 break
         found = np.vstack([found, w])
         source = w @ z
@@ -429,10 +422,7 @@ class SampleFrame:
 
 
 def parse_stream_loop(
-    data: bytes,
-    rate: float = DEFAULT_RATE,
-    vref: float = ADS_VREF_VOLTS,
-    gain: float = ADS_GAIN,
+    data: bytes, rate: float = DEFAULT_RATE
 ) -> tuple[list[SampleFrame], IntegrityReport]:
     """Parse a raw byte stream into 16-channel frames.
 
@@ -454,7 +444,7 @@ def parse_stream_loop(
     pending_seq = 0
     last_sn: int | None = None
     pkt_seq = 0  # packet index in the board's own timeline, gaps included
-    scale = counts_to_microvolts(1.0, vref=vref, gain=gain)
+    scale = counts_to_microvolts(1.0)
 
     while pos < n:
         if buf[pos] != HEADER_BYTE:

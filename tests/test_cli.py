@@ -486,22 +486,27 @@ def test_run_without_ecg_detection_needs_no_ica_seed(tmp_path, capsys):
     assert last_json(out)["n_segments"] == 2
 
 
-def test_global_seed_satisfies_ica_seed(tmp_path, capsys):
-    # ica_seed is optional; global options override config values before
-    # the config is checked
+def test_run_ignores_the_global_seed(tmp_path, capsys):
+    # --seed is a synth option that run accepts and ignores: the reports
+    # are those of a run without it, and ica_seed keeps the config's value;
+    # --line-freq overrides the config
     data = synth_berger(tmp_path, capsys)
     cfg = write_spec(
         tmp_path / "run.ini",
         f"[input]\nsession = {data / 'session.csv'}\nevents = {data / 'events.csv'}\n\n"
-        f"[output]\ndir = {tmp_path / 'out'}\n",
+        f"[output]\ndir = {tmp_path / 'out'}\n\n[pipeline]\nica_seed = 2\n",
     )
-    code, out, _ = run_cli(capsys, "run", "--config", cfg)
+    code, out, _ = run_cli(capsys, "--line-freq", "60", "run", "--config", cfg)
     assert code == 0 and last_json(out)["n_segments"] == 2
     code, out, _ = run_cli(capsys, "--seed", "5", "--line-freq", "60", "run", "--config", cfg,
                            "--out-dir", str(tmp_path / "seeded"))
     assert code == 0
+    reports = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert reports == sorted(p.name for p in (tmp_path / "seeded").iterdir())
+    for name in set(reports) - {"run_meta.json"}:
+        assert (tmp_path / "seeded" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
     meta = json.loads((tmp_path / "seeded" / "run_meta.json").read_text())
-    assert meta["config"]["ica_seed"] == 5 and meta["config"]["line_freq_hz"] == 60.0
+    assert meta["config"]["ica_seed"] == 2 and meta["config"]["line_freq_hz"] == 60.0
 
 
 @pytest.fixture(scope="module")
@@ -524,7 +529,7 @@ def berger_20s(tmp_path_factory):
         ("line_freq_hz = 0", {2}),
         ("asr_calib_win_s = 0", {2}),
         ("asr_proc_win_s = 100", {2, 3}),
-        ("ica_components = 99", {2, 3}),
+        ("asr_calib_win_s = 3", {3}),  # 6 calibration windows in a 20 s segment, 10 needed
         ("reref_left = X9", {2}),
         ("reref_left = L3", {2}),
         ("psd_segment = 4000", {2, 3}),
@@ -536,8 +541,6 @@ def berger_20s(tmp_path_factory):
         ("hp_cutoff_hz = nan", {2}),
         ("line_freq_hz = nan", {2}),
         ("asr_burst_k = nan", {2}),
-        ("ica_max_iter = 0", {2}),
-        ("ica_components = 0", {2}),
     ],
 )
 def test_run_bad_stage_value_keeps_cli_contract(tmp_path, capsys, berger_20s, pipeline, codes):

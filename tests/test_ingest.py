@@ -463,6 +463,19 @@ def test_session_csv_matches_float_oracle_bit_for_bit(tmp_path, body, rate):
     assert rec.t0 == rows[0, 0]
 
 
+def test_session_csv_lone_carriage_return_ends_a_line(tmp_path):
+    # a CR-only session loads as its LF twin; a CR in the header ends the
+    # header there, and the row after it is the one refused
+    body = "#rate=125\nt_s,ch1,ch2\n0.000000,1.0,2.0\n0.008000,3.0,4.0\n"
+    (tmp_path / "lf.csv").write_bytes(body.encode())
+    (tmp_path / "cr.csv").write_bytes(body.replace("\n", "\r").encode())
+    assert_same_recording(load_session_csv(tmp_path / "cr.csv"), load_session_csv(tmp_path / "lf.csv"))
+    path = tmp_path / "split.csv"
+    path.write_bytes(body.replace("ch2", "c\rh2,ch3").encode())
+    with pytest.raises(ValueError, match=r"split\.csv:3: 2 fields, header has 3"):
+        load_session_csv(path)
+
+
 @pytest.mark.parametrize(
     "row, message",
     [

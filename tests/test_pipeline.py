@@ -159,7 +159,6 @@ def test_ica_seed_is_optional(tmp_path):
         body = f"[input]\nsession = s.csv\nevents = e.csv\n\n{extra}"
         cfg = load_config(write_config(tmp_path / "noseed.ini", body))
         assert cfg.ica_seed is None
-        assert cfg.ica_max_iter == 200
 
 
 def test_validate_collects_pipeline_problems():
@@ -168,12 +167,9 @@ def test_validate_collects_pipeline_problems():
     cfg.psd_overlap = 300
     cfg.asr_burst_k = -1.0
     cfg.psd_average = "weird"
-    cfg.ica_max_iter = 0
-    cfg.ica_components = 0
     problems = cfg.validate()
     joined = "; ".join(problems)
-    for fragment in ("hp_order", "psd_overlap", "asr_burst_k", "psd_average", "ica_max_iter",
-                     "ica_components"):
+    for fragment in ("hp_order", "psd_overlap", "asr_burst_k", "psd_average"):
         assert fragment in joined
 
 
@@ -320,10 +316,11 @@ def test_ecg_detection_off_skips_ica(tmp_path, monkeypatch):
     assert result.rr_rows == []
 
 
-@pytest.mark.parametrize("entry", ["[analysis]\ndetect_ecg = off", "[pipeline]\nica_input = asr"])
+@pytest.mark.parametrize("entry", ["[analysis]\ndetect_ecg = off", "[pipeline]\nica_input = asr",
+                                   "[pipeline]\nica_max_iter = 200", "[pipeline]\nica_components = 4"])
 def test_removed_cardiac_keys_are_unknown(tmp_path, entry):
-    # [stages] ica = off is the one switch of the cardiac-source stage, and
-    # it always reads the filtered segment
+    # [stages] ica = off is the one switch of the cardiac-source stage, it
+    # always reads the filtered segment, and it takes no tuning keys
     path = write_config(tmp_path / "old.ini", f"[input]\nsession = s.csv\nevents = e.csv\n\n{entry}\n")
     section, key = entry[1:].split("]\n")
     with pytest.raises(ConfigError, match=f"{section}: unknown key '{key.split()[0]}'"):
