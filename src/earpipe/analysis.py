@@ -25,6 +25,8 @@ from .stats import (
 
 TLX_COLUMNS = tuple(f"tlx_{i}" for i in range(1, 7))
 FLOW_COLUMNS = tuple(f"flow_{i}" for i in range(1, 4))
+# the conditions the workload and flow models leave out unless told otherwise
+REST_CONDITIONS = ("eyes_open", "eyes_closed")
 
 
 def read_scores(path, default_participant: str = "P01") -> dict:
@@ -89,16 +91,22 @@ def _joined_arrays(pooled: dict, scores: dict, band: str, exclude: tuple):
     return participants, np.array(power), np.array(tlx), np.array(flow)
 
 
-def _fit_or_reason(fit_fn, *args) -> dict:
+def _fit_or_reason(fit_fn, *args, **kwargs) -> dict:
     try:
-        return {"status": "ok", **fit_fn(*args).to_dict()}
+        return {"status": "ok", **fit_fn(*args, **kwargs).to_dict()}
     except ValueError as exc:
         return {"status": "not_computed", "reason": str(exc)}
 
 
 def band_score_models(rows: list[BandPowerRow], scores: dict, exclude: tuple = ()) -> dict:
     """Per band: linear workload model and quadratic flow model on
-    within-participant z scores."""
+    within-participant z scores.
+
+    Standardizing within each of k participants takes out k means, one of
+    which the intercept stands for, so each fit's residual df is k - 1
+    fewer than a plain regression's: n - k - 1 for the line and n - k - 2
+    for the quadratic.
+    """
     pooled = pool_channels(rows)
     out: dict = {"workload_linear": {}, "flow_quadratic": {}}
     for band in _band_names(rows):
@@ -111,8 +119,10 @@ def band_score_models(rows: list[BandPowerRow], scores: dict, exclude: tuple = (
             for model in out.values():
                 model[band] = {"status": "not_computed", "reason": str(exc)}
             continue
-        out["workload_linear"][band] = _fit_or_reason(fit_linear, pz, tz)
-        out["flow_quadratic"][band] = _fit_or_reason(fit_quadratic_orthogonal, pz, fz)
+        absorbed = len(set(participants)) - 1
+        out["workload_linear"][band] = _fit_or_reason(fit_linear, pz, tz, absorbed=absorbed)
+        out["flow_quadratic"][band] = _fit_or_reason(fit_quadratic_orthogonal, pz, fz,
+                                                     absorbed=absorbed)
     return out
 
 

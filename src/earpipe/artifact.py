@@ -34,10 +34,6 @@ ECG_MAX_ITER = 200
 ECG_MAX_UNITS = 4
 
 
-class CalibrationError(ValueError):
-    pass
-
-
 @dataclass
 class IcaResult:
     mixing: np.ndarray  # (channels, components)
@@ -375,13 +371,13 @@ class FlaggedWindow:
 
 def calibration_windows(n_samples: int, rate: float, cfg: AsrConfig) -> tuple[int, int]:
     """The length and count of the calibration windows asr_calibrate cuts
-    from n_samples; CalibrationError when the window or the data is too short."""
+    from n_samples; ValueError when the window or the data is too short."""
     w = int(round(cfg.calib_win_s * rate))
     if w < 2:
-        raise CalibrationError(f"calibration window of {cfg.calib_win_s} s is too short")
+        raise ValueError(f"calibration window of {cfg.calib_win_s} s is too short")
     count = n_samples // w
     if count < MIN_CALIB_WINDOWS:
-        raise CalibrationError(
+        raise ValueError(
             f"need at least {MIN_CALIB_WINDOWS} calibration windows, data allows {count}"
         )
     return w, count
@@ -409,7 +405,7 @@ def asr_calibrate(rec: Recording, cfg: AsrConfig = AsrConfig()) -> AsrModel:
     clean = np.all((z >= CALIB_Z_BOUNDS[0]) & (z <= CALIB_Z_BOUNDS[1]), axis=0)
     n_clean = int(clean.sum())
     if n_clean < MIN_CALIB_WINDOWS:
-        raise CalibrationError(
+        raise ValueError(
             f"only {n_clean} clean calibration windows (z in [{CALIB_Z_BOUNDS[0]}, "
             f"{CALIB_Z_BOUNDS[1]}]); need {MIN_CALIB_WINDOWS}"
         )
@@ -472,7 +468,8 @@ def asr_process(
         raise ValueError("model channel count does not match the recording")
     n = rec.n_samples
     w = processing_window(n, rec.rate, cfg)
-    starts, taper = overlap_add_windows(n, w, max(1, w // 2))
+    hop = max(1, w // 2)
+    starts, taper = overlap_add_windows(n, w, hop)
     bad = _window_rms(rec.data, model.basis, np.asarray(starts), w) > model.thresholds[:, None]
     frac = bad.mean(axis=0)
     flagged = [
@@ -489,7 +486,7 @@ def asr_process(
             seg = rec.data[:, starts[i] : starts[i] + w]
             comp = model.basis.T @ seg
             comp[bad[:, i], :] = 0.0
-            yield starts[i], model.basis @ comp - seg
+            yield starts[i], taper * (model.basis @ comp - seg)
 
-    blended = blend_windows(rec.data.shape, starts, taper, corrections())
+    blended = blend_windows(np.zeros(rec.data.shape), starts, taper, hop, corrections())
     return rec.with_data(rec.data + blended), flagged

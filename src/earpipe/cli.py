@@ -102,7 +102,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         from . import commands
 
-        return getattr(commands, f"cmd_{args.command}")(args)
+        return commands.run_command(args)
     except (ConfigError, DataError, OSError) as exc:
         # inputs are read through load_input and read_ini, so an OSError
         # here is a write to a path named by a flag or by [output] dir

@@ -1,4 +1,5 @@
-"""The seven `earpipe` commands, one `cmd_<name>(args)` each.
+"""The seven `earpipe` commands, one `cmd_<name>(args)` each, which
+returns its summary; `run_command` prints it.
 
 `earpipe.cli` parses the command line and imports this module only once
 argparse has accepted a command, so `--version`, `--help` and usage
@@ -13,7 +14,7 @@ import math
 from dataclasses import fields
 from pathlib import Path
 
-from .analysis import analyze_tables, read_scores
+from .analysis import REST_CONDITIONS, analyze_tables, read_scores
 from .artifact import ECG_SCORE_THRESHOLD, ECG_SKEW_THRESHOLD, SKEW_EPOCH_S, extract_ecg
 from .cardiac import MIN_RATE_HZ, rr_periods
 from .errors import ConfigError, DataError
@@ -29,10 +30,6 @@ from .spectral import (
     DEFAULT_BANDS, BandPowerRow, check_bands, check_welch_window, parse_band_spec,
     read_band_table, welch_psd_recording, write_band_table,
 )
-
-
-def _emit(payload: dict) -> None:
-    print(json.dumps(_jsonable(payload), sort_keys=True, allow_nan=False))
 
 
 # --- synth spec parsing ------------------------------------------------------
@@ -66,7 +63,7 @@ def _read_synth_spec(path, seed_override: int | None, spec_of: dict):
 # --- subcommands -------------------------------------------------------------
 
 
-def cmd_parse(args) -> int:
+def cmd_parse(args) -> dict:
     if not 0 < args.rate < math.inf:  # also refuses nan
         raise ConfigError(f"--rate must be positive and finite, got {args.rate}")
     raw = load_input("raw stream", Path.read_bytes, Path(args.raw))
@@ -77,19 +74,15 @@ def cmd_parse(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_session_csv(rec, out / "session.csv")
     _json_dump(report.to_dict(), out / "integrity.json")
-    _emit(
-        {
-            "command": "parse",
-            "frames": rec.n_samples,
-            "dropped_packets": report.dropped_packets,
-            "resyncs": report.resyncs,
-            "out_dir": str(out),
-        }
-    )
-    return 0
+    return {
+        "frames": rec.n_samples,
+        "dropped_packets": report.dropped_packets,
+        "resyncs": report.resyncs,
+        "out_dir": str(out),
+    }
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> dict:
     # synth is imported where it is used: only `earpipe synth` needs it, and
     # the other commands skip the 5-8 ms of start-up its import takes
     from . import synth
@@ -117,28 +110,23 @@ def cmd_synth(args) -> int:
     events = rec.events or [Event("all", *rec.span)]
     save_events_csv(events, out / "events.csv")
     _json_dump(truth, out / "truth.json")
-    _emit(
-        {
-            "command": "synth",
-            "kind": kind,
-            "rate": rec.rate,
-            "channels": rec.n_channels,
-            "samples": rec.n_samples,
-            "out_dir": str(out),
-        }
-    )
-    return 0
+    return {
+        "kind": kind,
+        "rate": rec.rate,
+        "channels": rec.n_channels,
+        "samples": rec.n_samples,
+        "out_dir": str(out),
+    }
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> dict:
     if args.config is None:
         raise ConfigError("run needs a config: pass --config either globally or after 'run'")
     cfg = load_config(args.config, out_dir=args.out_dir, line_freq_hz=args.line_freq)
-    _emit({"command": "run", **run_pipeline(cfg)})
-    return 0
+    return run_pipeline(cfg)
 
 
-def cmd_bands(args) -> int:
+def cmd_bands(args) -> dict:
     try:
         check_name("--participant", args.participant)
     except ValueError as exc:
@@ -173,11 +161,10 @@ def cmd_bands(args) -> int:
             raise DataError(f"segment {seg.condition}: {exc}") from None
     rows = condition_band_rows(args.participant, psds, bands)
     write_band_table(rows, args.out)
-    _emit({"command": "bands", "rows": len(rows), "out": args.out})
-    return 0
+    return {"rows": len(rows), "out": args.out}
 
 
-def cmd_ecg(args) -> int:
+def cmd_ecg(args) -> dict:
     rec = load_input("session file", load_session_csv, args.session)
     if args.channel in rec.labels:
         row = rec.labels.index(args.channel)
@@ -202,19 +189,15 @@ def cmd_ecg(args) -> int:
     beats = pick.beats
     rows = rr_rows(beats)
     write_rr_csv(rows, args.out)
-    _emit(
-        {
-            "command": "ecg",
-            "beats": len(beats),
-            "intervals": len(rows),
-            "outliers": sum(flag == "outlier" for _, _, flag in rows),
-            "out": args.out,
-        }
-    )
-    return 0
+    return {
+        "beats": len(beats),
+        "intervals": len(rows),
+        "outliers": sum(flag == "outlier" for _, _, flag in rows),
+        "out": args.out,
+    }
 
 
-def cmd_agree(args) -> int:
+def cmd_agree(args) -> dict:
     if not 0 < args.tolerance < math.inf:  # also refuses nan
         raise ConfigError(f"--tolerance must be positive and finite, got {args.tolerance}")
     ref = load_input("R-R file", load_rr_beats, args.ref)
@@ -222,8 +205,7 @@ def cmd_agree(args) -> int:
     payload = {**rr_agreement(ref, alt, args.tolerance), "tolerance_s": args.tolerance}
     if args.out:
         _json_dump(payload, args.out)
-    _emit({"command": "agree", **payload})
-    return 0
+    return payload
 
 
 def _inline_scores(path) -> dict:
@@ -232,7 +214,7 @@ def _inline_scores(path) -> dict:
     return read_scores(path) if {"tlx_total", "flow_mean"} <= set(header) else {}
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> dict:
     rows: list[BandPowerRow] = []
     inline: dict = {}
     for path in args.bands:
@@ -243,17 +225,17 @@ def cmd_analyze(args) -> int:
     scores = inline or None
     if args.scores:
         scores = load_input("scores file", read_scores, args.scores)
-    exclude = args.exclude_condition if args.exclude_condition is not None else ["eyes_open", "eyes_closed"]
-    payload = analyze_tables(rows, scores, exclude=tuple(exclude))
+    exclude = REST_CONDITIONS if args.exclude_condition is None else tuple(args.exclude_condition)
+    payload = analyze_tables(rows, scores, exclude=exclude)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _json_dump(payload, out / "analysis.json")
-    _emit(
-        {
-            "command": "analyze",
-            "rows": len(rows),
-            "bands": payload["bands"],
-            "out_dir": str(out),
-        }
-    )
+    return {"rows": len(rows), "bands": payload["bands"], "out_dir": str(out)}
+
+
+def run_command(args) -> int:
+    """Run args.command's handler and print its summary, named by the
+    command, as one JSON line on stdout."""
+    summary = globals()[f"cmd_{args.command}"](args)
+    print(json.dumps(_jsonable({"command": args.command, **summary}), sort_keys=True, allow_nan=False))
     return 0

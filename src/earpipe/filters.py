@@ -169,16 +169,33 @@ def overlap_add_windows(n: int, w: int, hop: int) -> tuple[list[int], np.ndarray
     return starts, np.sin(np.pi * (np.arange(w) + 0.5) / w) ** 2
 
 
-def blend_windows(shape: tuple, starts, taper: np.ndarray, pieces) -> np.ndarray:
-    """The taper-weighted overlap-add of pieces, (start, array) pairs for any
-    subset of the windows at starts, over the taper sum of every window at starts."""
-    w = len(taper)
-    out = np.zeros(shape)
-    wsum = np.zeros(shape[-1])
-    for s in starts:
-        wsum[s : s + w] += taper
+def _whole_hop_windows(n: int, w: int, hop: int) -> tuple[int, int, int]:
+    """(hops per window, whole hop blocks in n, windows on whole hop blocks):
+    the windows at k * hop, k < count, whose ceil(w / hop) hops all fit in n."""
+    n_pieces = -(-w // hop)
+    blocks = n // hop
+    return n_pieces, blocks, max(0, blocks - n_pieces + 1)
+
+
+def blend_windows(out: np.ndarray, starts, taper: np.ndarray, hop: int, pieces) -> np.ndarray:
+    """Add pieces, taper-weighted (start, array) pairs for any subset of the
+    windows at starts, into out, and divide by the taper sum of every window
+    at starts; returns out.
+
+    starts are overlap_add_windows(n, len(taper), hop)'s. out may already
+    hold the weighted sum of some windows. The windows on whole hop blocks
+    add their tapers one hop phase at a time; the rest, one at a time.
+    """
+    n, w = out.shape[-1], len(taper)
+    n_pieces, blocks, count = _whole_hop_windows(n, w, hop)
     for s, piece in pieces:
-        out[:, s : s + w] += taper * piece
+        out[:, s : s + w] += piece
+    wsum = np.zeros(n)
+    wb = wsum[: blocks * hop].reshape(blocks, hop)
+    for j, phase in enumerate(np.pad(taper, (0, n_pieces * hop - w)).reshape(n_pieces, hop)):
+        wb[j : j + count] += phase
+    for s in starts[count:]:
+        wsum[s : s + w] += taper
     out /= np.maximum(wsum, np.finfo(float).tiny)
     return out
 
@@ -229,7 +246,7 @@ LINE_BLOCK_ELEMS = 1 << 16
 
 def _hop_block_fits(x: np.ndarray, u: np.ndarray, taper: np.ndarray, hop: int):
     """The overlap-added, taper-weighted fits of the windows at k * hop that
-    lie on whole hop blocks, their taper sum, and how many windows they are.
+    lie on whole hop blocks, and how many windows they are.
 
     U, zero-padded to J whole hops, is cut into J pieces: window k's
     coefficients are the sum over j of hop block k + j against piece j,
@@ -238,12 +255,10 @@ def _hop_block_fits(x: np.ndarray, u: np.ndarray, taper: np.ndarray, hop: int):
     """
     rows, n = x.shape
     w_len, rank = u.shape
-    n_pieces = -(-w_len // hop)
-    blocks = n // hop
-    count = max(0, blocks - n_pieces + 1)
-    est, wsum = np.zeros_like(x), np.zeros(n)
+    n_pieces, blocks, count = _whole_hop_windows(n, w_len, hop)
+    est = np.zeros_like(x)
     if not count:
-        return est, wsum, 0
+        return est, 0
     pad = ((0, n_pieces * hop - w_len), (0, 0))
     lead = n_pieces - 1
     # coef[:, lead + k] holds window k's coefficients, with lead zero rows on either side
@@ -264,10 +279,7 @@ def _hop_block_fits(x: np.ndarray, u: np.ndarray, taper: np.ndarray, hop: int):
     step = max(1, LINE_BLOCK_ELEMS // (rows * rank * n_pieces))
     for b0 in range(0, blocks, step):
         eb[:, b0 : b0 + step] = stack[:, b0 : b0 + step].reshape(rows, -1, rank * n_pieces) @ down
-    wb = wsum[: blocks * hop].reshape(blocks, hop)
-    for j, piece in enumerate(np.pad(taper, pad[0]).reshape(n_pieces, hop)):
-        wb[j : j + count] += piece
-    return est, wsum, count
+    return est, count
 
 
 def remove_line_noise(
@@ -300,11 +312,9 @@ def remove_line_noise(
     u = _line_basis(w_len, rec.rate, f0, harmonics)
     hop = max(1, int(round(step_s * rec.rate)))
     starts, taper = overlap_add_windows(n, w_len, hop)
-    est, wsum, fitted = _hop_block_fits(x, u, taper, hop)
+    est, fitted = _hop_block_fits(x, u, taper, hop)
     # the last window, moved to end at n, and one that reaches past the last whole block
     tapered = (taper[:, None] * u).T
-    for s in starts[fitted:]:
-        est[:, s : s + w_len] += (x[:, s : s + w_len] @ u) @ tapered
-        wsum[s : s + w_len] += taper
-    est /= np.maximum(wsum, np.finfo(float).tiny)
+    rest = ((s, (x[:, s : s + w_len] @ u) @ tapered) for s in starts[fitted:])
+    blend_windows(est, starts, taper, hop, rest)
     return rec.with_data(np.subtract(x, est, out=est))

@@ -53,19 +53,6 @@ class StreamError(ValueError):
     """Raised for malformed packet construction, not for parse-time noise."""
 
 
-def decode_word(raw: bytes) -> int:
-    """Decode one 24-bit big-endian two's-complement channel word."""
-    if len(raw) != 3:
-        raise StreamError(f"channel word must be 3 bytes, got {len(raw)}")
-    return int.from_bytes(raw, "big", signed=True)
-
-
-def encode_word(count: int) -> bytes:
-    if not -(2**23) <= count <= 2**23 - 1:
-        raise StreamError(f"count {count} outside signed 24-bit range")
-    return int(count).to_bytes(3, "big", signed=True)
-
-
 def counts_to_microvolts(counts):
     """Convert raw ADC counts to microvolts.
 
@@ -78,34 +65,6 @@ def counts_to_microvolts(counts):
 def microvolts_to_counts(uv):
     """Inverse of counts_to_microvolts, rounded to the nearest integer count."""
     return np.rint(np.asarray(uv, dtype=float) / UV_PER_COUNT).astype(np.int64)
-
-
-@dataclass(frozen=True)
-class RawPacket:
-    """One 33-byte packet as it came off the wire."""
-
-    sample_number: int
-    channel_words: tuple[int, ...]
-    aux: bytes = b"\x00" * 6
-    footer_tag: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.sample_number <= 255:
-            raise StreamError(f"sample number {self.sample_number} outside 0-255")
-        if len(self.channel_words) != WORDS_PER_PACKET:
-            raise StreamError("packet carries exactly 8 channel words")
-        if len(self.aux) != 6:
-            raise StreamError("aux block is exactly 6 bytes")
-        if not 0 <= self.footer_tag <= 0x0F:
-            raise StreamError(f"footer tag {self.footer_tag} outside 0x0-0xF")
-
-    def encode(self) -> bytes:
-        body = bytearray([HEADER_BYTE, self.sample_number])
-        for w in self.channel_words:
-            body += encode_word(w)
-        body += self.aux
-        body.append(FOOTER_LO + self.footer_tag)
-        return bytes(body)
 
 
 @dataclass
@@ -378,9 +337,10 @@ def encode_stream(counts: np.ndarray, start_sample_number: int = 0, footer_tag: 
     """Encode (n, 16) integer counts as a packet-pair stream.
 
     Each frame becomes two packets: lower 8 channels then upper 8, with
-    consecutive rolling sample numbers. The bytes are those of
-    `RawPacket.encode` for each half-frame. Frames are packed 4096 at a
-    time, so the temporaries stay small next to the output.
+    consecutive rolling sample numbers. The bytes are those of the
+    tests' per-packet oracle, `oracles.RawPacket.encode`, for each
+    half-frame. Frames are packed 4096 at a time, so the temporaries stay
+    small next to the output.
     """
     arr = np.asarray(counts)
     if arr.ndim != 2 or arr.shape[1] != 2 * WORDS_PER_PACKET:

@@ -48,12 +48,6 @@ class ElectrodeLabel:
         return f"{self.side}{self.index}"
 
 
-def _as_label(label) -> ElectrodeLabel:
-    if isinstance(label, ElectrodeLabel):
-        return label
-    return ElectrodeLabel.parse(str(label))
-
-
 @dataclass(frozen=True)
 class MontageMap:
     """Mapping from recordable electrode labels to amplifier channels 1-16."""
@@ -63,24 +57,12 @@ class MontageMap:
     ground: ElectrodeLabel
     excluded: frozenset
 
-    def channel(self, label) -> int:
-        lab = _as_label(label)
+    def channel(self, label: str) -> int:
+        lab = ElectrodeLabel.parse(label)
         try:
             return self.channel_of[lab]
         except KeyError:
             raise MontageError(f"electrode {lab} is not mapped to a channel") from None
-
-    def label_for_channel(self, channel: int) -> ElectrodeLabel:
-        for lab, ch in self.channel_of.items():
-            if ch == channel:
-                return lab
-        raise MontageError(f"no electrode mapped to channel {channel}")
-
-
-def default_montage() -> MontageMap:
-    """The built-in map of data/montage.csv: ground L6, reference R6,
-    L3/R3 excluded, right ear on channels 1-8 and left ear on 9-16."""
-    return load_montage_csv(builtin_montage_path())
 
 
 def validate(m: MontageMap) -> list[str]:
@@ -163,6 +145,10 @@ def rereference_linked_mastoid(rec: Recording, m: MontageMap, left="L5", right="
 def relabel_by_montage(rec: Recording, m: MontageMap) -> Recording:
     """Rename ch1..ch16 recording rows to their electrode labels. The
     result shares rec's sample array; only the labels are new."""
+    label_of = {ch: str(lab) for lab, ch in m.channel_of.items()}
     out = rec.with_data(rec.data)
-    out.labels = [str(m.label_for_channel(i + 1)) for i in range(rec.n_channels)]
+    try:
+        out.labels = [label_of[ch] for ch in range(1, rec.n_channels + 1)]
+    except KeyError as exc:
+        raise MontageError(f"no electrode mapped to channel {exc.args[0]}") from None
     return out

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import band_score_models, read_scores
+from .analysis import REST_CONDITIONS, band_score_models, read_scores
 from .artifact import (
     AsrConfig,
     asr_calibrate,
@@ -136,9 +136,7 @@ class PipelineConfig:
     bands: tuple = field(default=DEFAULT_BANDS, metadata={"parse": parse_band_spec})
 
     match_tolerance_s: float = 0.15
-    exclude_conditions: tuple = field(
-        default=("eyes_open", "eyes_closed"), metadata={"parse": _csv_tuple}
-    )
+    exclude_conditions: tuple = field(default=REST_CONDITIONS, metadata={"parse": _csv_tuple})
 
     def validate(self) -> list[str]:
         """Every problem that needs only the config; plan_stages checks the rest."""

@@ -208,11 +208,20 @@ def _checked_xy(x, y, min_n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _fit_summary(model, names, coef, se, y, resid) -> RegressionFit:
+def _residual_df(n: int, n_coef: int, absorbed: int) -> int:
+    """The residual df of n points less n_coef coefficients and `absorbed`
+    means taken out before the fit; a ValueError when none is left."""
+    df = n - n_coef - absorbed
+    if df < 1:
+        raise ValueError(f"{n} points leave no residual degrees of freedom after "
+                         f"{n_coef} coefficients and {absorbed} absorbed means")
+    return df
+
+
+def _fit_summary(model, names, coef, se, y, resid, df: int) -> RegressionFit:
     """The RegressionFit of a least-squares fit: each coefficient's t and p
     on the residual df and r^2 (1 when y is constant)."""
     n = len(y)
-    df = n - len(coef)
     rss = float(resid @ resid)
     sst = float(np.sum((y - y.mean()) ** 2))
     tests = [_t_test(c, s, df) for c, s in zip(coef, se)]
@@ -229,8 +238,13 @@ def _fit_summary(model, names, coef, se, y, resid) -> RegressionFit:
     )
 
 
-def fit_linear(x, y) -> RegressionFit:
-    """Ordinary least squares y = a + b*x with t-based p-values."""
+def fit_linear(x, y, absorbed: int = 0) -> RegressionFit:
+    """Ordinary least squares y = a + b*x with t-based p-values.
+
+    absorbed counts the group means that centering took out of x and y
+    before the fit, beyond the one the intercept stands for; each costs
+    the residual variance one degree of freedom.
+    """
     x, y = _checked_xy(x, y, 3)
     n = len(x)
     xm = x.mean()
@@ -240,9 +254,10 @@ def fit_linear(x, y) -> RegressionFit:
     slope = float(np.sum((x - xm) * (y - y.mean())) / sxx)
     intercept = float(y.mean() - slope * xm)
     resid = y - (intercept + slope * x)
-    s2 = float(resid @ resid) / (n - 2)
+    df = _residual_df(n, 2, absorbed)
+    s2 = float(resid @ resid) / df
     se = [math.sqrt(s2 * (1.0 / n + xm * xm / sxx)), math.sqrt(s2 / sxx)]
-    return _fit_summary("linear", ("intercept", "slope"), [intercept, slope], se, y, resid)
+    return _fit_summary("linear", ("intercept", "slope"), [intercept, slope], se, y, resid, df)
 
 
 def orthogonal_poly_basis(x: np.ndarray) -> np.ndarray:
@@ -262,12 +277,12 @@ def orthogonal_poly_basis(x: np.ndarray) -> np.ndarray:
     return np.stack([p0, p1, p2], axis=1)
 
 
-def fit_quadratic_orthogonal(x, y) -> RegressionFit:
+def fit_quadratic_orthogonal(x, y, absorbed: int = 0) -> RegressionFit:
     """Least squares on the orthogonal polynomial basis of degree 2.
 
     Because the regressors are orthogonal, the linear coefficient is
     fit_linear's slope exactly. A ValueError when x takes fewer than
-    three distinct values.
+    three distinct values. absorbed is fit_linear's.
     """
     x, y = _checked_xy(x, y, 4)
     basis = orthogonal_poly_basis(x)
@@ -279,9 +294,10 @@ def fit_quadratic_orthogonal(x, y) -> RegressionFit:
         raise ValueError("x takes two distinct values; the quadratic term is not identified")
     coef = (basis.T @ y) / ss
     resid = y - basis @ coef
-    s2 = float(resid @ resid) / (len(x) - 3)
+    df = _residual_df(len(x), 3, absorbed)
+    s2 = float(resid @ resid) / df
     return _fit_summary("orthogonal-poly-2", ("intercept", "linear", "quadratic"), coef,
-                        np.sqrt(s2 / ss), y, resid)
+                        np.sqrt(s2 / ss), y, resid, df)
 
 
 # --- condition contrasts ----------------------------------------------------

@@ -54,8 +54,8 @@ from earpipe.ingest import (
     WORDS_PER_PACKET,
     IntegrityReport,
     Recording,
+    StreamError,
     counts_to_microvolts,
-    decode_word,
 )
 from earpipe.spectral import PsdEstimate, check_welch_window
 
@@ -402,6 +402,47 @@ def detect_beats(x: np.ndarray, rate: float) -> np.ndarray:
     is the sign of epoch_skewness(x) (+1 for 0)."""
     sign = -1.0 if epoch_skewness(x, rate) < 0 else 1.0
     return pan_tompkins(sign * np.asarray(x, dtype=float), rate).beat_times
+
+
+def decode_word(raw: bytes) -> int:
+    """Decode one 24-bit big-endian two's-complement channel word."""
+    if len(raw) != 3:
+        raise StreamError(f"channel word must be 3 bytes, got {len(raw)}")
+    return int.from_bytes(raw, "big", signed=True)
+
+
+def encode_word(count: int) -> bytes:
+    if not -(2**23) <= count <= 2**23 - 1:
+        raise StreamError(f"count {count} outside signed 24-bit range")
+    return int(count).to_bytes(3, "big", signed=True)
+
+
+@dataclass(frozen=True)
+class RawPacket:
+    """One 33-byte packet as it came off the wire."""
+
+    sample_number: int
+    channel_words: tuple[int, ...]
+    aux: bytes = b"\x00" * 6
+    footer_tag: int = 0
+
+    def __post_init__(self):
+        if not 0 <= self.sample_number <= 255:
+            raise StreamError(f"sample number {self.sample_number} outside 0-255")
+        if len(self.channel_words) != WORDS_PER_PACKET:
+            raise StreamError("packet carries exactly 8 channel words")
+        if len(self.aux) != 6:
+            raise StreamError("aux block is exactly 6 bytes")
+        if not 0 <= self.footer_tag <= 0x0F:
+            raise StreamError(f"footer tag {self.footer_tag} outside 0x0-0xF")
+
+    def encode(self) -> bytes:
+        body = bytearray([HEADER_BYTE, self.sample_number])
+        for w in self.channel_words:
+            body += encode_word(w)
+        body += self.aux
+        body.append(FOOTER_LO + self.footer_tag)
+        return bytes(body)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from earpipe.cli import main as cli_main
 from earpipe.filters import FirSpec, apply_zero_phase_array, design_fir
 from earpipe.ingest import (
     ADC_FULL_SCALE,
-    RawPacket,
     counts_to_microvolts,
     encode_stream,
     parse_stream,
@@ -41,7 +40,7 @@ from earpipe.stats import (
 )
 from earpipe.synth import BergerSpec, EcgSynthSpec, EegSynthSpec, berger_session, gen_ecg, gen_eeg
 
-from oracles import align_sources, fir_response, normal_equations, psd_one_window
+from oracles import RawPacket, align_sources, fir_response, normal_equations, psd_one_window
 
 
 def make_packet(sn, words, footer_tag=0):

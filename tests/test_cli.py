@@ -965,6 +965,18 @@ def test_analyze_exclude_condition(tmp_path, capsys):
     assert any("hard" in (pr["a"], pr["b"]) for pr in pairs)
 
 
+def test_exclude_condition_help_names_the_rest_conditions():
+    """cli spells out the default that analysis.REST_CONDITIONS holds."""
+    from earpipe.analysis import REST_CONDITIONS
+    from earpipe.cli import build_parser
+
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    option = next(action for action in sub.choices["analyze"]._actions
+                  if "--exclude-condition" in action.option_strings)
+    assert all(condition in option.help for condition in REST_CONDITIONS)
+
+
 def test_analyze_missing_table(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", "--bands", str(tmp_path / "nope.csv"),
                            "--out-dir", str(tmp_path / "o"))
@@ -1220,6 +1232,33 @@ def test_every_command_has_its_handler():
                 if name.startswith("cmd_") and callable(value)}
     assert set(sub.choices) == handlers
     assert len(handlers) == 7
+
+
+def test_every_command_prints_one_json_line_naming_it(tmp_path, capsys):
+    """On success, each of the seven commands writes one line to stdout: a
+    JSON object whose `command` is the subcommand."""
+    berger = synth_berger(tmp_path, capsys)
+    ecg = synth_ecg(tmp_path, capsys)
+    (tmp_path / "cap.bin").write_bytes(encode_stream(np.zeros((250, 16), dtype=int)))
+    cfg = write_spec(tmp_path / "run.ini", f"[input]\nsession = {berger / 'session.csv'}\n"
+                     f"events = {berger / 'events.csv'}\n\n[output]\ndir = {tmp_path / 'run'}\n")
+    spec = write_spec(tmp_path / "eeg.ini", "[synth]\nkind = eeg\nseed = 1\n\n[eeg]\nduration_s = 2\n")
+    argvs = {
+        "parse": ["--raw", tmp_path / "cap.bin", "--out-dir", tmp_path / "parsed"],
+        "synth": ["--spec", spec, "--out-dir", tmp_path / "eeg"],
+        "run": ["--config", cfg],
+        "bands": ["--session", berger / "session.csv", "--events", berger / "events.csv",
+                  "--out", tmp_path / "bands.csv"],
+        "ecg": ["--session", ecg / "session.csv", "--channel", "ecg", "--out", tmp_path / "rr.csv"],
+        "agree": ["--ref", ecg / "rr_truth.csv", "--alt", tmp_path / "rr.csv"],
+        "analyze": ["--bands", analysis_table(tmp_path), "--out-dir", tmp_path / "analysis"],
+    }
+    for command, argv in argvs.items():
+        code, out, err = run_cli(capsys, command, *map(str, argv))
+        assert code == 0 and err == "", command
+        assert out.endswith("\n") and out.count("\n") == 1, command
+        summary = json.loads(out)
+        assert isinstance(summary, dict) and summary["command"] == command
 
 
 def test_analyze_writes_null_for_a_non_finite_statistic(tmp_path, capsys):

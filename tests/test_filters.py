@@ -9,9 +9,11 @@ from earpipe.filters import (
     apply_zero_phase,
     apply_zero_phase_array,
     baseline_correct,
+    blend_windows,
     cascade,
     check_line_noise,
     design_fir,
+    overlap_add_windows,
     remove_line_noise,
 )
 from earpipe.ingest import Recording
@@ -274,3 +276,27 @@ def test_line_window_must_hold_twice_the_regressors(rate, win_s, harmonics, ok):
     else:
         with pytest.raises(ValueError, match=f"fewer than the {4 * harmonics} a fit"):
             check_line_noise(rate, 10.0, win_s, 1.0, harmonics)
+
+
+@pytest.mark.parametrize("w", [40, 37])
+@pytest.mark.parametrize("hop_of", [lambda w: 1, lambda w: w // 4, lambda w: w // 2, lambda w: w],
+                         ids=["1", "w/4", "w/2", "w"])
+@pytest.mark.parametrize("extra", [0, 7], ids=["on-grid", "moved-last"])
+def test_blend_of_bare_tapers_is_one(w, hop_of, extra):
+    """Pieces that each equal the taper blend to 1 on every sample, whether a
+    window arrives as a piece or is already summed into out. Where at most two
+    windows overlap the result is exactly 1; deeper overlaps sum their tapers
+    in another order than the pieces, so it is 1 to rounding."""
+    hop = hop_of(w)
+    n = w + 24 * hop + extra
+    starts, taper = overlap_add_windows(n, w, hop)
+    assert bool(starts[-1] % hop) == (extra > 0 and hop > 1)  # the last window is moved
+    out = np.zeros((2, n))
+    for s in starts[: len(starts) // 2]:
+        out[:, s : s + w] += taper
+    blended = blend_windows(out, starts, taper, hop, ((s, taper) for s in starts[len(starts) // 2 :]))
+    assert blended is out
+    if 2 * hop >= w:
+        assert np.array_equal(blended, np.ones((2, n)))
+    else:
+        np.testing.assert_allclose(blended, 1.0, rtol=0, atol=-(-w // hop) * np.finfo(float).eps)

@@ -15,14 +15,11 @@ from earpipe.ingest import (
     PACKET_LEN,
     Event,
     IntegrityReport,
-    RawPacket,
     Recording,
     StreamError,
     counts_to_microvolts,
     cut_segments,
-    decode_word,
     encode_stream,
-    encode_word,
     load_events_csv,
     load_session_csv,
     microvolts_to_counts,
@@ -33,7 +30,14 @@ from earpipe.ingest import (
     session_cache_dir,
 )
 
-from oracles import parse_stream_loop, session_csv_text, session_rows
+from oracles import (
+    RawPacket,
+    decode_word,
+    encode_word,
+    parse_stream_loop,
+    session_csv_text,
+    session_rows,
+)
 
 
 def make_packet(sn: int, words, footer_tag: int = 0) -> bytes:

@@ -7,12 +7,17 @@ from earpipe.montage import (
     MontageError,
     MontageMap,
     builtin_montage_path,
-    default_montage,
     load_montage_csv,
     relabel_by_montage,
     rereference_linked_mastoid,
     validate,
 )
+
+
+def default_montage() -> MontageMap:
+    """The built-in map of data/montage.csv: ground L6, reference R6,
+    L3/R3 excluded, right ear on channels 1-8 and left ear on 9-16."""
+    return load_montage_csv(builtin_montage_path())
 
 
 def test_label_parse_and_str():
@@ -130,3 +135,12 @@ def test_relabel_by_montage():
     assert out.labels[0] == "R1"
     assert out.labels[8] == "L1"
     assert out.labels[15] == "L10"
+
+
+def test_relabel_refuses_a_channel_the_map_lacks():
+    m = default_montage()
+    trimmed = {lab: ch for lab, ch in m.channel_of.items() if ch != 12}
+    broken = MontageMap(channel_of=trimmed, reference=m.reference, ground=m.ground, excluded=m.excluded)
+    rec = Recording(rate=125.0, labels=[f"ch{i+1}" for i in range(16)], data=np.zeros((16, 8)))
+    with pytest.raises(MontageError, match="no electrode mapped to channel 12"):
+        relabel_by_montage(rec, broken)
