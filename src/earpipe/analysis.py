@@ -15,6 +15,8 @@ import numpy as np
 from .ingest import read_table
 from .spectral import BandPowerRow
 from .stats import (
+    FLOW_ITEMS,
+    TLX_ITEMS,
     SurveyResponse,
     aggregate_survey,
     fit_linear,
@@ -23,8 +25,8 @@ from .stats import (
     z_standardize,
 )
 
-TLX_COLUMNS = tuple(f"tlx_{i}" for i in range(1, 7))
-FLOW_COLUMNS = tuple(f"flow_{i}" for i in range(1, 4))
+TLX_COLUMNS = tuple(f"tlx_{i}" for i in range(1, TLX_ITEMS + 1))
+FLOW_COLUMNS = tuple(f"flow_{i}" for i in range(1, FLOW_ITEMS + 1))
 # the conditions the workload and flow models leave out unless told otherwise
 REST_CONDITIONS = ("eyes_open", "eyes_closed")
 

@@ -49,10 +49,6 @@ MAX_ABS_UV = 1e6
 DEFAULT_RATE = 125.0
 
 
-class StreamError(ValueError):
-    """Raised for malformed packet construction, not for parse-time noise."""
-
-
 def counts_to_microvolts(counts):
     """Convert raw ADC counts to microvolts.
 
@@ -321,7 +317,7 @@ def _pack_frames(out: np.ndarray, counts: np.ndarray, first_sample_number: int, 
     # the values whose int(), which truncates, fits in 24 bits; NaN does not
     inside = (counts > -(2**23) - 1) & (counts < 2**23)
     if not inside.all():
-        raise StreamError(f"count {counts[~inside][0]} outside signed 24-bit range")
+        raise ValueError(f"count {counts[~inside][0]} outside signed 24-bit range")
     words = counts.astype(np.int64).reshape(len(counts), 2, WORDS_PER_PACKET) & 0xFFFFFF
     sample_numbers = (first_sample_number % 256 + np.arange(2 * len(counts))) % 256
     out[:, :, 0] = HEADER_BYTE
@@ -344,9 +340,9 @@ def encode_stream(counts: np.ndarray, start_sample_number: int = 0, footer_tag: 
     """
     arr = np.asarray(counts)
     if arr.ndim != 2 or arr.shape[1] != 2 * WORDS_PER_PACKET:
-        raise StreamError(f"counts must be (n, 16), got {arr.shape}")
+        raise ValueError(f"counts must be (n, 16), got {arr.shape}")
     if not 0 <= footer_tag <= 0x0F:
-        raise StreamError(f"footer tag {footer_tag} outside 0x0-0xF")
+        raise ValueError(f"footer tag {footer_tag} outside 0x0-0xF")
     packets = np.empty((len(arr), 2, PACKET_LEN), dtype=np.uint8)
     for start in range(0, len(arr), 4096):
         block = slice(start, start + 4096)
@@ -567,11 +563,8 @@ def _parse_rows(path, header: list[str], skiprows: int) -> np.ndarray:
 
 def _header_rate(path, line: int, text: str) -> float:
     """The value of a `#rate=` line, refused with its file and line
-    unless it is a positive finite number."""
-    try:
-        rate = float(text)
-    except ValueError:
-        rate = math.nan
+    unless it is a positive finite number by the rows' rule (_reads_as_float)."""
+    rate = float(text) if _reads_as_float(text) else math.nan
     if not 0 < rate < math.inf:  # also refuses nan
         raise ValueError(f"{path}:{line}: #rate= must be a positive finite number, got {text!r}")
     return rate
@@ -676,38 +669,38 @@ def save_events_csv(events: list[Event], path) -> None:
 class TableRow(dict):
     """A read_table row: column -> stripped field, with its file and line."""
 
-    def __init__(self, path, line: int, header: list[str], fields: list[str], error=ValueError):
+    def __init__(self, path, line: int, header: list[str], fields: list[str]):
         if len(fields) != len(header):
-            raise error(f"{path}:{line}: {len(fields)} fields, header has {len(header)}")
+            raise ValueError(f"{path}:{line}: {len(fields)} fields, header has {len(header)}")
         super().__init__(zip(header, (f.strip() for f in fields)))
-        self.path, self.line, self.error = path, line, error
+        self.path, self.line = path, line
 
     def number(self, column: str, finite: bool = False) -> float:
         """The column's field as a float, by the session CSV's rule; with
         finite, nan and inf are refused too."""
         text = self[column]
         if not _reads_as_float(text):
-            raise self.error(f"{self.path}:{self.line}: {text!r} in {column} is not a number")
+            raise ValueError(f"{self.path}:{self.line}: {text!r} in {column} is not a number")
         if finite and not math.isfinite(float(text)):
-            raise self.error(f"{self.path}:{self.line}: {text!r} in {column} is not finite")
+            raise ValueError(f"{self.path}:{self.line}: {text!r} in {column} is not finite")
         return float(text)
 
     def build(self, make, *args):
-        """make(*args); a ValueError it raises becomes the table's error,
-        named by this row's file and line."""
+        """make(*args); a ValueError it raises is raised again, named by
+        this row's file and line."""
         try:
             return make(*args)
         except ValueError as exc:
-            raise self.error(f"{self.path}:{self.line}: {exc}") from None
+            raise ValueError(f"{self.path}:{self.line}: {exc}") from None
 
 
-def read_table(path, required, header_rule: str | None = None, error=ValueError):
+def read_table(path, required, header_rule: str | None = None):
     """The header and the TableRows of a small CSV table, split by the csv
     module, names and fields stripped, blank lines skipped. The header
-    must hold every `required` column, else `error` is "<path>:
+    must hold every `required` column, else the ValueError is "<path>:
     <header_rule>" ("expected header <required>" by default); every row
-    must have as many fields as the header. A bad row or number is an
-    `error` naming its line."""
+    must have as many fields as the header. A bad row or number is a
+    ValueError naming its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         records = ((reader.line_num, fields) for fields in reader
@@ -715,10 +708,10 @@ def read_table(path, required, header_rule: str | None = None, error=ValueError)
         try:
             header = [name.strip() for name in next(records, (0, []))[1]]
             if not set(required) <= set(header):
-                raise error(f"{path}: {header_rule or 'expected header ' + ','.join(required)}")
-            return header, [TableRow(path, line, header, fields, error) for line, fields in records]
+                raise ValueError(f"{path}: {header_rule or 'expected header ' + ','.join(required)}")
+            return header, [TableRow(path, line, header, fields) for line, fields in records]
         except csv.Error as exc:
-            raise error(f"{path}:{reader.line_num}: {exc}") from None
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def load_events_csv(path) -> list[Event]:
@@ -768,8 +761,6 @@ def cut_segments(rec: Recording, events: list[Event]) -> list[Segment]:
         i1 = max(i0, i1)
         expected = int(round((ev.end_s - ev.start_s) * rec.rate))
         actual = i1 - i0
-        if actual == 0:
-            flags.append("empty-segment")
         data = _copy_columns(rec.data, i0, i1)
         seg_rec = Recording(rate=rec.rate, labels=list(rec.labels), data=data)
         t_first = rec.t0 + i0 / rec.rate if actual else ev.start_s

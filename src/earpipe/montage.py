@@ -18,10 +18,6 @@ SIDES = ("L", "R")
 POSITIONS_PER_SIDE = 10
 
 
-class MontageError(ValueError):
-    pass
-
-
 @dataclass(frozen=True, order=True)
 class ElectrodeLabel:
     side: str
@@ -29,19 +25,19 @@ class ElectrodeLabel:
 
     def __post_init__(self):
         if self.side not in SIDES:
-            raise MontageError(f"side must be L or R, got {self.side!r}")
+            raise ValueError(f"side must be L or R, got {self.side!r}")
         if not 1 <= self.index <= POSITIONS_PER_SIDE:
-            raise MontageError(f"electrode index {self.index} outside 1-{POSITIONS_PER_SIDE}")
+            raise ValueError(f"electrode index {self.index} outside 1-{POSITIONS_PER_SIDE}")
 
     @classmethod
     def parse(cls, text: str) -> "ElectrodeLabel":
         text = text.strip()
         if len(text) < 2 or text[0] not in SIDES:
-            raise MontageError(f"cannot parse electrode label {text!r}")
+            raise ValueError(f"cannot parse electrode label {text!r}")
         try:
             idx = int(text[1:])
         except ValueError as exc:
-            raise MontageError(f"cannot parse electrode label {text!r}") from exc
+            raise ValueError(f"cannot parse electrode label {text!r}") from exc
         return cls(text[0], idx)
 
     def __str__(self) -> str:
@@ -62,7 +58,7 @@ class MontageMap:
         try:
             return self.channel_of[lab]
         except KeyError:
-            raise MontageError(f"electrode {lab} is not mapped to a channel") from None
+            raise ValueError(f"electrode {lab} is not mapped to a channel") from None
 
 
 def validate(m: MontageMap) -> list[str]:
@@ -96,14 +92,14 @@ def load_montage_csv(path) -> MontageMap:
     reference = None
     ground = None
     excluded = set()
-    for row in read_table(path, ("label", "role", "channel"), error=MontageError)[1]:
+    for row in read_table(path, ("label", "role", "channel"))[1]:
         row.build(check_name, "label", row["label"])
         lab = row.build(ElectrodeLabel.parse, row["label"])
         role = row["role"].lower()
         if role == "record":
             channel = row.number("channel")
             if not channel.is_integer():
-                raise MontageError(f"{path}:{row.line}: channel {row['channel']!r} is not a whole number")
+                raise ValueError(f"{path}:{row.line}: channel {row['channel']!r} is not a whole number")
             mapping[lab] = int(channel)
         elif role == "reference":
             reference = lab
@@ -112,9 +108,9 @@ def load_montage_csv(path) -> MontageMap:
         elif role == "excluded":
             excluded.add(lab)
         else:
-            raise MontageError(f"{path}:{row.line}: unknown role {role!r} for {lab}")
+            raise ValueError(f"{path}:{row.line}: unknown role {role!r} for {lab}")
     if reference is None or ground is None:
-        raise MontageError(f"{path}: montage must name a reference and a ground")
+        raise ValueError(f"{path}: montage must name a reference and a ground")
     return MontageMap(
         channel_of=mapping, reference=reference, ground=ground, excluded=frozenset(excluded)
     )
@@ -136,8 +132,8 @@ def rereference_linked_mastoid(rec: Recording, m: MontageMap, left="L5", right="
     ri = m.channel(right) - 1
     for idx, name in ((li, left), (ri, right)):
         if not 0 <= idx < rec.n_channels:
-            raise MontageError(f"mastoid electrode {name} maps to channel {idx + 1}, "
-                               f"but the recording has {rec.n_channels} rows")
+            raise ValueError(f"mastoid electrode {name} maps to channel {idx + 1}, "
+                             f"but the recording has {rec.n_channels} rows")
     ref = 0.5 * (rec.data[li] + rec.data[ri])
     return rec.with_data(rec.data - ref[None, :])
 
@@ -150,5 +146,5 @@ def relabel_by_montage(rec: Recording, m: MontageMap) -> Recording:
     try:
         out.labels = [label_of[ch] for ch in range(1, rec.n_channels + 1)]
     except KeyError as exc:
-        raise MontageError(f"no electrode mapped to channel {exc.args[0]}") from None
+        raise ValueError(f"no electrode mapped to channel {exc.args[0]}") from None
     return out

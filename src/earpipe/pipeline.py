@@ -77,12 +77,10 @@ from .stats import bland_altman
 
 
 def _as_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"cannot read boolean value {text!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ConfigError(f"cannot read boolean value {text!r}") from None
 
 
 def _csv_tuple(text: str) -> tuple:
@@ -654,12 +652,11 @@ def rr_agreement(ref: BeatSeries, alt: BeatSeries, tolerance_s: float) -> dict:
 def load_rr_beats(path) -> BeatSeries:
     """Rebuild a beat series from an rr.csv file (anchors plus final beat).
     A time or interval that is not a finite number, or a beat that does not
-    follow the one before it by the refractory period, is a DataError
+    follow the one before it by the refractory period, is a ValueError
     naming its row's line."""
-    rows = read_table(path, ("beat_time_s", "rr_ms"), "expected header beat_time_s,rr_ms[,flag]",
-                      DataError)[1]
+    rows = read_table(path, ("beat_time_s", "rr_ms"), "expected header beat_time_s,rr_ms[,flag]")[1]
     if not rows:
-        raise DataError(f"{path}: no intervals")
+        raise ValueError(f"{path}: no intervals")
     beats: list[float] = []
     for row in rows:
         t, rr_ms = row.number("beat_time_s", finite=True), row.number("rr_ms", finite=True)

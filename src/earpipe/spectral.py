@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,19 +80,6 @@ def check_welch_length(n: int, seg: int) -> None:
 
 # floats in one chunk of windows welch_psd_recording transforms at once (2 MB)
 WELCH_CHUNK_ELEMS = 1 << 18
-
-
-def welch_psd(x: np.ndarray, rate: float, seg: int = 256, overlap: int = 64) -> PsdEstimate:
-    """Welch periodogram average of a single channel.
-
-    The single-channel form of welch_psd_recording. With overlap=0 and
-    len(x)==seg this reduces to a single periodogram.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("welch_psd expects a single channel; use welch_psd_recording")
-    rec = Recording(rate=rate, labels=["x"], data=x[None, :])
-    return replace(welch_psd_recording(rec, seg=seg, overlap=overlap), labels=[])
 
 
 def welch_psd_recording(

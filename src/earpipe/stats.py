@@ -81,14 +81,8 @@ def betainc_reg(a: float, b: float, x: float) -> float:
 
 
 def t_p_two_sided(t: float, df: float) -> float:
-    """Two-sided p-value of a t statistic."""
-    if df <= 0:
-        raise ValueError(f"df must be positive, got {df}")
-    if not math.isfinite(t):
-        return 0.0
-    if t == 0.0:
-        return 1.0
-    return betainc_reg(df / 2.0, 0.5, df / (df + t * t))
+    """Two-sided p-value of a t statistic: t^2 follows F(1, df)."""
+    return f_p_value(t * t, 1, df)
 
 
 def f_p_value(f: float, df1: float, df2: float) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,10 +54,9 @@ from earpipe.ingest import (
     WORDS_PER_PACKET,
     IntegrityReport,
     Recording,
-    StreamError,
     counts_to_microvolts,
 )
-from earpipe.spectral import PsdEstimate, check_welch_window
+from earpipe.spectral import PsdEstimate, check_welch_window, welch_psd_recording
 
 
 def dft(x: np.ndarray) -> np.ndarray:
@@ -407,13 +406,13 @@ def detect_beats(x: np.ndarray, rate: float) -> np.ndarray:
 def decode_word(raw: bytes) -> int:
     """Decode one 24-bit big-endian two's-complement channel word."""
     if len(raw) != 3:
-        raise StreamError(f"channel word must be 3 bytes, got {len(raw)}")
+        raise ValueError(f"channel word must be 3 bytes, got {len(raw)}")
     return int.from_bytes(raw, "big", signed=True)
 
 
 def encode_word(count: int) -> bytes:
     if not -(2**23) <= count <= 2**23 - 1:
-        raise StreamError(f"count {count} outside signed 24-bit range")
+        raise ValueError(f"count {count} outside signed 24-bit range")
     return int(count).to_bytes(3, "big", signed=True)
 
 
@@ -428,13 +427,13 @@ class RawPacket:
 
     def __post_init__(self):
         if not 0 <= self.sample_number <= 255:
-            raise StreamError(f"sample number {self.sample_number} outside 0-255")
+            raise ValueError(f"sample number {self.sample_number} outside 0-255")
         if len(self.channel_words) != WORDS_PER_PACKET:
-            raise StreamError("packet carries exactly 8 channel words")
+            raise ValueError("packet carries exactly 8 channel words")
         if len(self.aux) != 6:
-            raise StreamError("aux block is exactly 6 bytes")
+            raise ValueError("aux block is exactly 6 bytes")
         if not 0 <= self.footer_tag <= 0x0F:
-            raise StreamError(f"footer tag {self.footer_tag} outside 0x0-0xF")
+            raise ValueError(f"footer tag {self.footer_tag} outside 0x0-0xF")
 
     def encode(self) -> bytes:
         body = bytearray([HEADER_BYTE, self.sample_number])
@@ -649,6 +648,20 @@ def asr_process_loop(
         return rec.with_data(rec.data), flagged
     scale = np.where(wsum > 0, wsum, 1.0)
     return rec.with_data(rec.data + np.where(touched, corr / scale, 0.0)), flagged
+
+
+def welch_psd(x: np.ndarray, rate: float, seg: int = 256, overlap: int = 64) -> PsdEstimate:
+    """welch_psd_recording of one channel given as a 1-D array.
+
+    A convenience wrapper for tests, not an oracle: it runs the library's
+    own Welch core. With overlap=0 and len(x)==seg this reduces to a
+    single periodogram.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("welch_psd expects a single channel; use welch_psd_recording")
+    rec = Recording(rate=rate, labels=["x"], data=x[None, :])
+    return replace(welch_psd_recording(rec, seg=seg, overlap=overlap), labels=[])
 
 
 def welch_psd_loop(

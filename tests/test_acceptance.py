@@ -18,7 +18,7 @@ from earpipe.artifact import (
     extract_ecg,
     ica_decompose,
 )
-from earpipe.cardiac import BeatSeries, match_beats, paired_rr, pan_tompkins, rr_periods
+from earpipe.cardiac import match_beats, paired_rr, pan_tompkins
 from earpipe.cli import main as cli_main
 from earpipe.filters import FirSpec, apply_zero_phase_array, design_fir
 from earpipe.ingest import (
@@ -30,7 +30,7 @@ from earpipe.ingest import (
     save_session_csv,
 )
 from earpipe.pipeline import load_config, run_pipeline
-from earpipe.spectral import read_band_table, welch_psd
+from earpipe.spectral import read_band_table
 from earpipe.stats import (
     BlandAltmanReport,
     bland_altman,
@@ -40,7 +40,9 @@ from earpipe.stats import (
 )
 from earpipe.synth import BergerSpec, EcgSynthSpec, EegSynthSpec, berger_session, gen_ecg, gen_eeg
 
-from oracles import RawPacket, align_sources, fir_response, normal_equations, psd_one_window
+from oracles import (
+    RawPacket, align_sources, fir_response, normal_equations, psd_one_window, welch_psd,
+)
 
 
 def make_packet(sn, words, footer_tag=0):

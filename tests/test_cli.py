@@ -1454,3 +1454,25 @@ def test_every_table_reader_names_the_bad_line(fuzz_inputs, tmp_path, capsys, ta
         problem = f"{len(cells)} fields, header has {len(columns)}"
     assert code == 3 and "Traceback" not in err
     assert json.loads(err) == {"error": "data", "message": f"{path}:{len(rows) + 2}: {problem}"}
+
+
+# the montage and R-R loaders raise plain ValueErrors; run's input loader
+# reports each as a data error with the loader's message
+@pytest.mark.parametrize("key, body, message", [
+    ("montage", builtin_montage_path().read_text().replace("L2,record", "L2,boss", 1),
+     "{path}:3: unknown role 'boss' for L2"),
+    ("reference_rr", "time,interval\n1,2\n", "{path}: expected header beat_time_s,rr_ms[,flag]"),
+    ("reference_rr", "beat_time_s,rr_ms,flag\n", "{path}: no intervals"),
+], ids=["montage-bad-row", "rr-bad-header", "rr-no-intervals"])
+def test_run_reports_a_bad_montage_or_rr_file_as_a_data_error(fuzz_inputs, tmp_path, capsys, key,
+                                                              body, message):
+    path = tmp_path / "input.csv"
+    path.write_text(body)
+    cfg = write_spec(tmp_path / "run.ini",
+                     f"[input]\nsession = {fuzz_inputs / 'session.csv'}\n"
+                     f"events = {fuzz_inputs / 'events.csv'}\n{key} = {path}\n\n"
+                     f"[output]\ndir = {tmp_path / 'out'}\n")
+    code, out, err = run_cli(capsys, "run", "--config", cfg)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "data", "message": message.format(path=path)}
+    assert not (tmp_path / "out").exists()

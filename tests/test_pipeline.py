@@ -587,8 +587,8 @@ def test_load_rr_beats_round_trip(tmp_path):
 def test_load_rr_beats_rejects_garbage(tmp_path):
     path = tmp_path / "rr.csv"
     path.write_text("time,interval\n1,2\n")
-    with pytest.raises(DataError, match="header"):
+    with pytest.raises(ValueError, match="header"):
         load_rr_beats(path)
     path.write_text("beat_time_s,rr_ms,flag\n")
-    with pytest.raises(DataError, match="no intervals"):
+    with pytest.raises(ValueError, match="no intervals"):
         load_rr_beats(path)

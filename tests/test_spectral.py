@@ -10,12 +10,11 @@ from earpipe.spectral import (
     parse_band_spec,
     qc_report,
     read_band_table,
-    welch_psd,
     welch_psd_recording,
     write_band_table,
 )
 
-from oracles import psd_one_window, welch_psd_loop
+from oracles import psd_one_window, welch_psd, welch_psd_loop
 
 RATE = 125.0
 

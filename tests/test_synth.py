@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from earpipe.spectral import welch_psd
 from earpipe.synth import (
     BergerSpec,
     EcgSynthSpec,
@@ -10,6 +9,8 @@ from earpipe.synth import (
     gen_ecg,
     gen_eeg,
 )
+
+from oracles import welch_psd
 
 
 def integrated_power(x, rate, lo_hz, hi_hz, seg=256):
