@@ -53,8 +53,8 @@ def main() -> int:
     report = bland_altman(rr_ref, rr_alt)
     print(f"recovered {sens:.1%} of planted beats "
           f"({len(match.pairs)}/{len(truth)}, {match.unmatched_alt} false alarms)")
-    print(f"R-R agreement over {report.n} pairs: bias {report.mean_diff_ms:+.2f} ms, "
-          f"95% limits +/-{report.gaussian_loa_ms:.2f} ms, r = {report.pearson_r:.3f}")
+    print(f"R-R agreement over {report['n']} pairs: bias {report['mean_diff_ms']:+.2f} ms, "
+          f"95% limits +/-{report['gaussian_loa_ms']:.2f} ms, r = {report['pearson_r']:.3f}")
     return 0
 
 

@@ -94,8 +94,10 @@ def _joined_arrays(pooled: dict, scores: dict, band: str, exclude: tuple):
 
 
 def _fit_or_reason(fit_fn, *args, **kwargs) -> dict:
+    """fit_fn's report with status ok, or status not_computed and the
+    reason its ValueError gives."""
     try:
-        return {"status": "ok", **fit_fn(*args, **kwargs).to_dict()}
+        return {"status": "ok", **fit_fn(*args, **kwargs)}
     except ValueError as exc:
         return {"status": "not_computed", "reason": str(exc)}
 
@@ -135,10 +137,7 @@ def band_condition_contrasts(rows: list[BandPowerRow]) -> dict:
     out: dict = {}
     for band in _band_names(rows):
         cells = {(p, c): value for (p, c, b), value in pooled.items() if b == band}
-        try:
-            out[band] = {"status": "ok", **pairwise_contrasts(cells).to_dict()}
-        except ValueError as exc:
-            out[band] = {"status": "not_computed", "reason": str(exc)}
+        out[band] = _fit_or_reason(pairwise_contrasts, cells)
     return out
 
 

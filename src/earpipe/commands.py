@@ -20,7 +20,7 @@ from .cardiac import MIN_RATE_HZ, rr_periods
 from .errors import ConfigError, DataError
 from .ingest import (
     Event, Recording, check_name, cut_segments, load_events_csv, load_session_csv, parse_stream,
-    read_table, save_events_csv, save_session_csv,
+    read_index, read_table, save_events_csv, save_session_csv,
 )
 from .pipeline import (
     _json_dump, _jsonable, condition_band_rows, load_config, load_input, load_rr_beats,
@@ -170,7 +170,7 @@ def cmd_ecg(args) -> dict:
         row = rec.labels.index(args.channel)
     else:
         try:
-            row = int(args.channel) - 1
+            row = read_index(args.channel) - 1
         except ValueError:
             raise ConfigError(f"channel must be a label or 1-based index, got {args.channel!r}") from None
         if not 0 <= row < rec.n_channels:

@@ -109,6 +109,15 @@ def check_name(what: str, name: str) -> None:
         raise ValueError(f"{what} {name!r} holds a control character")
 
 
+def read_index(text: str) -> int:
+    """text as a whole number in ASCII digits with no sign, separator or
+    leading zero, else a ValueError; int() alone also reads "1_0", "+5",
+    " 5", "05" and non-ASCII digits."""
+    if text.isascii() and text.isdigit() and (text == "0" or text[0] != "0"):
+        return int(text)
+    raise ValueError(f"{text!r} is not a whole number in plain digits")
+
+
 @dataclass(frozen=True)
 class Event:
     condition: str
@@ -153,10 +162,16 @@ class Recording:
         """The recorded time span [t0, t0 + n_samples / rate) in seconds."""
         return self.t0, self.t0 + self.n_samples / self.rate
 
+    def out_of_span(self, ev: Event) -> bool:
+        """Whether ev starts before or ends after the recorded span, by more
+        than 1 ns of round-off."""
+        lo, hi = self.span
+        return ev.start_s < lo - 1e-9 or ev.end_s > hi + 1e-9
+
     def check_span(self, ev: Event) -> None:
         """A ValueError naming ev and the recorded span when ev runs outside it."""
-        lo, hi = self.span
-        if ev.start_s < lo - 1e-9 or ev.end_s > hi + 1e-9:
+        if self.out_of_span(ev):
+            lo, hi = self.span
             raise ValueError(
                 f"event {ev.condition} [{ev.start_s}, {ev.end_s}) outside the "
                 f"recorded span [{lo}, {hi})"
@@ -747,14 +762,13 @@ def cut_segments(rec: Recording, events: list[Event]) -> list[Segment]:
     returned clipped but flagged rather than silently shortened.
     """
     out: list[Segment] = []
-    span_lo, span_hi = rec.span
     for ev in events:
         # bounds every sample offset below; also refuses a NaN or infinite time
         if not math.isfinite((abs(ev.start_s - rec.t0) + abs(ev.end_s - rec.t0)) * rec.rate):
             raise ValueError(f"event {ev.condition} [{ev.start_s}, {ev.end_s}) cannot be "
                              f"counted in samples at {rec.rate} Hz")
         flags: list[str] = []
-        if ev.start_s < span_lo - 1e-9 or ev.end_s > span_hi + 1e-9:
+        if rec.out_of_span(ev):
             flags.append("out-of-span")
         i0 = max(0, math.ceil((ev.start_s - rec.t0) * rec.rate - 1e-9))
         i1 = min(rec.n_samples, math.ceil((ev.end_s - rec.t0) * rec.rate - 1e-9))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .ingest import Recording, check_name, read_table
+from .ingest import Recording, check_name, read_index, read_table
 
 SIDES = ("L", "R")
 POSITIONS_PER_SIDE = 10
@@ -32,10 +32,10 @@ class ElectrodeLabel:
     @classmethod
     def parse(cls, text: str) -> "ElectrodeLabel":
         text = text.strip()
-        if len(text) < 2 or text[0] not in SIDES:
+        if text[:1] not in SIDES:
             raise ValueError(f"cannot parse electrode label {text!r}")
         try:
-            idx = int(text[1:])
+            idx = read_index(text[1:])
         except ValueError as exc:
             raise ValueError(f"cannot parse electrode label {text!r}") from exc
         return cls(text[0], idx)
@@ -92,9 +92,13 @@ def load_montage_csv(path) -> MontageMap:
     reference = None
     ground = None
     excluded = set()
+    listed: set[ElectrodeLabel] = set()
     for row in read_table(path, ("label", "role", "channel"))[1]:
         row.build(check_name, "label", row["label"])
         lab = row.build(ElectrodeLabel.parse, row["label"])
+        if lab in listed:
+            raise ValueError(f"{path}:{row.line}: electrode {lab} is listed twice")
+        listed.add(lab)
         role = row["role"].lower()
         if role == "record":
             channel = row.number("channel")

@@ -645,7 +645,7 @@ def rr_agreement(ref: BeatSeries, alt: BeatSeries, tolerance_s: float) -> dict:
         "unmatched_ref": match.unmatched_ref,
         "unmatched_alt": match.unmatched_alt,
         "rr_pairs": len(rr_ref),
-        **bland_altman(rr_ref, rr_alt).to_dict(),
+        **bland_altman(rr_ref, rr_alt),
     }
 
 

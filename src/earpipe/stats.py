@@ -149,37 +149,6 @@ def z_standardize(values, participants) -> np.ndarray:
 # --- regression ------------------------------------------------------------
 
 
-@dataclass
-class RegressionFit:
-    model: str
-    names: tuple
-    coef: np.ndarray
-    se: np.ndarray
-    t_stat: np.ndarray
-    p_values: np.ndarray
-    r_squared: float
-    df_resid: int
-    n: int
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "n": self.n,
-            "r_squared": self.r_squared,
-            "df_resid": self.df_resid,
-            "coefficients": [
-                {
-                    "name": self.names[i],
-                    "estimate": float(self.coef[i]),
-                    "se": float(self.se[i]),
-                    "t": float(self.t_stat[i]),
-                    "p": float(self.p_values[i]),
-                }
-                for i in range(len(self.names))
-            ],
-        }
-
-
 def _t_test(estimate: float, se: float, df: int) -> tuple[float, float]:
     """t and two-sided p of estimate / se. With no spread (se = 0, or a NaN
     se from non-finite data) a zero estimate gives t = 0, p = 1 and any
@@ -212,27 +181,26 @@ def _residual_df(n: int, n_coef: int, absorbed: int) -> int:
     return df
 
 
-def _fit_summary(model, names, coef, se, y, resid, df: int) -> RegressionFit:
-    """The RegressionFit of a least-squares fit: each coefficient's t and p
-    on the residual df and r^2 (1 when y is constant)."""
-    n = len(y)
+def _fit_summary(model, names, coef, se, y, resid, df: int) -> dict:
+    """The report of a least-squares fit: each coefficient's estimate, se,
+    t and p on the residual df, and r^2 (1 when y is constant)."""
     rss = float(resid @ resid)
     sst = float(np.sum((y - y.mean()) ** 2))
-    tests = [_t_test(c, s, df) for c, s in zip(coef, se)]
-    return RegressionFit(
-        model=model,
-        names=names,
-        coef=np.asarray(coef, dtype=float),
-        se=np.asarray(se, dtype=float),
-        t_stat=np.array([t for t, _ in tests]),
-        p_values=np.array([p for _, p in tests]),
-        r_squared=1.0 - rss / sst if sst > 0 else 1.0,
-        df_resid=df,
-        n=n,
-    )
+    coefficients = []
+    for name, c, s in zip(names, coef, se):
+        t, p = _t_test(c, s, df)
+        coefficients.append({"name": name, "estimate": float(c), "se": float(s),
+                             "t": float(t), "p": float(p)})
+    return {
+        "model": model,
+        "n": len(y),
+        "r_squared": 1.0 - rss / sst if sst > 0 else 1.0,
+        "df_resid": df,
+        "coefficients": coefficients,
+    }
 
 
-def fit_linear(x, y, absorbed: int = 0) -> RegressionFit:
+def fit_linear(x, y, absorbed: int = 0) -> dict:
     """Ordinary least squares y = a + b*x with t-based p-values.
 
     absorbed counts the group means that centering took out of x and y
@@ -271,7 +239,7 @@ def orthogonal_poly_basis(x: np.ndarray) -> np.ndarray:
     return np.stack([p0, p1, p2], axis=1)
 
 
-def fit_quadratic_orthogonal(x, y, absorbed: int = 0) -> RegressionFit:
+def fit_quadratic_orthogonal(x, y, absorbed: int = 0) -> dict:
     """Least squares on the orthogonal polynomial basis of degree 2.
 
     Because the regressors are orthogonal, the linear coefficient is
@@ -297,42 +265,7 @@ def fit_quadratic_orthogonal(x, y, absorbed: int = 0) -> RegressionFit:
 # --- condition contrasts ----------------------------------------------------
 
 
-@dataclass
-class ContrastTable:
-    conditions: tuple
-    omnibus_f: float
-    omnibus_p: float
-    df1: int
-    df2: int
-    rows: list  # (cond_a, cond_b, n, mean_diff, t, p_raw, p_adjusted)
-    balanced: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "conditions": list(self.conditions),
-            "omnibus": {
-                "f": self.omnibus_f,
-                "p": self.omnibus_p,
-                "df1": self.df1,
-                "df2": self.df2,
-            },
-            "balanced": self.balanced,
-            "pairs": [
-                {
-                    "a": a,
-                    "b": b,
-                    "n": n,
-                    "mean_diff": d,
-                    "t": t,
-                    "p_raw": p,
-                    "p_adjusted": padj,
-                }
-                for (a, b, n, d, t, p, padj) in self.rows
-            ],
-        }
-
-
-def pairwise_contrasts(cells: dict) -> ContrastTable:
+def pairwise_contrasts(cells: dict) -> dict:
     """Condition comparisons after within-participant centering.
 
     cells maps (participant, condition) to a value. The omnibus F compares
@@ -374,28 +307,27 @@ def pairwise_contrasts(cells: dict) -> ContrastTable:
     f = float(ms_cond / ms_resid) if ms_resid > 0 else (0.0 if ms_cond == 0 else math.inf)
     p_omnibus = f_p_value(f, df1, df2)
 
-    rows = []
+    pairs = []
     for i, a in enumerate(conditions):
         for b in conditions[i + 1 :]:
             diffs = np.array([agg[(p, a)] - agg[(p, b)] for p in participants
                               if (p, a) in agg and (p, b) in agg])
             n = len(diffs)
             if n < 2:
-                rows.append((a, b, n, math.nan, math.nan, math.nan))
-                continue
-            mean = float(diffs.mean())
-            se = float(diffs.std(ddof=1)) / math.sqrt(n)
-            rows.append((a, b, n, mean, *_t_test(mean, se, n - 1)))
-    adjusted = bonferroni([row[5] for row in rows])
-    return ContrastTable(
-        conditions=tuple(conditions),
-        omnibus_f=f,
-        omnibus_p=p_omnibus,
-        df1=df1,
-        df2=df2,
-        rows=[(*row, float(p)) for row, p in zip(rows, adjusted)],
-        balanced=balanced,
-    )
+                mean = t = p_raw = math.nan
+            else:
+                mean = float(diffs.mean())
+                se = float(diffs.std(ddof=1)) / math.sqrt(n)
+                t, p_raw = _t_test(mean, se, n - 1)
+            pairs.append({"a": a, "b": b, "n": n, "mean_diff": mean, "t": t, "p_raw": p_raw})
+    for pair, p_adjusted in zip(pairs, bonferroni([pair["p_raw"] for pair in pairs])):
+        pair["p_adjusted"] = float(p_adjusted)
+    return {
+        "conditions": conditions,
+        "omnibus": {"f": f, "p": p_omnibus, "df1": df1, "df2": df2},
+        "balanced": balanced,
+        "pairs": pairs,
+    }
 
 
 def bonferroni(p_values) -> np.ndarray:
@@ -409,36 +341,15 @@ def bonferroni(p_values) -> np.ndarray:
 # --- agreement ---------------------------------------------------------------
 
 
-@dataclass
-class BlandAltmanReport:
-    n: int
-    mean_abs_diff_ms: float
-    mean_diff_ms: float
-    gaussian_loa_ms: float
-    nonparametric_loa_ms: float
-    pearson_r: float  # nan when undefined (zero variance)
-    percentile_loa_ms: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mean_abs_diff_ms": self.mean_abs_diff_ms,
-            "mean_diff_ms": self.mean_diff_ms,
-            "gaussian_loa_ms": self.gaussian_loa_ms,
-            "nonparametric_loa_ms": self.nonparametric_loa_ms,
-            "pearson_r": None if math.isnan(self.pearson_r) else self.pearson_r,
-            "percentile_loa_ms": list(self.percentile_loa_ms),
-        }
-
-
-def bland_altman(ref, alt) -> BlandAltmanReport:
+def bland_altman(ref, alt) -> dict:
     """Agreement statistics between two paired series (e.g. R-R in ms).
 
     Differences are alt - ref. The Gaussian limit of agreement is
     1.96 * SD(d) (sample SD); the non-parametric analogue is 1.96 * IQR(d).
     A conventional central-95% band of d is reported separately as
-    percentile_loa_ms. Pearson r is NaN (serialized null) when either
-    series has zero variance; identical inputs give exactly (0, 0, 0, 1).
+    percentile_loa_ms. Pearson r is None when either series has zero
+    variance; identical inputs give exactly (0, 0, 0, 1). Returns the
+    statistics as bland_altman.json holds them.
     """
     ref = np.asarray(ref, dtype=float)
     alt = np.asarray(alt, dtype=float)
@@ -459,16 +370,15 @@ def bland_altman(ref, alt) -> BlandAltmanReport:
     else:
         sr = ref.std(ddof=0)
         sa = alt.std(ddof=0)
-        if sr == 0 or sa == 0:
-            r = math.nan
-        else:
+        r = None
+        if sr > 0 and sa > 0:
             r = float(np.mean((ref - ref.mean()) * (alt - alt.mean())) / (sr * sa))
-    return BlandAltmanReport(
-        n=n,
-        mean_abs_diff_ms=mean_abs,
-        mean_diff_ms=mean_d,
-        gaussian_loa_ms=1.96 * sd,
-        nonparametric_loa_ms=1.96 * iqr,
-        pearson_r=r,
-        percentile_loa_ms=(float(p025), float(p975)),
-    )
+    return {
+        "n": n,
+        "mean_abs_diff_ms": mean_abs,
+        "mean_diff_ms": mean_d,
+        "gaussian_loa_ms": 1.96 * sd,
+        "nonparametric_loa_ms": 1.96 * iqr,
+        "pearson_r": r,
+        "percentile_loa_ms": [float(p025), float(p975)],
+    }

@@ -541,6 +541,7 @@ def berger_20s(tmp_path_factory):
         ("hp_cutoff_hz = nan", {2}),
         ("line_freq_hz = nan", {2}),
         ("asr_burst_k = nan", {2}),
+        ("reref_left = L05", {2}),
     ],
 )
 def test_run_bad_stage_value_keeps_cli_contract(tmp_path, capsys, berger_20s, pipeline, codes):
@@ -868,10 +869,13 @@ def test_ecg_times_the_beats_of_the_one_channel_detector(tmp_path, capsys, rate)
 
 def test_ecg_bad_channel(tmp_path, capsys):
     data = synth_ecg(tmp_path, capsys)
-    code, _, err = run_cli(capsys, "ecg", "--session", str(data / "session.csv"),
-                           "--channel", "bogus", "--out", str(tmp_path / "x.csv"))
-    assert code == 2
-    assert json.loads(err)["error"] == "config"
+    # an index is plain ASCII digits: int() alone reads all but "bogus" as one
+    for channel in ("bogus", "0_3", "+1", "01", "\u0661", " 1"):
+        code, _, err = run_cli(capsys, "ecg", "--session", str(data / "session.csv"),
+                               "--channel", channel, "--out", str(tmp_path / "x.csv"))
+        assert code == 2, channel
+        assert json.loads(err) == {
+            "error": "config", "message": f"channel must be a label or 1-based index, got {channel!r}"}
 
 
 def test_agree_missing_file(tmp_path, capsys):
@@ -1461,9 +1465,11 @@ def test_every_table_reader_names_the_bad_line(fuzz_inputs, tmp_path, capsys, ta
 @pytest.mark.parametrize("key, body, message", [
     ("montage", builtin_montage_path().read_text().replace("L2,record", "L2,boss", 1),
      "{path}:3: unknown role 'boss' for L2"),
+    ("montage", builtin_montage_path().read_text().replace("L7,record", "L5,record", 1),
+     "{path}:8: electrode L5 is listed twice"),
     ("reference_rr", "time,interval\n1,2\n", "{path}: expected header beat_time_s,rr_ms[,flag]"),
     ("reference_rr", "beat_time_s,rr_ms,flag\n", "{path}: no intervals"),
-], ids=["montage-bad-row", "rr-bad-header", "rr-no-intervals"])
+], ids=["montage-bad-row", "montage-label-twice", "rr-bad-header", "rr-no-intervals"])
 def test_run_reports_a_bad_montage_or_rr_file_as_a_data_error(fuzz_inputs, tmp_path, capsys, key,
                                                               body, message):
     path = tmp_path / "input.csv"

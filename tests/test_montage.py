@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,20 @@ def test_label_rejects_garbage():
     for bad in ("X3", "L0", "L11", "R", "l5"):
         with pytest.raises(ValueError):
             ElectrodeLabel.parse(bad)
+
+
+@pytest.mark.parametrize("text", ["L1_0", "L\u0665", "L+5", "L 5", "L05", "R-5"])
+def test_label_takes_plain_ascii_digits_only(text):
+    # int() alone reads each of these as a position
+    with pytest.raises(ValueError, match=re.escape(f"cannot parse electrode label {text!r}")):
+        ElectrodeLabel.parse(text)
+
+
+def test_montage_refuses_a_label_listed_twice(tmp_path):
+    path = tmp_path / "montage.csv"
+    path.write_text(builtin_montage_path().read_text() + "L5,excluded,\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:22: electrode L5 is listed twice")):
+        load_montage_csv(path)
 
 
 def test_label_ordering():

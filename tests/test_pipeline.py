@@ -10,6 +10,7 @@ import pytest
 
 from earpipe import pipeline
 from earpipe.cardiac import BeatSeries, rr_periods
+from earpipe.cli import main as cli_main
 from earpipe.filters import FirSpec, apply_zero_phase, design_fir
 from earpipe.ingest import (
     Event,
@@ -21,6 +22,7 @@ from earpipe.ingest import (
 from earpipe.pipeline import (
     ConfigError,
     DataError,
+    _FIELDS,
     _SECTIONS,
     STAGES,
     PipelineConfig,
@@ -28,6 +30,7 @@ from earpipe.pipeline import (
     load_config,
     load_rr_beats,
     plan_stages,
+    read_sections,
     run_pipeline,
     write_reports,
 )
@@ -201,14 +204,37 @@ def test_validate_checks_the_welch_window_as_a_pair(segment, overlap, ok):
     assert all(p.startswith("pipeline: psd_segment, psd_overlap: ") for p in problems)
 
 
+README = Path(__file__).parents[1] / "README.md"
+
+
 def test_readme_run_config_lists_every_key():
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    block = readme.split("## Run config (INI)", 1)[1].split("```ini", 1)[1].split("```", 1)[0]
+    block = README.read_text().split("## Run config (INI)", 1)[1].split("```ini", 1)[1]
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",), allow_no_value=True)
-    parser.read_string(block)
+    parser.read_string(block.split("```", 1)[0])
     documented = {(s, k) for s in parser.sections() for k in parser[s]}
     accepted = {(s, k) for s, keys in _SECTIONS.items() for k in keys}
     assert documented == accepted
+    # every documented value but a file's name and the no-op ica_seed is the default
+    sections = {s: {k: _FIELDS[k] for k in keys} for s, keys in _SECTIONS.items()}
+    values, problems = read_sections(parser, sections)
+    assert problems == []
+    defaults = PipelineConfig()
+    files = {"session", "raw", "events", "montage", "reference_rr", "surveys"}
+    for section, read in values.items():
+        owner = defaults.stages if section == "stages" else defaults
+        for name in read.keys() - files - {"ica_seed"}:
+            assert read[name] == getattr(owner, name), (section, name)
+
+
+def test_readme_library_use_block_runs(tmp_path, monkeypatch):
+    # the block as written, in a directory holding the synth session it names
+    block = README.read_text().split("## Library use", 1)[1].split("```python\n", 1)[1]
+    spec = tmp_path / "berger.ini"
+    spec.write_text("[synth]\nkind = berger\nseed = 0\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["synth", "--spec", str(spec), "--out-dir", "data"]) == 0
+    exec(compile(block.split("```", 1)[0], str(README), "exec"), {})
+    assert len(list((tmp_path / "out").iterdir())) == 7
 
 
 # ------------------------------------------------------------ run_pipeline

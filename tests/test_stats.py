@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from earpipe.pipeline import _json_dump
 from earpipe.stats import (
-    BlandAltmanReport,
     SurveyResponse,
     aggregate_survey,
     betainc_reg,
@@ -114,11 +114,16 @@ def test_z_standardize_errors_name_participant():
 # --- regression ------------------------------------------------------------------
 
 
+def _column(fit: dict, key: str) -> np.ndarray:
+    """One field of every coefficient of a fit, in the fit's order."""
+    return np.array([c[key] for c in fit["coefficients"]])
+
+
 def test_fit_linear_exact_line():
     fit = fit_linear(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]))
-    assert fit.coef[1] == pytest.approx(1.0, abs=1e-12)
-    assert fit.coef[0] == pytest.approx(0.0, abs=1e-12)
-    assert fit.r_squared == pytest.approx(1.0)
+    assert _column(fit, "estimate")[1] == pytest.approx(1.0, abs=1e-12)
+    assert _column(fit, "estimate")[0] == pytest.approx(0.0, abs=1e-12)
+    assert fit["r_squared"] == pytest.approx(1.0)
 
 
 def test_fit_linear_matches_normal_equations():
@@ -128,9 +133,9 @@ def test_fit_linear_matches_normal_equations():
     fit = fit_linear(x, y)
     design = np.column_stack([np.ones_like(x), x])
     beta, se, r2 = normal_equations(design, y)
-    assert np.allclose(fit.coef, beta, atol=1e-9)
-    assert np.allclose(fit.se, se, atol=1e-9)
-    assert fit.r_squared == pytest.approx(r2, abs=1e-9)
+    assert np.allclose(_column(fit, "estimate"), beta, atol=1e-9)
+    assert np.allclose(_column(fit, "se"), se, atol=1e-9)
+    assert fit["r_squared"] == pytest.approx(r2, abs=1e-9)
 
 
 def test_orthogonal_basis_inner_products():
@@ -149,9 +154,9 @@ def test_quadratic_nesting_exact():
     quad = fit_quadratic_orthogonal(x, y)
     ols = fit_linear(x, y)
     # orthogonality: adding the quadratic term leaves the slope unchanged
-    assert quad.names[1] == "linear"
-    assert quad.coef[1] == pytest.approx(ols.coef[1], rel=1e-12)
-    assert quad.r_squared >= ols.r_squared
+    assert quad["coefficients"][1]["name"] == "linear"
+    assert _column(quad, "estimate")[1] == pytest.approx(_column(ols, "estimate")[1], rel=1e-12)
+    assert quad["r_squared"] >= ols["r_squared"]
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
@@ -165,7 +170,7 @@ def test_quadratic_refused_when_x_takes_two_values(scale):
         fit_quadratic_orthogonal(x, rng.normal(size=10))
     # a third value makes the term identifiable again
     x[0] = 0.0
-    assert math.isfinite(fit_quadratic_orthogonal(x, rng.normal(size=10)).coef[2])
+    assert math.isfinite(_column(fit_quadratic_orthogonal(x, rng.normal(size=10)), "estimate")[2])
 
 
 def test_quadratic_matches_normal_equations():
@@ -175,9 +180,9 @@ def test_quadratic_matches_normal_equations():
     fit = fit_quadratic_orthogonal(x, y)
     basis = orthogonal_poly_basis(x)
     beta, se, r2 = normal_equations(basis, y)
-    assert np.allclose(fit.coef, beta, atol=1e-9)
-    assert np.allclose(fit.se, se, atol=1e-9)
-    assert fit.r_squared == pytest.approx(r2, abs=1e-9)
+    assert np.allclose(_column(fit, "estimate"), beta, atol=1e-9)
+    assert np.allclose(_column(fit, "se"), se, atol=1e-9)
+    assert fit["r_squared"] == pytest.approx(r2, abs=1e-9)
 
 
 def test_inverted_u_detected():
@@ -185,8 +190,8 @@ def test_inverted_u_detected():
     x = rng.uniform(-2, 2, size=60)
     y = 1.0 - 1.2 * x**2 + rng.normal(scale=0.5, size=60)
     fit = fit_quadratic_orthogonal(x, y)
-    assert fit.coef[2] < 0
-    assert fit.p_values[2] < 0.05
+    assert _column(fit, "estimate")[2] < 0
+    assert _column(fit, "p")[2] < 0.05
 
 
 # --- contrasts -------------------------------------------------------------------
@@ -205,32 +210,31 @@ def _cells(seed: int, conditions=("a", "b", "c"), n_participants: int = 6, effec
 def test_single_pair_adjusted_equals_raw():
     cells = _cells(8, conditions=("x", "y"))
     table = pairwise_contrasts(cells)
-    assert len(table.rows) == 1
-    _, _, _, _, _, p_raw, p_adj = table.rows[0]
-    assert p_adj == pytest.approx(p_raw)
+    assert len(table["pairs"]) == 1
+    pair = table["pairs"][0]
+    assert pair["p_adjusted"] == pytest.approx(pair["p_raw"])
 
 
 def test_contrasts_detect_large_effect():
     cells = _cells(9, effect=4.0)
     table = pairwise_contrasts(cells)
-    assert table.omnibus_p < 0.01
-    d = table.to_dict()
-    ac = [r for r in d["pairs"] if {r["a"], r["b"]} == {"a", "c"}][0]
+    assert table["omnibus"]["p"] < 0.01
+    ac = [r for r in table["pairs"] if {r["a"], r["b"]} == {"a", "c"}][0]
     assert ac["p_adjusted"] < 0.05
 
 
 def test_contrasts_null_effect_not_significant():
     cells = _cells(10, effect=0.0)
     table = pairwise_contrasts(cells)
-    assert table.omnibus_p > 0.05
+    assert table["omnibus"]["p"] > 0.05
 
 
 def test_contrasts_balanced_flag():
     cells = _cells(11)
-    assert pairwise_contrasts(cells).balanced
+    assert pairwise_contrasts(cells)["balanced"]
     unbalanced = dict(cells)
     unbalanced.pop(("P0", "a"))
-    assert not pairwise_contrasts(unbalanced).balanced
+    assert not pairwise_contrasts(unbalanced)["balanced"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -255,10 +259,10 @@ def test_bonferroni_monotone_and_clipped(ps):
 def test_bland_altman_identical_series_exact():
     x = np.array([800.0, 810.0, 790.0, 805.0])
     report = bland_altman(x, x.copy())
-    assert report.mean_abs_diff_ms == 0.0
-    assert report.mean_diff_ms == 0.0
-    assert report.gaussian_loa_ms == 0.0
-    assert report.pearson_r == 1.0
+    assert report["mean_abs_diff_ms"] == 0.0
+    assert report["mean_diff_ms"] == 0.0
+    assert report["gaussian_loa_ms"] == 0.0
+    assert report["pearson_r"] == 1.0
 
 
 def test_bland_altman_seeded_normal_differences():
@@ -266,17 +270,16 @@ def test_bland_altman_seeded_normal_differences():
     ref = 900.0 + rng.normal(scale=50.0, size=2000)
     alt = ref + rng.normal(scale=20.0, size=2000)
     report = bland_altman(ref, alt)
-    assert report.gaussian_loa_ms == pytest.approx(1.96 * 20.0, rel=0.10)
-    assert report.mean_diff_ms == pytest.approx(0.0, abs=2.0)
+    assert report["gaussian_loa_ms"] == pytest.approx(1.96 * 20.0, rel=0.10)
+    assert report["mean_diff_ms"] == pytest.approx(0.0, abs=2.0)
 
 
 def test_bland_altman_zero_variance_r_is_nan():
     ref = np.full(5, 900.0)
     alt = np.full(5, 905.0)
     report = bland_altman(ref, alt)
-    assert math.isnan(report.pearson_r)
-    json.dumps(report.to_dict())  # NaN must not leak into the JSON
-    assert report.to_dict()["pearson_r"] is None
+    json.dumps(report, allow_nan=False)  # NaN must not leak into the JSON
+    assert report["pearson_r"] is None
 
 
 def test_bland_altman_requires_pairs():
@@ -284,19 +287,19 @@ def test_bland_altman_requires_pairs():
         bland_altman(np.array([1.0]), np.array([1.0]))
 
 
-def test_report_serialization_fixture():
-    # published-style agreement numbers survive a JSON round-trip unchanged
-    report = BlandAltmanReport(
-        n=313,
-        mean_abs_diff_ms=1.6,
-        mean_diff_ms=0.0,
-        gaussian_loa_ms=81.0,
-        nonparametric_loa_ms=9.8,
-        pearson_r=0.94,
-        percentile_loa_ms=(-80.0, 80.0),
-    )
-    blob = json.dumps(report.to_dict())
-    back = json.loads(blob)
+def test_report_serialization_fixture(tmp_path):
+    # published-style agreement numbers survive the report writer unchanged
+    report = {
+        "n": 313,
+        "mean_abs_diff_ms": 1.6,
+        "mean_diff_ms": 0.0,
+        "gaussian_loa_ms": 81.0,
+        "nonparametric_loa_ms": 9.8,
+        "pearson_r": 0.94,
+        "percentile_loa_ms": [-80.0, 80.0],
+    }
+    _json_dump(report, tmp_path / "bland_altman.json")
+    back = json.loads((tmp_path / "bland_altman.json").read_text())
     assert back["mean_abs_diff_ms"] == 1.6
     assert back["gaussian_loa_ms"] == 81.0
     assert back["nonparametric_loa_ms"] == 9.8
