@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import envelope
 from .ingest import read_table
 from .spectral import BandPowerRow
 from .stats import (
@@ -29,6 +30,7 @@ TLX_COLUMNS = tuple(f"tlx_{i}" for i in range(1, TLX_ITEMS + 1))
 FLOW_COLUMNS = tuple(f"flow_{i}" for i in range(1, FLOW_ITEMS + 1))
 # the conditions the workload and flow models leave out unless told otherwise
 REST_CONDITIONS = ("eyes_open", "eyes_closed")
+MODELS = ("workload_linear", "flow_quadratic")
 
 
 def read_scores(path, default_participant: str = "P01") -> dict:
@@ -93,13 +95,19 @@ def _joined_arrays(pooled: dict, scores: dict, band: str, exclude: tuple):
     return participants, np.array(power), np.array(tlx), np.array(flow)
 
 
-def _fit_or_reason(fit_fn, *args, **kwargs) -> dict:
-    """fit_fn's report with status ok, or status not_computed and the
-    reason its ValueError gives."""
-    try:
-        return {"status": "ok", **fit_fn(*args, **kwargs)}
-    except ValueError as exc:
-        return {"status": "not_computed", "reason": str(exc)}
+def _band_models(pooled: dict, scores: dict, band: str, exclude: tuple) -> dict:
+    participants, power, tlx, flow = _joined_arrays(pooled, scores, band, exclude)
+    if len(power) < 3:
+        raise ValueError(f"only {len(power)} joined observations")
+    pz, tz, fz = (z_standardize(v, participants) for v in (power, tlx, flow))
+    absorbed = len(set(participants)) - 1
+    return {"workload_linear": envelope(fit_linear, pz, tz, absorbed=absorbed),
+            "flow_quadratic": envelope(fit_quadratic_orthogonal, pz, fz, absorbed=absorbed)}
+
+
+def _per_model(models: dict) -> dict:
+    """Each model's entry of an envelope of both; a not_computed one is every model's."""
+    return {model: models.get(model, models) for model in MODELS}
 
 
 def band_score_models(rows: list[BandPowerRow], scores: dict, exclude: tuple = ()) -> dict:
@@ -109,25 +117,13 @@ def band_score_models(rows: list[BandPowerRow], scores: dict, exclude: tuple = (
     Standardizing within each of k participants takes out k means, one of
     which the intercept stands for, so each fit's residual df is k - 1
     fewer than a plain regression's: n - k - 1 for the line and n - k - 2
-    for the quadratic.
+    for the quadratic. When the join or a standardization fails, both
+    models of the band carry that first failure.
     """
     pooled = pool_channels(rows)
-    out: dict = {"workload_linear": {}, "flow_quadratic": {}}
-    for band in _band_names(rows):
-        participants, power, tlx, flow = _joined_arrays(pooled, scores, band, exclude)
-        try:
-            if len(power) < 3:
-                raise ValueError(f"only {len(power)} joined observations")
-            pz, tz, fz = (z_standardize(v, participants) for v in (power, tlx, flow))
-        except ValueError as exc:
-            for model in out.values():
-                model[band] = {"status": "not_computed", "reason": str(exc)}
-            continue
-        absorbed = len(set(participants)) - 1
-        out["workload_linear"][band] = _fit_or_reason(fit_linear, pz, tz, absorbed=absorbed)
-        out["flow_quadratic"][band] = _fit_or_reason(fit_quadratic_orthogonal, pz, fz,
-                                                     absorbed=absorbed)
-    return out
+    by_band = {band: _per_model(envelope(_band_models, pooled, scores, band, exclude))
+               for band in _band_names(rows)}
+    return {model: {band: fits[model] for band, fits in by_band.items()} for model in MODELS}
 
 
 def band_condition_contrasts(rows: list[BandPowerRow]) -> dict:
@@ -137,21 +133,21 @@ def band_condition_contrasts(rows: list[BandPowerRow]) -> dict:
     out: dict = {}
     for band in _band_names(rows):
         cells = {(p, c): value for (p, c, b), value in pooled.items() if b == band}
-        out[band] = _fit_or_reason(pairwise_contrasts, cells)
+        out[band] = envelope(pairwise_contrasts, cells)
     return out
 
 
+def _score_models(rows: list[BandPowerRow], scores: dict | None, exclude: tuple) -> dict:
+    if not scores:
+        raise ValueError("no scores supplied")
+    return band_score_models(rows, scores, exclude)
+
+
 def analyze_tables(rows: list[BandPowerRow], scores: dict | None, exclude: tuple = ()) -> dict:
-    payload: dict = {
+    return {
         "n_rows": len(rows),
         "bands": _band_names(rows),
         "excluded_conditions": list(exclude),
         "contrasts": band_condition_contrasts(rows),
+        **_per_model(envelope(_score_models, rows, scores, exclude)),
     }
-    if scores:
-        payload.update(band_score_models(rows, scores, exclude))
-    else:
-        payload["workload_linear"] = {"status": "not_computed", "reason": "no scores supplied"}
-        payload["flow_quadratic"] = {"status": "not_computed", "reason": "no scores supplied"}
-    return payload
-

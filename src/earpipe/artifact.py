@@ -361,14 +361,6 @@ class AsrModel:
     calib_windows_used: int
 
 
-@dataclass(frozen=True)
-class FlaggedWindow:
-    index: int
-    start_s: float
-    end_s: float
-    bad_fraction: float
-
-
 def calibration_windows(n_samples: int, rate: float, cfg: AsrConfig) -> tuple[int, int]:
     """The length and count of the calibration windows asr_calibrate cuts
     from n_samples; ValueError when the window or the data is too short."""
@@ -451,7 +443,7 @@ def _window_rms(x: np.ndarray, basis: np.ndarray, starts: np.ndarray, w: int) ->
 
 def asr_process(
     rec: Recording, model: AsrModel, cfg: AsrConfig = AsrConfig()
-) -> tuple[Recording, list[FlaggedWindow]]:
+) -> tuple[Recording, list[dict]]:
     """Suppress burst components window by window.
 
     Processing windows overlap 50%. In each, component amplitudes above
@@ -459,7 +451,8 @@ def asr_process(
     subspace (a least-squares projection, so window energy never grows);
     corrections are blended with a raised-cosine cross-fade. Windows
     where the over-threshold component fraction exceeds the window
-    criterion are additionally flagged for downstream exclusion. A
+    criterion are additionally flagged for downstream exclusion, each as
+    the dict qc.json holds (index, start_s, end_s, bad_fraction). A
     window with nothing over threshold passes through bit-identically.
     Every window's component RMS is taken in column blocks; only the
     windows with a component over threshold are rebuilt.
@@ -473,8 +466,8 @@ def asr_process(
     bad = _window_rms(rec.data, model.basis, np.asarray(starts), w) > model.thresholds[:, None]
     frac = bad.mean(axis=0)
     flagged = [
-        FlaggedWindow(index=int(i), start_s=starts[i] / rec.rate, end_s=(starts[i] + w) / rec.rate,
-                      bad_fraction=float(frac[i]))
+        {"index": int(i), "start_s": starts[i] / rec.rate, "end_s": (starts[i] + w) / rec.rate,
+         "bad_fraction": float(frac[i])}
         for i in np.flatnonzero(frac > cfg.window_criterion)
     ]
     hits = np.flatnonzero(bad.any(axis=0))

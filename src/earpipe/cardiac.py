@@ -255,7 +255,7 @@ def match_beats(ref: BeatSeries, alt: BeatSeries, tolerance_s: float = 0.15) -> 
     the tolerance. Swapping the two series swaps the unmatched counts
     and mirrors the same pairs.
     """
-    if tolerance_s <= 0:
+    if not tolerance_s > 0:  # also refuses nan
         raise ValueError(f"tolerance must be positive, got {tolerance_s}")
     r = ref.beat_times
     a = alt.beat_times

@@ -17,7 +17,7 @@ from pathlib import Path
 from .analysis import REST_CONDITIONS, analyze_tables, read_scores
 from .artifact import ECG_SCORE_THRESHOLD, ECG_SKEW_THRESHOLD, SKEW_EPOCH_S, extract_ecg
 from .cardiac import MIN_RATE_HZ, rr_periods
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, reraise
 from .ingest import (
     Event, Recording, check_name, cut_segments, load_events_csv, load_session_csv, parse_stream,
     read_index, read_table, save_events_csv, save_session_csv,
@@ -54,10 +54,8 @@ def _read_synth_spec(path, seed_override: int | None, spec_of: dict):
     seed = seed_override if seed_override is not None else values["synth"].get("seed")
     if seed is None:
         raise ConfigError("[synth] seed is required; randomized output must be reproducible")
-    try:
+    with reraise(ConfigError, f"{kind}: "):
         return kind, spec_of[kind](seed=seed, **values.get(kind, {}))
-    except ValueError as exc:
-        raise ConfigError(f"{kind}: {exc}") from None
 
 
 # --- subcommands -------------------------------------------------------------
@@ -127,38 +125,28 @@ def cmd_run(args) -> dict:
 
 
 def cmd_bands(args) -> dict:
-    try:
+    with reraise(ConfigError):
         check_name("--participant", args.participant)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     rec = load_input("session file", load_session_csv, args.session)
-    try:
+    with reraise(ConfigError, "--segment, --overlap: "):
         check_welch_window(args.segment, args.overlap)
-    except ValueError as exc:
-        raise ConfigError(f"--segment, --overlap: {exc}") from None
-    try:
+    with reraise(ConfigError, "--bands: "):
         bands = parse_band_spec(args.bands) if args.bands else DEFAULT_BANDS
         check_bands(bands, args.segment, rec.rate, rec.n_samples)
-    except ValueError as exc:
-        raise ConfigError(f"--bands: {exc}") from None
     if args.events:
         events = load_input("events file", load_events_csv, args.events)
     else:
         events = [Event("all", *rec.span)]
-    try:
+    with reraise(DataError):
         segments = cut_segments(rec, events)
         for ev in events:  # run flags an event outside the span; bands refuses it
             rec.check_span(ev)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
     psds = []
     for seg in segments:
         # with the window checked, Welch can only find the segment too short
-        try:
+        with reraise(DataError, f"segment {seg.condition}: "):
             psds.append((seg.condition, welch_psd_recording(
                 seg.recording, seg=args.segment, overlap=args.overlap)))
-        except ValueError as exc:
-            raise DataError(f"segment {seg.condition}: {exc}") from None
     rows = condition_band_rows(args.participant, psds, bands)
     write_band_table(rows, args.out)
     return {"rows": len(rows), "out": args.out}
@@ -177,10 +165,8 @@ def cmd_ecg(args) -> dict:
             raise ConfigError(f"channel index {args.channel} outside 1..{rec.n_channels}")
     # the channel alone, through the cardiac-source decision of `run`
     channel = Recording(rate=rec.rate, labels=[rec.labels[row]], data=rec.data[row : row + 1])
-    try:
+    with reraise(DataError, f"channel {args.channel}: "):
         pick = extract_ecg(channel)
-    except ValueError as exc:
-        raise DataError(f"channel {args.channel}: {exc}") from None
     if pick is None:
         raise DataError(f"channel {args.channel}: no heartbeat by the rule of stage 7, which "
                         f"needs at least {2 * SKEW_EPOCH_S:g} s at {MIN_RATE_HZ:g} Hz or more, "
@@ -202,7 +188,8 @@ def cmd_agree(args) -> dict:
         raise ConfigError(f"--tolerance must be positive and finite, got {args.tolerance}")
     ref = load_input("R-R file", load_rr_beats, args.ref)
     alt = load_input("R-R file", load_rr_beats, args.alt)
-    payload = {**rr_agreement(ref, alt, args.tolerance), "tolerance_s": args.tolerance}
+    with reraise(DataError):
+        payload = {**rr_agreement(ref, alt, args.tolerance), "tolerance_s": args.tolerance}
     if args.out:
         _json_dump(payload, args.out)
     return payload

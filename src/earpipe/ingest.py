@@ -31,6 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import reraise
+
 HEADER_BYTE = 0xA0
 FOOTER_LO = 0xC0
 FOOTER_HI = 0xCF
@@ -107,6 +109,14 @@ def check_name(what: str, name: str) -> None:
     the csv module and would split a bands.csv row."""
     if _CONTROL.search(name):
         raise ValueError(f"{what} {name!r} holds a control character")
+
+
+def read_float(text: str) -> float:
+    """text as a float by the session CSV's rule (_reads_as_float), else a
+    ValueError in float()'s words, also for a separator or non-ASCII digit."""
+    if not _reads_as_float(text):
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
 
 
 def read_index(text: str) -> int:
@@ -703,10 +713,8 @@ class TableRow(dict):
     def build(self, make, *args):
         """make(*args); a ValueError it raises is raised again, named by
         this row's file and line."""
-        try:
+        with reraise(ValueError, f"{self.path}:{self.line}: "):
             return make(*args)
-        except ValueError as exc:
-            raise ValueError(f"{self.path}:{self.line}: {exc}") from None
 
 
 def read_table(path, required, header_rule: str | None = None):

@@ -33,7 +33,7 @@ from .artifact import (
     processing_window,
 )
 from .cardiac import BeatSeries, match_beats, paired_rr, rr_outlier_filter, rr_periods
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, envelope, reraise
 from .filters import (
     FirFilter,
     FirSpec,
@@ -80,7 +80,7 @@ def _as_bool(text: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
     except KeyError:
-        raise ConfigError(f"cannot read boolean value {text!r}") from None
+        raise ValueError(f"cannot read boolean value {text!r}") from None
 
 
 def _csv_tuple(text: str) -> tuple:
@@ -143,10 +143,7 @@ class PipelineConfig:
             problems.append("input: exactly one of 'session' or 'raw' must be set")
         if self.events is None:
             problems.append("input: 'events' file is required")
-        try:
-            check_name("participant", self.participant)
-        except ValueError as exc:
-            problems.append(f"input: {exc}")
+        _try(problems, "input: ", check_name, "participant", self.participant)
         if self.raw is not None and not 0 < self.rate < float("inf"):
             rule = "finite" if self.rate > 0 else "positive"
             problems.append(f"input: rate must be {rule}, got {self.rate}")
@@ -165,16 +162,17 @@ class PipelineConfig:
             (AsrConfig, "asr_burst_k", "asr_window_criterion", "asr_calib_win_s", "asr_proc_win_s"),
             (check_welch_window, "psd_segment", "psd_overlap"),
         ):
-            _try(problems, ", ".join(keys), make, *(getattr(self, key) for key in keys))
+            _try(problems, f"pipeline: {', '.join(keys)}: ", make,
+                 *(getattr(self, key) for key in keys))
         return problems
 
 
-def _try(problems: list[str], keys: str, make, *args):
-    """make(*args), or None with its ValueError added to problems under keys."""
+def _try(problems: list[str], prefix: str, make, *args):
+    """make(*args), or None with prefix and its ValueError's message added to problems."""
     try:
         return make(*args)
     except ValueError as exc:
-        problems.append(f"pipeline: {keys}: {exc}")
+        problems.append(prefix + str(exc))
 
 
 # INI section -> the keys it accepts. Each key names a PipelineConfig
@@ -233,10 +231,9 @@ def read_sections(parser: configparser.ConfigParser, sections: dict) -> tuple[di
                 continue
             f = sections[section][key]
             parse = f.metadata.get("parse") or _PARSE_BY_TYPE[f.type.removesuffix(" | None")]
-            try:
-                values[section][f.name] = parse(text)
-            except ValueError as exc:
-                problems.append(f"{section}: bad value for {key}: {exc}")
+            value = _try(problems, f"{section}: bad value for {key}: ", parse, text)
+            if value is not None:  # no parser returns None
+                values[section][f.name] = value
     return values, problems
 
 
@@ -305,10 +302,10 @@ def plan_stages(cfg: PipelineConfig, rec: Recording, monmap) -> StagePlan:
     build the stage objects; every problem goes into one ConfigError."""
     rate = rec.rate
     problems: list[str] = []
-    rows = [_try(problems, key, monmap.channel, getattr(cfg, key))
+    rows = [_try(problems, f"pipeline: {key}: ", monmap.channel, getattr(cfg, key))
             for key in ("reref_left", "reref_right") if cfg.stages.rereference]
     if cfg.stages.line:
-        _try(problems, "line_freq_hz, line_win_s, line_harmonics", check_line_noise,
+        _try(problems, "pipeline: line_freq_hz, line_win_s, line_harmonics: ", check_line_noise,
              rate, cfg.line_freq_hz, cfg.line_win_s, cfg.line_step_s, cfg.line_harmonics)
     firs = []
     for on, kind, cutoff, order in (
@@ -326,8 +323,9 @@ def plan_stages(cfg: PipelineConfig, rec: Recording, monmap) -> StagePlan:
                 f"than the session's {rec.n_samples}"
             )
             continue
-        firs.append(_try(problems, cutoff, design_fir, spec, rate))
-    _try(problems, "bands", check_bands, cfg.bands, cfg.psd_segment, rate, rec.n_samples)
+        firs.append(_try(problems, f"pipeline: {cutoff}: ", design_fir, spec, rate))
+    _try(problems, "pipeline: bands: ", check_bands,
+         cfg.bands, cfg.psd_segment, rate, rec.n_samples)
     if problems:
         raise ConfigError("; ".join(problems))
     if rows and max(rows) > rec.n_channels:
@@ -396,15 +394,13 @@ def preflight_segments(segments, cfg: PipelineConfig, plan: StagePlan) -> None:
     process_segment would raise."""
     for i, seg in enumerate(segments):
         n = seg.recording.n_samples
-        try:
+        with reraise(DataError, f"segment {i} ({seg.condition}): "):
             if plan.fir is not None:
                 check_fir_length(n, plan.fir)
             if plan.asr is not None:
                 calibration_windows(n, seg.recording.rate, plan.asr)
                 processing_window(n, seg.recording.rate, plan.asr)
             check_welch_length(n, cfg.psd_segment)
-        except ValueError as exc:
-            raise DataError(f"segment {i} ({seg.condition}): {exc}") from None
 
 
 def process_segment(
@@ -415,7 +411,7 @@ def process_segment(
     Returns the segment's qc.json entry, its linear PSD (flagged windows
     excluded) and its ECG pick or None; a stage failure is a DataError
     naming it."""
-    try:
+    with reraise(DataError, f"segment {seg_index} ({condition}): "):
         cleaned = clean_segment(seg_rec, cfg, monmap, plan, clock)
 
         flagged = []
@@ -430,19 +426,17 @@ def process_segment(
             with clock("ecg"):
                 pick = extract_ecg(cleaned)
 
-        exclude = [(f.start_s, f.end_s) for f in flagged]
+        exclude = [(f["start_s"], f["end_s"]) for f in flagged]
         with clock("welch"):
             psd = welch_psd_recording(
                 asr_out, seg=cfg.psd_segment, overlap=cfg.psd_overlap, exclude_spans=exclude
             )
         with clock("qc"):
             qc = qc_report(asr_out, psd, line_freq_hz=cfg.line_freq_hz)
-    except ValueError as exc:
-        raise DataError(f"segment {seg_index} ({condition}): {exc}") from None
     entry = {
         "condition": condition,
         "qc": qc,
-        "asr_flagged_windows": [asdict(f) for f in flagged],
+        "asr_flagged_windows": flagged,
         "ecg_component": pick.index if pick else None,
         "ecg_score": pick.score if pick else None,
     }
@@ -542,11 +536,8 @@ def compute_run(cfg: PipelineConfig) -> RunResult:
     if rec.n_channels == len(monmap.channel_of):
         rec = relabel_by_montage(rec, monmap)
 
-    try:
-        with clock("cut"):
-            segments = cut_segments(rec, events)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    with reraise(DataError), clock("cut"):
+        segments = cut_segments(rec, events)
     # the segments hold copies of their samples; drop the whole session
     rate = rec.rate
     del rec
@@ -575,20 +566,9 @@ def compute_run(cfg: PipelineConfig) -> RunResult:
     if stream is not None:
         integrity["stream"] = stream.to_dict()
 
-    try:
-        if ref_beats is None:
-            raise DataError("no reference R-R series configured")
-        if not picked:
-            raise DataError("no ECG component detected")
-        try:
-            alt = BeatSeries(np.sort(np.concatenate([t0 + b.beat_times for t0, b in picked])))
-        except ValueError as exc:
-            raise DataError(f"the ECG segments overlap in session time: {exc}") from None
-        ba = {"status": "ok", **rr_agreement(ref_beats, alt, cfg.match_tolerance_s)}
-    except DataError as exc:
-        ba = {"status": "not_computed", "reason": str(exc)}
+    ba = envelope(_session_agreement, ref_beats, picked, cfg.match_tolerance_s)
     rr = [row for t0, beats in picked for row in rr_rows(beats, t0)]
-    regression = _run_regressions(cfg, band_rows, scores)
+    regression = envelope(_run_regressions, cfg, band_rows, scores)
     return RunResult(cfg, started, conditions, band_rows, qc, integrity, rr, ba, regression,
                      session_cache, clock.seconds)
 
@@ -635,11 +615,11 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
 def rr_agreement(ref: BeatSeries, alt: BeatSeries, tolerance_s: float) -> dict:
     """Bland-Altman agreement of the R-R intervals between beats matched
-    within tolerance_s; a DataError when fewer than two intervals pair."""
+    within tolerance_s; a ValueError when fewer than two intervals pair."""
     match = match_beats(ref, alt, tolerance_s)
     rr_ref, rr_alt = paired_rr(match, ref, alt)
     if len(rr_ref) < 2:
-        raise DataError(f"only {len(rr_ref)} paired R-R intervals at tolerance {tolerance_s}s")
+        raise ValueError(f"only {len(rr_ref)} paired R-R intervals at tolerance {tolerance_s}s")
     return {
         "matched_pairs": len(match.pairs),
         "unmatched_ref": match.unmatched_ref,
@@ -666,11 +646,21 @@ def load_rr_beats(path) -> BeatSeries:
     return rows[-1].build(BeatSeries, beats + [t + rr_ms / 1000.0])
 
 
+def _session_agreement(ref_beats: BeatSeries | None, picked: list, tolerance_s: float) -> dict:
+    """rr_agreement of the reference and every (first_t, beats) pick in session time."""
+    if ref_beats is None:
+        raise ValueError("no reference R-R series configured")
+    if not picked:
+        raise ValueError("no ECG component detected")
+    with reraise(ValueError, "the ECG segments overlap in session time: "):
+        alt = BeatSeries(np.sort(np.concatenate([t0 + b.beat_times for t0, b in picked])))
+    return rr_agreement(ref_beats, alt, tolerance_s)
+
+
 def _run_regressions(cfg: PipelineConfig, band_rows, scores) -> dict:
     if scores is None:
-        return {"status": "not_computed", "reason": "no surveys configured"}
+        raise ValueError("no surveys configured")
     return {
-        "status": "ok",
         "excluded_conditions": list(cfg.exclude_conditions),
         **band_score_models(band_rows, scores, exclude=cfg.exclude_conditions),
     }

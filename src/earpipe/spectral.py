@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ingest import Recording, check_name, read_table
+from .ingest import Recording, check_name, read_float, read_table
 
 DB_EPS = 1e-15
 DB_FLOOR = -150.0
@@ -28,7 +28,7 @@ class BandDefinition:
 
     def __post_init__(self):
         check_name("band", self.name)
-        if self.lo_hz < 0 or self.hi_hz <= self.lo_hz:
+        if not 0 <= self.lo_hz < self.hi_hz:  # also refuses nan
             raise ValueError(f"band {self.name}: bad bounds [{self.lo_hz}, {self.hi_hz}]")
 
     def bins(self, freqs: np.ndarray, rate: float) -> np.ndarray:
@@ -177,7 +177,7 @@ def parse_band_spec(text: str) -> tuple[BandDefinition, ...]:
             raise ValueError(f"bad band spec {part!r}; expected name:lo:hi")
         if any(b.name == bits[0] for b in bands):
             raise ValueError(f"band {bits[0]!r} named twice")
-        bands.append(BandDefinition(bits[0], float(bits[1]), float(bits[2])))
+        bands.append(BandDefinition(bits[0], read_float(bits[1]), read_float(bits[2])))
     return tuple(bands)
 
 

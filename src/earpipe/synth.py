@@ -15,15 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cardiac import BeatSeries
-from .ingest import Event, Recording
+from .ingest import Event, Recording, read_float
 
 
 def parse_pair(text: str) -> tuple[float, float]:
-    """Read 'value:value' as two floats."""
+    """Read 'value:value' as two floats, each by the session CSV's number rule."""
     parts = text.split(":")
     if len(parts) != 2:
         raise ValueError(f"expected value:value, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    return read_float(parts[0]), read_float(parts[1])
 
 
 def parse_pairs(text: str) -> tuple:

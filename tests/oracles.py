@@ -22,7 +22,6 @@ from earpipe.artifact import (
     SKEW_EPOCH_S,
     AsrConfig,
     AsrModel,
-    FlaggedWindow,
     SkewUnit,
     _deflate,
     _whiten,
@@ -611,7 +610,7 @@ def remove_line_noise_loop(
 
 def asr_process_loop(
     rec: Recording, model: AsrModel, cfg: AsrConfig = AsrConfig()
-) -> tuple[Recording, list[FlaggedWindow]]:
+) -> tuple[Recording, list[dict]]:
     """artifact.asr_process with one projection and RMS per window."""
     if model.basis.shape[0] != rec.n_channels:
         raise ValueError("model channel count does not match the recording")
@@ -623,7 +622,7 @@ def asr_process_loop(
     corr = np.zeros_like(rec.data)
     wsum = np.zeros(n)
     touched = np.zeros(n, dtype=bool)
-    flagged: list[FlaggedWindow] = []
+    flagged: list[dict] = []
     n_comp = model.basis.shape[1]
     for idx, s in enumerate(starts):
         seg = rec.data[:, s : s + w]
@@ -640,10 +639,8 @@ def asr_process_loop(
         touched[s : s + w] = True
         frac = float(bad.sum()) / n_comp
         if frac > cfg.window_criterion:
-            flagged.append(
-                FlaggedWindow(index=idx, start_s=s / rec.rate, end_s=(s + w) / rec.rate,
-                              bad_fraction=frac)
-            )
+            flagged.append({"index": idx, "start_s": s / rec.rate, "end_s": (s + w) / rec.rate,
+                            "bad_fraction": frac})
     if not touched.any():
         return rec.with_data(rec.data), flagged
     scale = np.where(wsum > 0, wsum, 1.0)

@@ -245,8 +245,8 @@ def test_asr_behavior():
     many.data[:, i0:i1] += 3000.0 * model_c.basis[:, :3].sum(axis=1, keepdims=True)
     _, flagged_many = asr_process(many, model_c, crit)
     mid = 60.25
-    assert all(not (w.start_s <= mid <= w.end_s) for w in flagged_few)  # 1/16 < 0.15
-    assert any(w.start_s <= mid <= w.end_s for w in flagged_many)  # 3/16 > 0.15
+    assert all(not (w["start_s"] <= mid <= w["end_s"]) for w in flagged_few)  # 1/16 < 0.15
+    assert any(w["start_s"] <= mid <= w["end_s"] for w in flagged_many)  # 3/16 > 0.15
 
 
 @pytest.mark.acceptance(8, "Parser: bit-exact round-trip, fuzz safety, resync counts")

@@ -11,8 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from earpipe.analysis import REST_CONDITIONS, _fit_or_reason, band_score_models
+from earpipe.analysis import REST_CONDITIONS, band_score_models
 from earpipe.cli import main
+from earpipe.errors import envelope
 from earpipe.pipeline import PipelineConfig
 from earpipe.spectral import BandPowerRow, write_band_table
 from earpipe.stats import fit_linear, fit_quadratic_orthogonal
@@ -90,7 +91,7 @@ def test_absorbed_means_widen_the_standard_errors():
 
 def test_fit_with_no_residual_df_left_is_not_computed():
     x, y = np.arange(5.0), np.array([0.0, 2.0, 1.0, 4.0, 3.0])
-    got = _fit_or_reason(fit_linear, x, y, absorbed=3)
+    got = envelope(fit_linear, x, y, absorbed=3)
     assert got == {"status": "not_computed",
                    "reason": "5 points leave no residual degrees of freedom after "
                              "2 coefficients and 3 absorbed means"}

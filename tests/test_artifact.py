@@ -363,8 +363,8 @@ def test_window_criterion_controls_flagging():
     many.data[:, i0:i1] += 3000.0 * model.basis[:, :3].sum(axis=1, keepdims=True)
     _, flagged_many = asr_process(many, model, cfg)
     # 1/16 = 0.0625 stays under the criterion, 3/16 = 0.1875 exceeds it
-    assert all(not (w.start_s <= 60.25 <= w.end_s) for w in flagged_few)
-    assert any(w.start_s <= 60.25 <= w.end_s for w in flagged_many)
+    assert all(not (w["start_s"] <= 60.25 <= w["end_s"]) for w in flagged_few)
+    assert any(w["start_s"] <= 60.25 <= w["end_s"] for w in flagged_many)
 
 
 def test_flagged_window_reports_time_and_fraction():
@@ -374,9 +374,9 @@ def test_flagged_window_reports_time_and_fraction():
     i0, i1 = int(30.0 * RATE), int(30.4 * RATE)
     rec.data[:, i0:i1] += 2000.0 * model.basis[:, :2].sum(axis=1, keepdims=True)
     _, flagged = asr_process(rec, model, cfg)
-    hits = [w for w in flagged if w.start_s <= 30.2 <= w.end_s]
+    hits = [w for w in flagged if w["start_s"] <= 30.2 <= w["end_s"]]
     assert hits
-    assert all(0.0 < w.bad_fraction <= 1.0 for w in hits)
+    assert all(0.0 < w["bad_fraction"] <= 1.0 for w in hits)
 
 
 def rereferenced_bursts(seed: int, duration_s: float = 60.0) -> Recording:
@@ -401,10 +401,10 @@ def test_asr_leaves_the_null_direction_of_a_rereferenced_montage_out():
     assert flagged
     # a last-digit change of the data moves no window in or out, and no fraction
     _, again = asr_process(rec.with_data(rec.data * (1 + 1e-13)), model, cfg)
-    assert [(w.index, w.bad_fraction) for w in again] == [
-        (w.index, w.bad_fraction) for w in flagged
+    assert [(w["index"], w["bad_fraction"]) for w in again] == [
+        (w["index"], w["bad_fraction"]) for w in flagged
     ]
-    assert all(w.bad_fraction * 15 == round(w.bad_fraction * 15) for w in flagged)
+    assert all(w["bad_fraction"] * 15 == round(w["bad_fraction"] * 15) for w in flagged)
 
 
 @pytest.mark.parametrize("seed, duration_s, proc_win_s", [(48, 60.0, 0.5), (49, 61.3, 0.5),

@@ -170,6 +170,13 @@ def test_match_beats_respects_tolerance():
     assert m.unmatched_ref == 1 and m.unmatched_alt == 1
 
 
+@pytest.mark.parametrize("tolerance", [0.0, -0.1, float("nan")])
+def test_match_beats_refuses_a_tolerance_that_is_not_positive(tolerance):
+    beats = BeatSeries(beat_times=np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match=f"^tolerance must be positive, got {tolerance}$"):
+        match_beats(beats, beats, tolerance_s=tolerance)
+
+
 def test_paired_rr_requires_consecutive_matches():
     # alt misses the middle beat: no R-R pair may straddle the gap
     ref = BeatSeries(beat_times=np.array([0.0, 1.0, 2.0, 3.0, 4.0]))

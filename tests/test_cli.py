@@ -163,6 +163,9 @@ def test_synth_unknown_kind(tmp_path, capsys):
          "berger: alpha_ratio must be positive and finite, got 0.0"),
         ("berger", "[berger]\nalpha_ratio = nan\n",
          "berger: alpha_ratio must be positive and finite, got nan"),
+        # a pair's values are numbers by the table rule
+        ("berger", "[berger]\nalpha_band = \u0668:12\n",
+         "berger: bad value for alpha_band: could not convert string to float: '\u0668'"),
     ],
 )
 def test_synth_bad_spec_names_the_key(tmp_path, capsys, kind, section, fragment):
@@ -606,11 +609,62 @@ rereference = off
         assert all(seg["ecg_component"] is not None for seg in qc["segments"]), name
         assert len(list((tmp_path / name).iterdir())) == 7
         reports[name] = (tmp_path / name / "bland_altman.json").read_text()
-    overlap = json.loads(reports["overlap"])
-    assert overlap["status"] == "not_computed" and "overlap" in overlap["reason"]
+    assert json.loads(reports["overlap"]) == {
+        "status": "not_computed",
+        "reason": "the ECG segments overlap in session time: beats closer than the refractory period"}
     # the segments' beats are put in session time order, whatever the event order
     assert json.loads(reports["in_order"])["status"] == "ok"
     assert reports["reversed"] == reports["in_order"]
+
+
+@pytest.fixture(scope="module")
+def ecg_mixture_inputs(tmp_path_factory):
+    """The ECG mixture at 125 Hz in three 20 s conditions, its planted
+    beats as rr.csv, the same beats 1000 s later, which pair with none,
+    and scores whose TLX does not vary."""
+    root = tmp_path_factory.mktemp("mixture")
+    rec, truth = ecg_eeg_mixture(125.0)
+    save_session_csv(rec, root / "session.csv")
+    save_events_csv([Event(name, 20.0 * k, 20.0 * (k + 1))
+                     for k, name in enumerate(("rest1", "task1", "rest2"))], root / "events.csv")
+    write_rr_csv(rr_rows(truth), root / "rr.csv")
+    write_rr_csv(rr_rows(truth, 1000.0), root / "rr_late.csv")
+    # the participant's TLX has no variance, so no band's models can be fitted
+    (root / "flat_tlx.csv").write_text("participant,condition,tlx_total,flow_mean\n"
+                                       "P01,rest1,50,3\nP01,task1,50,5\nP01,rest2,50,4\n")
+    return root
+
+
+NO_FIT = {"status": "not_computed", "reason": "participant P01: zero variance, cannot standardize"}
+
+
+@pytest.mark.parametrize("inputs, stages, bland_altman, regression", [
+    ("", "", "no reference R-R series configured", "no surveys configured"),
+    ("reference_rr = {root}/rr.csv\n", "ica = off\n", "no ECG component detected",
+     "no surveys configured"),
+    ("reference_rr = {root}/rr_late.csv\nsurveys = {root}/flat_tlx.csv\n", "",
+     "only 0 paired R-R intervals at tolerance 0.15s", None),
+], ids=["no-reference-no-surveys", "no-ecg-component", "too-few-pairs-flat-tlx"])
+def test_run_reports_why_it_computed_no_agreement_or_regression(
+        ecg_mixture_inputs, tmp_path, capsys, inputs, stages, bland_altman, regression):
+    root = ecg_mixture_inputs
+    cfg = write_spec(tmp_path / "run.ini", (
+        f"[input]\nsession = {root}/session.csv\nevents = {root}/events.csv\n{inputs}\n"
+        f"[stages]\nrereference = off\n{stages}\n[output]\ndir = {tmp_path}/out\n"
+    ).format(root=root))
+    code, _, err = run_cli(capsys, "run", "--config", cfg)
+    assert (code, err) == (0, "")
+    report = {name: json.loads((tmp_path / "out" / f"{name}.json").read_text())
+              for name in ("bland_altman", "regression")}
+    assert report["bland_altman"] == {"status": "not_computed", "reason": bland_altman}
+    if regression is not None:
+        assert report["regression"] == {"status": "not_computed", "reason": regression}
+    else:
+        bands = ["theta", "alpha", "beta", "gamma"]
+        assert report["regression"] == {
+            "status": "ok", "excluded_conditions": ["eyes_open", "eyes_closed"],
+            "workload_linear": dict.fromkeys(bands, NO_FIT),
+            "flow_quadratic": dict.fromkeys(bands, NO_FIT)}
 
 
 # ----------------------------------------------------------------- bands
@@ -952,8 +1006,28 @@ def test_analyze_without_scores(tmp_path, capsys):
                          "--out-dir", str(tmp_path / "o"))
     assert code == 0
     payload = json.loads((tmp_path / "o" / "analysis.json").read_text())
-    assert payload["workload_linear"]["status"] == "not_computed"
+    for model in ("workload_linear", "flow_quadratic"):
+        assert payload[model] == {"status": "not_computed", "reason": "no scores supplied"}
     assert payload["contrasts"]["alpha"]["status"] == "ok"
+
+
+@pytest.mark.parametrize("column", ["tlx_total", "flow_mean"])
+def test_analyze_gives_both_models_the_first_standardizing_failure(tmp_path, capsys, column):
+    """A participant whose TLX or flow has no variance stops both models of
+    every band, each with that reason."""
+    table = analysis_table(tmp_path)
+    lines = table.read_text().splitlines()
+    at = lines[0].split(",").index(column)
+    rows = [line.split(",") for line in lines[1:]]
+    for row in rows:
+        if row[0] == "P2":
+            row[at] = "50"
+    table.write_text("\n".join([lines[0], *(",".join(row) for row in rows)]) + "\n")
+    code, _, _ = run_cli(capsys, "analyze", "--bands", str(table), "--out-dir", str(tmp_path / "o"))
+    assert code == 0
+    payload = json.loads((tmp_path / "o" / "analysis.json").read_text())
+    reason = {"status": "not_computed", "reason": "participant P2: zero variance, cannot standardize"}
+    assert payload["workload_linear"] == payload["flow_quadratic"] == {"alpha": reason}
 
 
 def test_analyze_exclude_condition(tmp_path, capsys):
@@ -1117,6 +1191,88 @@ def test_bad_flag_or_path_exits_with_one_json_object(capsys, contract_inputs, ar
     diag = json.loads(lines[0])
     assert diag["error"] == {2: "config", 3: "data"}[code]
     assert fragment.format(**paths) in diag["message"]
+
+
+@pytest.fixture(scope="module")
+def reraise_inputs(contract_inputs):
+    """contract_inputs plus a flat 16-channel 20 s session with a run config
+    per events file, and the spec and tables the re-raise sites refuse."""
+    root = contract_inputs
+    flat = Recording(rate=125.0, labels=[f"ch{i}" for i in range(1, 17)], data=np.zeros((16, 2500)))
+    save_session_csv(flat, root / "flat.csv")
+    for name, row in (("flat_all", "all,0,20"), ("flat_short", "short,0,1"),
+                      ("end_first", "bad,5,1")):
+        (root / f"{name}.csv").write_text(f"condition,start_s,end_s\n{row}\n")
+    for name, events in (("flat_all", "flat_all"), ("flat_short", "flat_short"),
+                         ("flat_nan", "nan_time")):
+        (root / f"{name}.ini").write_text(
+            f"[input]\nsession = {root}/flat.csv\nevents = {root}/{events}.csv\n\n"
+            f"[stages]\nasr = off\n\n[output]\ndir = {root}/out_{name}\n")
+    (root / "bad_rate.ini").write_text("[synth]\nkind = eeg\nseed = 1\n\n[eeg]\nrate = -5\n")
+    (root / "bad_pair.ini").write_text(
+        "[synth]\nkind = eeg\nseed = 1\n\n[eeg]\nduration_s = 2\ncomponents = 10:1_2\n")
+    (root / "nan_band.ini").write_text(
+        f"[input]\nsession = {root}/flat.csv\nevents = {root}/flat_all.csv\n\n"
+        "[pipeline]\nbands = x:nan:5\n")
+    (root / "far_rr.csv").write_text("beat_time_s,rr_ms,flag\n100.0,800.0,ok\n100.8,800.0,ok\n")
+    return root
+
+
+# each site that turns a layer's ValueError into what the user reads, and
+# the number rules of the hand-parsed values
+@pytest.mark.parametrize("argv, code, message", [
+    pytest.param("synth --spec {root}/bad_rate.ini --out-dir {root}/s", 2,
+                 "eeg: rate must be positive, got -5.0", id="synth-spec"),
+    pytest.param("bands --session {session} --participant a\x01 --out {root}/b.csv", 2,
+                 "--participant 'a\\x01' holds a control character", id="bands-participant"),
+    pytest.param("bands --session {session} --segment 4 --out {root}/b.csv", 2,
+                 "--segment, --overlap: segment length 4 too small", id="bands-window"),
+    pytest.param("bands --session {session} --bands x:5:3 --out {root}/b.csv", 2,
+                 "--bands: band x: bad bounds [5.0, 3.0]", id="bands-spec"),
+    pytest.param("bands --session {session} --events {root}/out_of_span.csv --out {root}/b.csv",
+                 3, "event all [0.0, 1e+300) outside the recorded span [0.0, 2.048)",
+                 id="bands-span"),
+    pytest.param("bands --session {session} --events {root}/nan_time.csv --out {root}/b.csv", 3,
+                 "event all [nan, 1.0) cannot be counted in samples at 125.0 Hz", id="bands-cut"),
+    pytest.param("bands --session {session} --segment 512 --out {root}/b.csv", 3,
+                 "segment all: 256 samples is too short for 512-sample windows",
+                 id="bands-welch"),
+    pytest.param("bands --session {session} --events {root}/end_first.csv --out {root}/b.csv", 3,
+                 "{root}/end_first.csv:2: event bad: end 1.0 before start 5.0", id="table-row"),
+    pytest.param("ecg --session {root}/flat.csv --channel 1 --out {root}/rr_flat.csv", 3,
+                 "channel 1: data has no variance to decompose", id="ecg-extract"),
+    pytest.param("agree --ref {rr} --alt {root}/far_rr.csv", 3,
+                 "only 0 paired R-R intervals at tolerance 0.15s", id="agree-pairs"),
+    pytest.param("run --config {root}/flat_short.ini", 3,
+                 "segment 0 (short): segment length 125 too short for a 601-tap filter; "
+                 "need more than 601 samples", id="run-preflight"),
+    pytest.param("run --config {root}/flat_all.ini", 3,
+                 "segment 0 (all): data has no variance to decompose", id="run-segment"),
+    pytest.param("run --config {root}/flat_nan.ini", 3,
+                 "event all [nan, 1.0) cannot be counted in samples at 125.0 Hz", id="run-cut"),
+    # a bound is a number by the table rule, and 0 <= lo < hi
+    pytest.param("bands --session {session} --bands x:nan:5 --out {root}/b.csv", 2,
+                 "--bands: band x: bad bounds [nan, 5.0]", id="bands-nan-bound"),
+    pytest.param("bands --session {session} --bands alpha:8:1_2 --out {root}/b.csv", 2,
+                 "--bands: could not convert string to float: '1_2'", id="bands-separator"),
+    pytest.param("bands --session {session} --bands x:\u0663:9 --out {root}/b.csv", 2,
+                 "--bands: could not convert string to float: '\u0663'", id="bands-arabic-digit"),
+    pytest.param("run --config {root}/nan_band.ini", 2,
+                 "pipeline: bad value for bands: band x: bad bounds [nan, 5.0]",
+                 id="run-nan-bound"),
+    pytest.param("synth --spec {root}/bad_pair.ini --out-dir {root}/s", 2,
+                 "eeg: bad value for components: could not convert string to float: '1_2'",
+                 id="synth-pair-separator"),
+])
+def test_each_refusal_is_one_exact_json_object(capsys, reraise_inputs, argv, code, message):
+    paths = {"root": reraise_inputs, "rr": reraise_inputs / "rr.csv",
+             "session": reraise_inputs / "session.csv"}
+    with warnings_on_stderr():
+        got, out, err = run_cli(capsys, *argv.format(**paths).split())
+    assert (got, out) == (code, "")
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err) == {"error": {2: "config", 3: "data"}[code],
+                               "message": message.format(**paths)}
 
 
 @pytest.fixture(scope="module")

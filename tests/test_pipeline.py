@@ -618,3 +618,13 @@ def test_load_rr_beats_rejects_garbage(tmp_path):
     path.write_text("beat_time_s,rr_ms,flag\n")
     with pytest.raises(ValueError, match="no intervals"):
         load_rr_beats(path)
+
+
+def test_rr_agreement_raises_a_plain_value_error():
+    """The layer's one error kind; `earpipe agree` makes it a data error."""
+    ref = BeatSeries(np.array([1.0, 2.0, 3.0]))
+    alt = BeatSeries(np.array([100.0, 101.0, 102.0]))
+    with pytest.raises(ValueError) as exc:
+        pipeline.rr_agreement(ref, alt, 0.15)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "only 0 paired R-R intervals at tolerance 0.15s"

@@ -134,7 +134,8 @@ def test_parse_band_spec():
     bands = parse_band_spec("slow:1:4,alpha:8:12")
     assert bands[0] == BandDefinition("slow", 1.0, 4.0)
     assert bands[1].hi_hz == 12.0
-    for bad in ("alpha:12:8", "alpha:8", "x::", ""):
+    # a bound is a number by the table rule (no separator, ASCII digits), and 0 <= lo < hi
+    for bad in ("alpha:12:8", "alpha:8", "x::", "", "x:nan:5", "x:-1:5", "alpha:8:1_2", "x:\u0663:9"):
         with pytest.raises(ValueError):
             parse_band_spec(bad)
 
