@@ -1,4 +1,5 @@
-"""Group regressions: the residual df of within-participant fits.
+"""Group regressions: the residual df of within-participant fits, and the
+scores they read.
 
 band_score_models z-scores power and scores within each participant, which
 takes out one mean per participant; the fits' residual df must pay for them,
@@ -11,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from earpipe.analysis import REST_CONDITIONS, band_score_models
+from earpipe.analysis import REST_CONDITIONS, band_score_models, read_scores
 from earpipe.cli import main
 from earpipe.errors import envelope
 from earpipe.pipeline import PipelineConfig
@@ -107,3 +108,36 @@ def test_rest_conditions_are_the_default_of_run_and_analyze(tmp_path, capsys):
     assert main(["analyze", "--bands", str(tmp_path / "bands.csv"), "--out-dir", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "analysis.json").read_text())
     assert report["excluded_conditions"] == list(REST_CONDITIONS)
+
+
+ITEM_HEADER = ",".join(["participant", "condition", *(f"tlx_{i}" for i in range(1, 7)),
+                        *(f"flow_{i}" for i in range(1, 4))])
+
+
+def write_item_scores(tmp_path, *rows):
+    """A scores file in the item layout; each row is (condition, tlx items, flow items)."""
+    path = tmp_path / "scores.csv"
+    lines = [",".join(["P1", condition, *map(str, tlx), *map(str, flow)])
+             for condition, tlx, flow in rows]
+    path.write_text("\n".join([ITEM_HEADER, *lines]) + "\n")
+    return path
+
+
+def test_read_scores_totals_the_workload_items_and_averages_the_flow_items(tmp_path):
+    path = write_item_scores(tmp_path, ("top", [21] * 6, [7] * 3), ("bottom", [0] * 6, [1] * 3),
+                             ("mixed", [1, 2, 3, 4, 5, 6], [1, 2, 6]))
+    assert read_scores(path) == {("P1", "top"): (126.0, 7.0), ("P1", "bottom"): (0.0, 1.0),
+                                 ("P1", "mixed"): (21.0, 3.0)}
+
+
+@pytest.mark.parametrize("tlx, flow, problem", [
+    ([22, 0, 0, 0, 0, 0], [1, 1, 1], "workload item 22.0 outside (0.0, 21.0)"),
+    ([0] * 6, [0, 1, 1], "flow item 0.0 outside (1.0, 7.0)"),
+    # every item of the row is read before any is checked against its scale
+    ([22, 0, 0, 0, 0, 0], [1, "x", 1], "'x' in flow_2 is not a number"),
+], ids=["workload-range", "flow-range", "parse-before-range"])
+def test_read_scores_names_the_line_of_a_bad_item(tmp_path, tlx, flow, problem):
+    path = write_item_scores(tmp_path, ("easy", [0] * 6, [1] * 3), ("hard", tlx, flow))
+    with pytest.raises(ValueError) as info:
+        read_scores(path)
+    assert str(info.value) == f"{path}:3: {problem}"

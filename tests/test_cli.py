@@ -1623,9 +1623,13 @@ def test_every_table_reader_names_the_bad_line(fuzz_inputs, tmp_path, capsys, ta
      "{path}:3: unknown role 'boss' for L2"),
     ("montage", builtin_montage_path().read_text().replace("L7,record", "L5,record", 1),
      "{path}:8: electrode L5 is listed twice"),
+    # L7 on L5's channel 12: two electrodes on one channel, and channel 13 on none
+    ("montage", builtin_montage_path().read_text().replace("L7,record,13", "L7,record,12", 1),
+     "montage violates constraints: injectivity, channel-coverage"),
     ("reference_rr", "time,interval\n1,2\n", "{path}: expected header beat_time_s,rr_ms[,flag]"),
     ("reference_rr", "beat_time_s,rr_ms,flag\n", "{path}: no intervals"),
-], ids=["montage-bad-row", "montage-label-twice", "rr-bad-header", "rr-no-intervals"])
+], ids=["montage-bad-row", "montage-label-twice", "montage-two-on-one-channel",
+        "rr-bad-header", "rr-no-intervals"])
 def test_run_reports_a_bad_montage_or_rr_file_as_a_data_error(fuzz_inputs, tmp_path, capsys, key,
                                                               body, message):
     path = tmp_path / "input.csv"

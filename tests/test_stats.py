@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from earpipe.pipeline import _json_dump
 from earpipe.stats import (
-    SurveyResponse,
-    aggregate_survey,
     betainc_reg,
     bland_altman,
     bonferroni,
@@ -76,22 +74,6 @@ def test_f_p_value_known_point():
 
 
 # --- surveys -------------------------------------------------------------------
-
-
-def test_survey_bounds_enforced():
-    with pytest.raises(ValueError):
-        SurveyResponse(nasa_tlx=(22, 0, 0, 0, 0, 0), flow=(1, 1, 1))
-    with pytest.raises(ValueError):
-        SurveyResponse(nasa_tlx=(0,) * 6, flow=(0, 1, 1))
-    with pytest.raises(ValueError):
-        SurveyResponse(nasa_tlx=(0,) * 5, flow=(1, 1, 1))
-
-
-def test_aggregate_survey_extremes():
-    top = SurveyResponse(nasa_tlx=(21,) * 6, flow=(7, 7, 7))
-    assert aggregate_survey(top) == (126.0, 7.0)
-    bottom = SurveyResponse(nasa_tlx=(0,) * 6, flow=(1, 1, 1))
-    assert aggregate_survey(bottom) == (0.0, 1.0)
 
 
 def test_z_standardize_per_participant():
