@@ -15,22 +15,27 @@ import numpy as np
 from .errors import envelope
 from .ingest import read_table
 from .spectral import BandPowerRow
-from .stats import (
-    FLOW_ITEMS,
-    TLX_ITEMS,
-    SurveyResponse,
-    aggregate_survey,
-    fit_linear,
-    fit_quadratic_orthogonal,
-    pairwise_contrasts,
-    z_standardize,
-)
+from .stats import fit_linear, fit_quadratic_orthogonal, pairwise_contrasts, z_standardize
 
-TLX_COLUMNS = tuple(f"tlx_{i}" for i in range(1, TLX_ITEMS + 1))
-FLOW_COLUMNS = tuple(f"flow_{i}" for i in range(1, FLOW_ITEMS + 1))
+# the item columns of the NASA-TLX and flow questionnaires, and the range of one item
+TLX_COLUMNS = tuple(f"tlx_{i}" for i in range(1, 7))
+TLX_ITEM_RANGE = (0.0, 21.0)
+FLOW_COLUMNS = tuple(f"flow_{i}" for i in range(1, 4))
+FLOW_ITEM_RANGE = (1.0, 7.0)
 # the conditions the workload and flow models leave out unless told otherwise
 REST_CONDITIONS = ("eyes_open", "eyes_closed")
 MODELS = ("workload_linear", "flow_quadratic")
+
+
+def _item_scores(row) -> tuple[float, float]:
+    """(workload total, flow mean) of a row of item responses: every item
+    is read by the table rule, then checked against its scale."""
+    tlx, flow = ([row.number(c) for c in columns] for columns in (TLX_COLUMNS, FLOW_COLUMNS))
+    for name, items, scale in (("workload", tlx, TLX_ITEM_RANGE), ("flow", flow, FLOW_ITEM_RANGE)):
+        for v in items:
+            if not scale[0] <= v <= scale[1]:  # also refuses nan
+                raise ValueError(f"{row.path}:{row.line}: {name} item {v} outside {scale}")
+    return float(sum(tlx)), float(sum(flow) / len(flow))
 
 
 def read_scores(path, default_participant: str = "P01") -> dict:
@@ -52,8 +57,7 @@ def read_scores(path, default_participant: str = "P01") -> dict:
     sums: dict[tuple, list] = {}
     for row in rows:
         if raw_items:
-            items = [tuple(row.number(c) for c in columns) for columns in (TLX_COLUMNS, FLOW_COLUMNS)]
-            tlx, flow = aggregate_survey(row.build(SurveyResponse, *items))
+            tlx, flow = _item_scores(row)
         else:
             tlx, flow = (row.number(c, finite=True) for c in ("tlx_total", "flow_mean"))
         participant = row.get("participant", default_participant)

@@ -60,15 +60,21 @@ def _sym_decorrelate(w: np.ndarray) -> np.ndarray:
 NULL_EIG_RTOL = 1e-12
 
 
-def _above_null(evals: np.ndarray) -> np.ndarray:
-    """Mask of the covariance eigenvalues that are more than rounding noise."""
-    return evals > max(evals.max(), 0) * NULL_EIG_RTOL
+def _eigen_split(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of a covariance that are more than rounding noise
+    and their eigenvectors, ascending as eigh returns them; a ValueError
+    when none is."""
+    evals, evecs = np.linalg.eigh(cov)
+    keep = evals > max(evals.max(), 0) * NULL_EIG_RTOL
+    if not keep.any():
+        raise ValueError("data has no variance to decompose")
+    return evals[keep], evecs[:, keep]
 
 
 def _whiten(x: np.ndarray, n_components: int | None):
     """Center (channels, samples) data and PCA-whiten it to at most
-    n_components dimensions; directions whose variance is rounding noise
-    are dropped by the rule asr_calibrate drops them by. Returns the
+    n_components dimensions, the largest first; directions whose variance
+    is rounding noise are dropped (_eigen_split). Returns the
     channel means, the whitening (k, channels) and coloring (channels, k)
     matrices and the whitened data (k, samples).
     """
@@ -84,13 +90,8 @@ def _whiten(x: np.ndarray, n_components: int | None):
     means = x.mean(axis=1)
     xc = x - means[:, None]
     cov = (xc @ xc.T) / n
-    evals, evecs = np.linalg.eigh(cov)
-    order = np.argsort(evals)[::-1]
-    evals, evecs = evals[order], evecs[:, order]
-    k = min(k, int(np.sum(_above_null(evals))))
-    if k == 0:
-        raise ValueError("data has no variance to decompose")
-    evals, evecs = evals[:k], evecs[:, :k]
+    evals, evecs = _eigen_split(cov)
+    evals, evecs = evals[::-1][:k], evecs[:, ::-1][:, :k]
     whiten = evecs.T / np.sqrt(evals)[:, None]  # (k, channels)
     color = evecs * np.sqrt(evals)[None, :]  # (channels, k)
     return means, whiten, color, whiten @ xc
@@ -381,10 +382,10 @@ def asr_calibrate(rec: Recording, cfg: AsrConfig = AsrConfig()) -> AsrModel:
     Calibration windows are consecutive non-overlapping chunks whose
     per-channel RMS z-scores (across windows) stay within [-3.5, 5].
     The eigenvectors of the clean covariance form the basis, less those
-    whose eigenvalue is rounding noise (the rule _whiten drops them by),
-    so a null direction of a re-referenced montage is never counted as
-    bad; each component's threshold is mean + burst_k * std of its RMS over the
-    clean windows.
+    whose eigenvalue is rounding noise (_eigen_split, as in _whiten), so
+    a null direction of a re-referenced montage is never counted as bad
+    and data with no variance is refused; each component's threshold is
+    mean + burst_k * std of its RMS over the clean windows.
     """
     w, count = calibration_windows(rec.n_samples, rec.rate, cfg)
     starts = np.arange(count) * w
@@ -405,8 +406,7 @@ def asr_calibrate(rec: Recording, cfg: AsrConfig = AsrConfig()) -> AsrModel:
     xc = chunks.compress(clean, axis=1).reshape(rec.n_channels, -1)
     cov = (xc @ xc.T) / xc.shape[1]
     del xc
-    evals, basis = np.linalg.eigh(cov)
-    basis = basis[:, _above_null(evals)]
+    basis = _eigen_split(cov)[1]
     comp_rms = _window_rms(rec.data, basis, starts[clean], w).T  # (clean windows, components)
     thr = comp_rms.mean(axis=0) + cfg.burst_k * comp_rms.std(axis=0, ddof=0)
     return AsrModel(basis=basis, thresholds=thr, calib_windows_used=n_clean)

@@ -51,17 +51,8 @@ MAX_ABS_UV = 1e6
 DEFAULT_RATE = 125.0
 
 
-def counts_to_microvolts(counts):
-    """Convert raw ADC counts to microvolts.
-
-    One count corresponds to UV_PER_COUNT microvolts. Accepts
-    scalars or arrays; the conversion is exactly linear.
-    """
-    return counts * UV_PER_COUNT
-
-
 def microvolts_to_counts(uv):
-    """Inverse of counts_to_microvolts, rounded to the nearest integer count."""
+    """Microvolts as the nearest whole ADC counts, UV_PER_COUNT microvolts each."""
     return np.rint(np.asarray(uv, dtype=float) / UV_PER_COUNT).astype(np.int64)
 
 
@@ -197,9 +188,6 @@ class Recording:
 
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(self.n_samples) / self.rate
-
-    def copy(self) -> "Recording":
-        return self.with_data(self.data.copy())
 
     def with_data(self, data) -> "Recording":
         """This recording with `data` as its samples: labels, events and

@@ -88,6 +88,8 @@ def validate(m: MontageMap) -> list[str]:
 
 
 def load_montage_csv(path) -> MontageMap:
+    """The montage of a label,role,channel table; a ValueError for a bad
+    row, or for a map that breaks a constraint validate names."""
     mapping: dict[ElectrodeLabel, int] = {}
     reference = None
     ground = None
@@ -115,9 +117,13 @@ def load_montage_csv(path) -> MontageMap:
             raise ValueError(f"{path}:{row.line}: unknown role {role!r} for {lab}")
     if reference is None or ground is None:
         raise ValueError(f"{path}: montage must name a reference and a ground")
-    return MontageMap(
+    monmap = MontageMap(
         channel_of=mapping, reference=reference, ground=ground, excluded=frozenset(excluded)
     )
+    violations = validate(monmap)
+    if violations:
+        raise ValueError(f"montage violates constraints: {', '.join(violations)}")
+    return monmap
 
 
 def builtin_montage_path():

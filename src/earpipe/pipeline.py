@@ -59,7 +59,6 @@ from .montage import (
     load_montage_csv,
     relabel_by_montage,
     rereference_linked_mastoid,
-    validate as validate_montage,
 )
 from .spectral import (
     BandPowerRow,
@@ -278,9 +277,6 @@ def _load_inputs(cfg: PipelineConfig):
         rec, stream = parse_stream(raw, rate=cfg.rate)
     events = load_input("events file", load_events_csv, cfg.events)
     monmap = load_input("montage file", load_montage_csv, cfg.montage or builtin_montage_path())
-    violations = validate_montage(monmap)
-    if violations:
-        raise DataError(f"montage violates constraints: {', '.join(violations)}")
     ref_beats = scores = None
     if cfg.reference_rr:
         ref_beats = load_input("R-R file", load_rr_beats, cfg.reference_rr)

@@ -1,4 +1,4 @@
-"""Statistics for survey scores, band-power regressions and agreement.
+"""Statistics for band-power regressions, condition contrasts and agreement.
 
 P-values come from the t and F distributions evaluated through a
 regularized incomplete beta function (modified Lentz continued
@@ -9,7 +9,6 @@ to about 1e-12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,35 +95,7 @@ def f_p_value(f: float, df1: float, df2: float) -> float:
     return betainc_reg(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * f))
 
 
-# --- surveys ---------------------------------------------------------------
-
-TLX_ITEMS = 6
-TLX_ITEM_RANGE = (0.0, 21.0)
-FLOW_ITEMS = 3
-FLOW_ITEM_RANGE = (1.0, 7.0)
-
-
-@dataclass(frozen=True)
-class SurveyResponse:
-    nasa_tlx: tuple
-    flow: tuple
-
-    def __post_init__(self):
-        if len(self.nasa_tlx) != TLX_ITEMS:
-            raise ValueError(f"expected {TLX_ITEMS} workload items, got {len(self.nasa_tlx)}")
-        if len(self.flow) != FLOW_ITEMS:
-            raise ValueError(f"expected {FLOW_ITEMS} flow items, got {len(self.flow)}")
-        for v in self.nasa_tlx:
-            if not TLX_ITEM_RANGE[0] <= v <= TLX_ITEM_RANGE[1]:
-                raise ValueError(f"workload item {v} outside {TLX_ITEM_RANGE}")
-        for v in self.flow:
-            if not FLOW_ITEM_RANGE[0] <= v <= FLOW_ITEM_RANGE[1]:
-                raise ValueError(f"flow item {v} outside {FLOW_ITEM_RANGE}")
-
-
-def aggregate_survey(resp: SurveyResponse) -> tuple[float, float]:
-    """(workload total, flow mean): items summed resp. mean-averaged."""
-    return float(sum(resp.nasa_tlx)), float(sum(resp.flow) / FLOW_ITEMS)
+# --- regression ------------------------------------------------------------
 
 
 def z_standardize(values, participants) -> np.ndarray:
@@ -144,9 +115,6 @@ def z_standardize(values, participants) -> np.ndarray:
             raise ValueError(f"participant {p}: zero variance, cannot standardize")
         out[mask] = (group - group.mean()) / sd
     return out
-
-
-# --- regression ------------------------------------------------------------
 
 
 def _t_test(estimate: float, se: float, df: int) -> tuple[float, float]:

@@ -50,10 +50,10 @@ from earpipe.ingest import (
     FOOTER_LO,
     HEADER_BYTE,
     PACKET_LEN,
+    UV_PER_COUNT,
     WORDS_PER_PACKET,
     IntegrityReport,
     Recording,
-    counts_to_microvolts,
 )
 from earpipe.spectral import PsdEstimate, check_welch_window, welch_psd_recording
 
@@ -400,6 +400,12 @@ def detect_beats(x: np.ndarray, rate: float) -> np.ndarray:
     is the sign of epoch_skewness(x) (+1 for 0)."""
     sign = -1.0 if epoch_skewness(x, rate) < 0 else 1.0
     return pan_tompkins(sign * np.asarray(x, dtype=float), rate).beat_times
+
+
+def counts_to_microvolts(counts):
+    """Raw ADC counts in microvolts, UV_PER_COUNT each; scalars or arrays,
+    exactly linear."""
+    return counts * UV_PER_COUNT
 
 
 def decode_word(raw: bytes) -> int:

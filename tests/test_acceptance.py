@@ -23,7 +23,6 @@ from earpipe.cli import main as cli_main
 from earpipe.filters import FirSpec, apply_zero_phase_array, design_fir
 from earpipe.ingest import (
     ADC_FULL_SCALE,
-    counts_to_microvolts,
     encode_stream,
     parse_stream,
     save_events_csv,
@@ -40,7 +39,8 @@ from earpipe.stats import (
 from earpipe.synth import BergerSpec, EcgSynthSpec, EegSynthSpec, berger_session, gen_ecg, gen_eeg
 
 from oracles import (
-    RawPacket, align_sources, fir_response, normal_equations, psd_one_window, welch_psd,
+    RawPacket, align_sources, counts_to_microvolts, fir_response, normal_equations,
+    psd_one_window, welch_psd,
 )
 
 
@@ -221,7 +221,7 @@ def test_asr_behavior():
     distortion = np.sqrt(np.mean((out.data - rec.data) ** 2)) / np.sqrt(np.mean(rec.data**2))
     assert distortion < 0.05
 
-    burst = rec.copy()
+    burst = rec.with_data(rec.data.copy())
     i0, i1 = int(60.0 * rate), int(60.5 * rate)
     burst.data[:, i0:i1] += 10.0 * data.std() * rng.normal(size=(16, i1 - i0))
     cleaned, _ = asr_process(burst, model, cfg)
@@ -238,10 +238,10 @@ def test_asr_behavior():
     # flagging follows the fraction of simultaneously bad components
     crit = AsrConfig(window_criterion=0.15)
     model_c = asr_calibrate(rec, crit)
-    few = rec.copy()
+    few = rec.with_data(rec.data.copy())
     few.data[:, i0:i1] += 3000.0 * model_c.basis[:, :1].sum(axis=1, keepdims=True)
     _, flagged_few = asr_process(few, model_c, crit)
-    many = rec.copy()
+    many = rec.with_data(rec.data.copy())
     many.data[:, i0:i1] += 3000.0 * model_c.basis[:, :3].sum(axis=1, keepdims=True)
     _, flagged_many = asr_process(many, model_c, crit)
     mid = 60.25

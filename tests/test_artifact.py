@@ -356,10 +356,10 @@ def test_window_criterion_controls_flagging():
     model = asr_calibrate(rec, cfg)
     # bursts aligned with basis components so the bad-component count is exact
     i0, i1 = int(60.0 * RATE), int(60.5 * RATE)
-    few = rec.copy()
+    few = rec.with_data(rec.data.copy())
     few.data[:, i0:i1] += 3000.0 * model.basis[:, :1].sum(axis=1, keepdims=True)
     _, flagged_few = asr_process(few, model, cfg)
-    many = rec.copy()
+    many = rec.with_data(rec.data.copy())
     many.data[:, i0:i1] += 3000.0 * model.basis[:, :3].sum(axis=1, keepdims=True)
     _, flagged_many = asr_process(many, model, cfg)
     # 1/16 = 0.0625 stays under the criterion, 3/16 = 0.1875 exceeds it

@@ -1195,19 +1195,24 @@ def test_bad_flag_or_path_exits_with_one_json_object(capsys, contract_inputs, ar
 
 @pytest.fixture(scope="module")
 def reraise_inputs(contract_inputs):
-    """contract_inputs plus a flat 16-channel 20 s session with a run config
-    per events file, and the spec and tables the re-raise sites refuse."""
+    """contract_inputs plus a flat 16-channel 20 s session with run configs
+    for its events files and stages, and the spec and tables the re-raise
+    sites refuse."""
     root = contract_inputs
     flat = Recording(rate=125.0, labels=[f"ch{i}" for i in range(1, 17)], data=np.zeros((16, 2500)))
     save_session_csv(flat, root / "flat.csv")
-    for name, row in (("flat_all", "all,0,20"), ("flat_short", "short,0,1"),
+    for name, row in (("flat_all", "all,0,20"), ("flat_short", "short,0,1"), ("flat_a", "a,0,20"),
                       ("end_first", "bad,5,1")):
         (root / f"{name}.csv").write_text(f"condition,start_s,end_s\n{row}\n")
-    for name, events in (("flat_all", "flat_all"), ("flat_short", "flat_short"),
-                         ("flat_nan", "nan_time")):
+    for name, events, stages in (("flat_all", "flat_all", "asr = off\n"),
+                                 ("flat_short", "flat_short", "asr = off\n"),
+                                 ("flat_nan", "nan_time", "asr = off\n"),
+                                 ("flat_default", "flat_a", ""),
+                                 ("flat_no_ica", "flat_a", "ica = off\n"),
+                                 ("flat_no_asr_no_ica", "flat_a", "asr = off\nica = off\n")):
         (root / f"{name}.ini").write_text(
             f"[input]\nsession = {root}/flat.csv\nevents = {root}/{events}.csv\n\n"
-            f"[stages]\nasr = off\n\n[output]\ndir = {root}/out_{name}\n")
+            f"[stages]\n{stages}\n[output]\ndir = {root}/out_{name}\n")
     (root / "bad_rate.ini").write_text("[synth]\nkind = eeg\nseed = 1\n\n[eeg]\nrate = -5\n")
     (root / "bad_pair.ini").write_text(
         "[synth]\nkind = eeg\nseed = 1\n\n[eeg]\nduration_s = 2\ncomponents = 10:1_2\n")
@@ -1248,6 +1253,12 @@ def reraise_inputs(contract_inputs):
                  "need more than 601 samples", id="run-preflight"),
     pytest.param("run --config {root}/flat_all.ini", 3,
                  "segment 0 (all): data has no variance to decompose", id="run-segment"),
+    # a segment with no variance above the null floor is refused once, in
+    # the ECG stage's words, whenever ASR or the ECG stage runs
+    pytest.param("run --config {root}/flat_default.ini", 3,
+                 "segment 0 (a): data has no variance to decompose", id="run-flat-default"),
+    pytest.param("run --config {root}/flat_no_ica.ini", 3,
+                 "segment 0 (a): data has no variance to decompose", id="run-flat-asr-only"),
     pytest.param("run --config {root}/flat_nan.ini", 3,
                  "event all [nan, 1.0) cannot be counted in samples at 125.0 Hz", id="run-cut"),
     # a bound is a number by the table rule, and 0 <= lo < hi
@@ -1273,6 +1284,12 @@ def test_each_refusal_is_one_exact_json_object(capsys, reraise_inputs, argv, cod
     assert err.endswith("\n") and err.count("\n") == 1
     assert json.loads(err) == {"error": {2: "config", 3: "data"}[code],
                                "message": message.format(**paths)}
+
+
+def test_a_flat_session_runs_with_asr_and_the_ecg_stage_off(capsys, reraise_inputs):
+    with warnings_on_stderr():
+        code, _, err = run_cli(capsys, "run", "--config", f"{reraise_inputs}/flat_no_asr_no_ica.ini")
+    assert (code, err) == (0, "")
 
 
 @pytest.fixture(scope="module")

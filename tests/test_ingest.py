@@ -16,7 +16,6 @@ from earpipe.ingest import (
     Event,
     IntegrityReport,
     Recording,
-    counts_to_microvolts,
     cut_segments,
     encode_stream,
     load_events_csv,
@@ -31,6 +30,7 @@ from earpipe.ingest import (
 
 from oracles import (
     RawPacket,
+    counts_to_microvolts,
     decode_word,
     encode_word,
     parse_stream_loop,
