@@ -72,11 +72,11 @@ def _eigen_split(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _whiten(x: np.ndarray, n_components: int | None):
-    """Center (channels, samples) data and PCA-whiten it to at most
-    n_components dimensions, the largest first; directions whose variance
-    is rounding noise are dropped (_eigen_split). Returns the
+    """Center (channels, samples) data and find its PCA whitening to at
+    most n_components dimensions, the largest first; directions whose
+    variance is rounding noise are dropped (_eigen_split). Returns the
     channel means, the whitening (k, channels) and coloring (channels, k)
-    matrices and the whitened data (k, samples).
+    matrices and the centered data (channels, samples).
     """
     if x.ndim != 2:
         raise ValueError("expected (channels, samples) data")
@@ -94,7 +94,7 @@ def _whiten(x: np.ndarray, n_components: int | None):
     evals, evecs = evals[::-1][:k], evecs[:, ::-1][:, :k]
     whiten = evecs.T / np.sqrt(evals)[:, None]  # (k, channels)
     color = evecs * np.sqrt(evals)[None, :]  # (channels, k)
-    return means, whiten, color, whiten @ xc
+    return means, whiten, color, xc
 
 
 def ica_decompose(
@@ -116,7 +116,9 @@ def ica_decompose(
     if seed is None:
         raise ValueError("ica_decompose requires an explicit seed")
     x = rec.data if isinstance(rec, Recording) else np.asarray(rec, dtype=float)
-    means, whiten, color, z = _whiten(x, n_components)
+    means, whiten, color, xc = _whiten(x, n_components)
+    z = whiten @ xc
+    del xc
     k, n = z.shape
 
     rng = np.random.default_rng(seed)
@@ -272,15 +274,17 @@ def skew_units(rec: Recording) -> Iterator[SkewUnit]:
     epochs, and each step is a (k, k^2) matrix-vector product: a tensor
     power iteration (Anandkumar et al. 2014). A unit that runs to the
     ECG_MAX_ITER cap costs microseconds per step, not passes over the data.
+    Only the fit epochs are whitened; a unit's source over the segment is
+    w times the whitening, applied to the centered channels.
     """
     rate = rec.rate
     width = int(round(SKEW_EPOCH_S * rate))
     m = rec.n_samples // width if width > 0 else 0
     if m < 2:
         return
-    *_, z = _whiten(rec.data, None)
-    k = z.shape[0]
-    fit = z[:, : m * width].reshape(k, m, width)[:, 0::2].reshape(k, -1)
+    _, whiten, _, xc = _whiten(rec.data, None)
+    k, n_ch = whiten.shape
+    fit = whiten @ xc[:, : m * width].reshape(n_ch, m, width)[:, 0::2].reshape(n_ch, -1)
     starts = np.argsort([-abs(epoch_skewness(row, rate)) for row in fit], kind="stable")
     m3, mu = _third_moments(fit)
     del fit
@@ -295,7 +299,7 @@ def skew_units(rec: Recording) -> Iterator[SkewUnit]:
             if delta < ICA_TOL:
                 break
         found = np.vstack([found, w])
-        source = w @ z
+        source = (w @ whiten) @ xc
         epochs = source[: m * width].reshape(m, width)
         sign = -1.0 if epoch_skewness(epochs[0::2].ravel(), rate) < 0 else 1.0
         held_out = sign * epoch_skewness(epochs[1::2].ravel(), rate)

@@ -135,7 +135,8 @@ class Event:
 class Recording:
     """A multichannel recording: data is (channels, samples) in microvolts.
 
-    Sample i sits at t0 + i / rate seconds.
+    Sample i sits at t0 + i / rate seconds. data is always a C-contiguous
+    float64 array: one in another layout or dtype is copied once, here.
     """
 
     rate: float
@@ -146,7 +147,7 @@ class Recording:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
+        self.data = np.ascontiguousarray(self.data, dtype=float)
         if not 0 < self.rate < math.inf:
             raise ValueError(f"rate must be positive and finite, got {self.rate}")
         if self.data.ndim != 2:
@@ -191,7 +192,7 @@ class Recording:
 
     def with_data(self, data) -> "Recording":
         """This recording with `data` as its samples: labels, events and
-        meta are copied, the sample array is taken as given."""
+        meta are copied, the sample array is taken as Recording takes it."""
         return replace(
             self,
             labels=list(self.labels),
@@ -404,12 +405,13 @@ def _reads_as_float(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
-# The session cache keeps the parsed sample rows of each session CSV as
-# v<CACHE_FORMAT>-<SHA-256 of the file's bytes>.npy, so a later load of
-# the same bytes skips the parse. Bump CACHE_FORMAT whenever a parse can
-# return other rows for the same bytes, so entries made by the old code
-# are never read again (they age out by eviction).
-CACHE_FORMAT = 1
+# The session cache keeps the parsed samples of each session CSV, one row
+# per CSV column (t_s first), as v<CACHE_FORMAT>-<SHA-256 of the file's
+# bytes>.npy, so a later load of the same bytes skips the parse. Bump
+# CACHE_FORMAT whenever a parse can return other rows for the same bytes,
+# so entries made by the old code are never read again (they age out by
+# eviction).
+CACHE_FORMAT = 2
 
 # About thirty 2 x 15 min 16-channel sessions at 125 Hz (31 MB each as
 # float64), or four 2 h ones at 250 Hz (245 MB each): a study's recent
@@ -478,9 +480,9 @@ def _cache_entry(path, state: tuple[int, int]) -> Path | None:
 
 
 def _cached_rows(entry: Path, n_columns: int) -> np.ndarray | None:
-    """The sample rows kept at entry, or None when its directory is not
-    private, there are none, or they are not a non-empty float64 (rows,
-    n_columns) array. A hit marks the entry as just used."""
+    """The C-contiguous float64 (n_columns, samples) rows kept at entry,
+    or None when its directory is not private or there are no such rows
+    with a sample. A hit marks the entry as just used."""
     if not _private_dir(entry.parent):
         return None
     try:
@@ -489,7 +491,7 @@ def _cached_rows(entry: Path, n_columns: int) -> np.ndarray | None:
     except (OSError, ValueError, EOFError):  # EOFError: an empty file
         return None
     if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.ndim == 2
-            and arr.shape[1] == n_columns and len(arr)):
+            and arr.shape[0] == n_columns and arr.shape[1] and arr.flags.c_contiguous):
         return None
     with suppress(OSError):
         os.utime(entry)
@@ -605,8 +607,9 @@ def load_session_csv(path) -> Recording:
     Only a `#rate=` line before the header sets the rate; without one
     it is inferred from the median timestamp step. Blank lines, comment
     lines and CRLF endings are accepted anywhere. The sample rows are
-    parsed straight into one float array, so loading needs about the
-    array's size in memory, not one Python object per value.
+    parsed straight into one float array and transposed once, so a parse
+    needs about twice the array's size in memory, not one Python object
+    per value.
 
     The rows come from the session cache (`session_cache_dir`) when it
     holds the file's bytes; a file parsed here that passes every check
@@ -640,31 +643,31 @@ def load_session_csv(path) -> Recording:
     arr = _cached_rows(entry, len(header)) if entry else None
     status = "hit" if arr is not None else "not stored"
     if arr is None:
-        arr = _parse_rows(path, header, skiprows)
-    if not len(arr):
+        arr = np.ascontiguousarray(_parse_rows(path, header, skiprows).T)
+    if not arr.shape[1]:
         raise ValueError(f"{path}: no sample rows")
-    if arr.shape[1] != len(header):
+    if len(arr) != len(header):
         raise _bad_row_error(
-            path, header, ValueError(f"{arr.shape[1]} fields, header has {len(header)}")
+            path, header, ValueError(f"{len(arr)} fields, header has {len(header)}")
         )
-    t, samples = arr[:, 0], arr[:, 1:]
+    t, samples = arr[0], arr[1:]
     # min and max carry a nan through and build no array the size of the samples
     if not (np.isfinite(t).all()
             and -MAX_ABS_UV <= samples.min(initial=0) <= samples.max(initial=0) <= MAX_ABS_UV):
         bad = ~np.isfinite(arr)
-        bad[:, 1:] |= np.abs(samples) > MAX_ABS_UV
-        i, col = np.argwhere(bad)[0]
-        v = arr[i, col]
+        bad[1:] |= np.abs(samples) > MAX_ABS_UV
+        i, col = np.argwhere(bad.T)[0]  # the first in file order
+        v = arr[col, i]
         past = f" is past the sample limit of +-{MAX_ABS_UV:g} uV (1 V)" if np.isfinite(v) else ""
         raise ValueError(f"{path}: {'' if past else 'non-finite '}value {v} in {header[col]} "
-                         f"at t_s={arr[i, 0]:.6f}{past}")
+                         f"at t_s={t[i]:.6f}{past}")
     if rate is None:
         # fall back to the median timestamp step
         dt = np.median(np.diff(t)) if len(t) > 1 else 1.0
         if dt <= 0:
             raise ValueError(f"{path}: cannot infer rate from timestamps")
         rate = 1.0 / dt
-    rec = Recording(rate=rate, labels=header[1:], data=arr[:, 1:].T, t0=float(t[0]))
+    rec = Recording(rate=rate, labels=header[1:], data=samples, t0=float(t[0]))
     if status != "hit" and entry and _store_rows(entry, state, path, arr):
         status = "stored"
     rec.meta["session_cache"] = status
@@ -738,24 +741,12 @@ class Segment:
     report: IntegrityReport
 
 
-# columns per run of _copy_columns: a run of a loaded session's rows stays in cache
-CUT_BLOCK = 4096
-
-
-def _copy_columns(data: np.ndarray, i0: int, i1: int) -> np.ndarray:
-    """data[:, i0:i1] as a new row-major array, copied CUT_BLOCK columns at a
-    time; a loaded session's data is the transpose of its (samples, columns) table."""
-    out = np.empty((data.shape[0], i1 - i0), dtype=data.dtype)
-    for s in range(0, i1 - i0, CUT_BLOCK):
-        out[:, s : s + CUT_BLOCK] = data[:, i0 + s : min(i0 + s + CUT_BLOCK, i1)]
-    return out
-
-
 def cut_segments(rec: Recording, events: list[Event]) -> list[Segment]:
     """Cut [start_s, end_s) windows out of a recording.
 
     Segments falling partly or fully outside the recorded span are
-    returned clipped but flagged rather than silently shortened.
+    returned clipped but flagged rather than silently shortened. A
+    segment copies its samples unless their slice of rec is contiguous.
     """
     out: list[Segment] = []
     for ev in events:
@@ -771,8 +762,7 @@ def cut_segments(rec: Recording, events: list[Event]) -> list[Segment]:
         i1 = max(i0, i1)
         expected = int(round((ev.end_s - ev.start_s) * rec.rate))
         actual = i1 - i0
-        data = _copy_columns(rec.data, i0, i1)
-        seg_rec = Recording(rate=rec.rate, labels=list(rec.labels), data=data)
+        seg_rec = Recording(rate=rec.rate, labels=list(rec.labels), data=rec.data[:, i0:i1])
         t_first = rec.t0 + i0 / rec.rate if actual else ev.start_s
         t_last = rec.t0 + (i1 - 1) / rec.rate if actual else ev.start_s
         out.append(

@@ -534,7 +534,7 @@ def compute_run(cfg: PipelineConfig) -> RunResult:
 
     with reraise(DataError), clock("cut"):
         segments = cut_segments(rec, events)
-    # the segments hold copies of their samples; drop the whole session
+    # segments copy their samples unless a slice was contiguous; drop the session
     rate = rec.rate
     del rec
     if not segments:

@@ -222,7 +222,8 @@ def fixed_point_ica(x: np.ndarray, seed: int, max_iter: int, tol: float):
 def skew_units_loop(rec: Recording) -> Iterator[SkewUnit]:
     """artifact.skew_units with a per-sample fixed-point step."""
     rate = rec.rate
-    *_, z = _whiten(rec.data, None)
+    _, whiten, _, xc = _whiten(rec.data, None)
+    z = whiten @ xc
     k, n = z.shape
     width = int(round(SKEW_EPOCH_S * rate))
     m = n // width if width > 0 else 0

@@ -1330,7 +1330,7 @@ def test_sample_past_the_limit_exits_with_one_json_object(capsys, monkeypatch, t
         # must take them from the cache, so parsing the file again fails
         state = ingest._file_state(session)
         header = session.read_text().splitlines()[1].split(",")
-        rows = ingest._parse_rows(session, header, 2)
+        rows = np.ascontiguousarray(ingest._parse_rows(session, header, 2).T)
         assert ingest._store_rows(ingest._cache_entry(session, state), state, session, rows)
 
         def no_parse(*args):

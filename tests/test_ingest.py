@@ -354,6 +354,21 @@ def test_recording_validation():
         )
 
 
+@pytest.mark.parametrize("given", [np.arange(12.0).reshape(4, 3).T, np.arange(12).reshape(3, 4)],
+                         ids=["transposed", "integer"])
+def test_recording_copies_samples_of_another_layout_or_dtype(given):
+    rec = Recording(rate=1.0, labels=["a", "b", "c"], data=given)
+    assert rec.data.flags.c_contiguous and rec.data.dtype == np.float64
+    assert np.array_equal(rec.data, given) and not np.shares_memory(rec.data, given)
+
+
+def test_recording_keeps_the_buffer_of_c_contiguous_float64_samples():
+    given = np.arange(12.0).reshape(3, 4)
+    rec = Recording(rate=1.0, labels=["a", "b", "c"], data=given)
+    assert np.shares_memory(rec.data, given)
+    assert np.shares_memory(rec.with_data(given).data, given)
+
+
 def test_parse_stream_returns_recording():
     blob = encode_stream(np.arange(32).reshape(2, 16))
     rec, _ = parse_stream(blob, rate=125.0)
@@ -561,6 +576,31 @@ def test_session_cache_hit_is_bit_identical_to_a_parse(tmp_path, cache, monkeypa
     assert_same_recording(stored, parsed)
 
 
+def test_session_cache_entry_holds_one_row_per_column(tmp_path, cache):
+    path = saved_session(tmp_path / "s.csv")
+    stored = load_session_csv(path)
+    entry = np.load(entry_of(cache, path))
+    assert entry.dtype == np.float64 and entry.shape == (4, 400) and entry.flags.c_contiguous
+    assert _bits(entry[0]).tolist() == _bits(session_rows(path)[1][:, 0]).tolist()
+    assert _bits(entry[1:]).tolist() == _bits(stored.data).tolist()
+    hit = load_session_csv(path)
+    assert hit.meta == {"session_cache": "hit"}
+    assert hit.data.flags.c_contiguous and stored.data.flags.c_contiguous
+
+
+def test_session_cache_refuses_an_entry_of_one_row_per_sample(tmp_path, cache):
+    # the (samples, columns) orientation of the format-1 entries
+    path = saved_session(tmp_path / "s.csv", seed=9)
+    entry = entry_of(cache, path)
+    rows = session_rows(path)[1]
+    cache.mkdir(mode=0o700)
+    np.save(entry, rows)
+    rec = load_session_csv(path)
+    assert rec.meta == {"session_cache": "stored"}
+    assert _bits(rec.data).tolist() == _bits(rows[:, 1:].T).tolist()
+    assert np.load(entry).shape == (4, 400)
+
+
 def test_session_cache_sees_new_bytes_behind_the_same_size_and_mtime(tmp_path, cache):
     path = saved_session(tmp_path / "s.csv", seed=1)
     first = load_session_csv(path)
@@ -667,7 +707,7 @@ def test_session_cache_in_a_directory_others_can_write_is_not_used(tmp_path, cac
 
     cache.chmod(0o700)
     assert load_session_csv(path).meta == {"session_cache": "hit"}  # the planted rows
-    np.save(entry, planted[:, :2])
+    np.save(entry, planted[:2])  # t_s and one channel of three
     assert load_session_csv(path).meta == {"session_cache": "stored"}
 
 
@@ -834,16 +874,22 @@ def test_cut_half_open_boundary():
     assert b.recording.data[0, 0] == rec.data[0, 125]
 
 
+@pytest.fixture(scope="module")
+def loaded_session(tmp_path_factory):
+    path = tmp_path_factory.mktemp("loaded") / "s.csv"
+    data = np.random.default_rng(0).normal(scale=40.0, size=(4, 112_510))
+    save_session_csv(Recording(rate=1.0, labels=["a", "b", "c", "d"], data=data), path)
+    return load_session_csv(path)
+
+
 @pytest.mark.parametrize("length", [0, 1, 4095, 4096, 4097, 112_500])
-def test_cut_copies_the_plain_slice_of_a_loaded_session(length):
-    # a loaded session's samples are the transpose of its (samples, t_s + channels) table
-    table = np.random.default_rng(length).normal(size=(112_510, 17))
-    rec = Recording(rate=1.0, labels=[f"ch{i + 1}" for i in range(16)], data=table[:, 1:].T)
+def test_cut_copies_the_plain_slice_of_a_loaded_session(loaded_session, length):
+    rec = loaded_session
     seg = cut_segments(rec, [Event("x", 3.0, 3.0 + length)])[0].recording
     want = rec.data[:, 3 : 3 + length]
     assert seg.data.shape == want.shape and seg.data.dtype == want.dtype
     assert np.array_equal(seg.data, want)
-    assert seg.data.flags.c_contiguous and not np.shares_memory(seg.data, table)
+    assert seg.data.flags.c_contiguous and not np.shares_memory(seg.data, rec.data)
 
 
 def test_segment_sample_budget():
